@@ -41,23 +41,29 @@ def _peek_threads(argv):
 
 
 def _build_parser():
+    # --threads is accepted before or after the subcommand; main() has
+    # already pinned BLAS from it via _peek_threads.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--threads",
+        type=int,
+        default=argparse.SUPPRESS,
+        help="BLAS thread count (1 guarantees bitwise reproducibility)",
+    )
     parser = argparse.ArgumentParser(
         prog="uzawa-transport",
         description="Mesh-free transport solver with multiplier-enforced inflow data",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="BLAS thread count (1 guarantees bitwise reproducibility)",
+        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run an experiment from a config file or manifest")
+    p_run = sub.add_parser(
+        "run", parents=[common], help="run an experiment from a config file or manifest"
+    )
     p_run.add_argument("config_path")
     p_run.add_argument("--out", default=None, help="output directory")
 
-    p_preset = sub.add_parser("preset", help="run a named preset")
+    p_preset = sub.add_parser("preset", parents=[common], help="run a named preset")
     p_preset.add_argument("name")
     p_preset.add_argument("--out", default=None, help="output directory")
     p_preset.add_argument("--seed", type=int, default=None, help="override the run seed")
@@ -69,8 +75,8 @@ def _build_parser():
         help="override a config key (repeatable)",
     )
 
-    sub.add_parser("list-presets", help="list available presets")
-    p_verify = sub.add_parser("verify", help="run the oracle identity checks")
+    sub.add_parser("list-presets", parents=[common], help="list available presets")
+    p_verify = sub.add_parser("verify", parents=[common], help="run the oracle identity checks")
     p_verify.add_argument("--out", default=None, help="output directory")
     return parser
 
@@ -154,6 +160,7 @@ def run_experiment(config, out_dir=None):
         all_ok = True
         details = {}
         for name, ok, detail in checks:
+            ok = bool(ok)  # JSON cannot serialise numpy.bool_
             print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))
             details[name] = {"ok": ok, "detail": detail}
             all_ok &= ok

@@ -3,13 +3,22 @@
 A network maps the embedded phase point to a scalar.  The default
 embedding feeds (x1, x2, cos(theta), sin(theta)) so the output is
 automatically 2*pi-periodic in the angle; a raw-angle mode is kept for
-ablation.  Besides plain evaluation, the module provides batched kernels
-carrying a forward tangent rail (for omega-directional spatial
-derivatives) and the matching reverse sweep over the augmented
-computation, so parameter gradients of derivative-containing losses are
-exact.  A tape-based single-point path (module ``autodiff``) implements
-the same scheme node by node and is used to cross-check the batched
-kernels.
+ablation.  Three batched kernels evaluate it, each keeping only what its
+callers need:
+
+- ``eval_batch`` computes values only.  It embeds and evaluates
+  ``ROW_BLOCK`` rows at a time into one output array and keeps no cache,
+  so forward-only passes (grids, boundary values, single points) stay
+  cache-sized however many rows they cover.
+- ``forward_batch`` returns values and a cache of activations and first
+  derivative factors, which ``vjp_value_batch`` consumes.
+- ``forward_jvp_batch`` adds a forward tangent rail (for omega-directional
+  spatial derivatives) and caches the second derivative factors as well,
+  which the matching reverse sweep ``vjp_jvp_batch`` needs so that
+  parameter gradients of derivative-containing losses are exact.
+
+A tape-based single-point path (module ``autodiff``) implements the same
+scheme node by node and is used to cross-check the batched kernels.
 """
 
 from __future__ import annotations
@@ -25,6 +34,10 @@ from .errors import ContractViolation
 from .phase_space import EPS_UNIT, PhasePoint
 
 CHECKPOINT_MAGIC = b"UZMLP1"
+
+# Rows per block in ``eval_batch``, small enough that one block's layer
+# activations stay cache-sized.
+ROW_BLOCK = 4096
 
 COS_SIN = "cos-sin"
 RAW_ANGLE = "raw-angle"
@@ -72,9 +85,14 @@ def embedding_for(params):
     raise ContractViolation(f"no phase embedding with dimension {d0}")
 
 
-def _act_tanh(z):
+def _act_tanh(z, order):
+    """Activation and its derivatives up to ``order``: a prefix of (a, d1, d2)."""
     a = np.tanh(z)
+    if order == 0:
+        return (a,)
     d1 = 1.0 - a * a
+    if order == 1:
+        return a, d1
     return a, d1, -2.0 * a * d1
 
 
@@ -82,15 +100,23 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def _act_gelu(z):
+def _act_gelu(z, order):
     cdf = 0.5 * (1.0 + erf(z * _INV_SQRT2))
+    if order == 0:
+        return (z * cdf,)
     pdf = _INV_SQRT2PI * np.exp(-0.5 * z * z)
+    if order == 1:
+        return z * cdf, cdf + z * pdf
     return z * cdf, cdf + z * pdf, pdf * (2.0 - z * z)
 
 
-def _act_silu(z):
+def _act_silu(z, order):
     s = 0.5 * (np.tanh(0.5 * z) + 1.0)
+    if order == 0:
+        return (z * s,)
     ds = s * (1.0 - s)
+    if order == 1:
+        return z * s, s + z * ds
     return z * s, s + z * ds, ds * (2.0 + z * (1.0 - 2.0 * s))
 
 
@@ -179,13 +205,18 @@ def unflatten(vec, widths, activation="tanh"):
 
 
 def forward_batch(params, emb):
-    """Values at a batch of embedded points; returns (u, cache)."""
+    """Values at a batch of embedded points; returns (u, cache).
+
+    The cache holds every layer's activations and first derivative factors
+    for ``vjp_value_batch``; callers that need values only use
+    ``eval_batch``, which keeps neither.
+    """
     act = ACTIVATIONS[params.activation]
     a = np.asarray(emb, dtype=float)
     acts, d1s = [a], []
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
         z = a @ W.T + b
-        a, d1, _ = act(z)
+        a, d1 = act(z, 1)
         acts.append(a)
         d1s.append(d1)
     u = acts[-1] @ params.weights[-1].T + params.biases[-1]
@@ -205,7 +236,7 @@ def forward_jvp_batch(params, emb, emb_tangent):
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
         z = a @ W.T + b
         s = t @ W.T
-        a, d1, d2 = act(z)
+        a, d1, d2 = act(z, 2)
         t = d1 * s
         acts.append(a)
         rails.append(t)
@@ -271,7 +302,23 @@ def _pack_grads(grads_w, grads_b):
 
 
 def eval_batch(params, x, theta, embedding=DEFAULT_EMBEDDING):
-    u, _ = forward_batch(params, embedding.embed(x, theta))
+    """Network values at the phase points (x, theta), values only.
+
+    Works through ``ROW_BLOCK`` rows at a time, embedding and evaluating
+    each block into one preallocated output, so its working set stays
+    bounded by the block size.  Rows are independent, so every value is
+    the same arithmetic as in ``forward_batch``.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    act = ACTIVATIONS[params.activation]
+    u = np.empty(theta.shape[0])
+    for lo in range(0, u.shape[0], ROW_BLOCK):
+        hi = lo + ROW_BLOCK
+        a = embedding.embed(x[lo:hi], theta[lo:hi])
+        for W, b in zip(params.weights[:-1], params.biases[:-1]):
+            (a,) = act(a @ W.T + b, 0)
+        u[lo:hi] = (a @ params.weights[-1].T + params.biases[-1])[:, 0]
     return u
 
 
@@ -282,9 +329,7 @@ def evaluate(params, point, embedding=DEFAULT_EMBEDDING):
     """Network value at one phase point."""
     if params.weights[0].shape[1] != embedding.dim:
         raise ContractViolation("embedding dimension does not match input width")
-    emb = embedding.embed(point.x[None, :], [point.theta])
-    u, _ = forward_batch(params, emb)
-    return float(u[0])
+    return float(eval_batch(params, point.x[None, :], [point.theta], embedding)[0])
 
 
 def eval_with_spatial_directional(params, point, direction, embedding=DEFAULT_EMBEDDING):

@@ -1,5 +1,7 @@
 """Flux, slices, discrete norms, and file round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,7 +70,21 @@ def test_scalar_flux_of_x1_field():
     ang = ps.angular_rule(16)
     grid = dio.scalar_flux(x1net, ang, nx=5, ny=5)
     xs = np.linspace(0, 1, 5)
-    np.testing.assert_allclose(grid.values, TWO_PI * xs[:, None], atol=1e-9)
+    expected = np.broadcast_to(TWO_PI * xs[:, None], (5, 5))
+    np.testing.assert_allclose(grid.values, expected, atol=1e-9)
+
+
+def test_scalar_flux_memory_stays_block_sized():
+    params = net.init_params((4, 64, 64, 64, 1), seed=0)
+    ang = ps.angular_rule(32)
+    tracemalloc.start()
+    try:
+        grid = dio.scalar_flux(params, ang, nx=101, ny=101)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.values.shape == (101, 101)
+    assert peak < 64e6
 
 
 def test_scalar_flux_checks_angular_weights():

@@ -112,6 +112,31 @@ def test_batch_matches_single_point():
         assert u[i] == pytest.approx(net.evaluate(params, PhasePoint(x[i], theta[i])), abs=1e-14)
 
 
+@pytest.mark.parametrize("activation", ["tanh", "gelu", "silu"])
+def test_eval_batch_blocks_match_forward_batch_bitwise(activation):
+    # two block boundaries plus a ragged tail
+    params = net.init_params((4, 16, 16, 1), activation=activation, seed=8)
+    rng = np.random.default_rng(3)
+    n = 2 * net.ROW_BLOCK + 3
+    x = rng.uniform(0, 1, (n, 2))
+    theta = rng.uniform(0, 2 * np.pi, n)
+    u_ref, _ = net.forward_batch(params, net.DEFAULT_EMBEDDING.embed(x, theta))
+    assert np.array_equal(net.eval_batch(params, x, theta), u_ref)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "gelu", "silu"])
+def test_activation_orders_are_prefixes(activation):
+    act = net.ACTIVATIONS[activation]
+    z = np.linspace(-6.0, 6.0, 241)
+    full = act(z, 2)
+    assert len(full) == 3
+    for order in (0, 1):
+        part = act(z, order)
+        assert len(part) == order + 1
+        for got, want in zip(part, full):
+            assert np.array_equal(got, want)
+
+
 def test_vectorized_matches_tape_for_random_networks():
     rng = np.random.default_rng(42)
     for seed in range(3):
