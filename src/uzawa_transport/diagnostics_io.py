@@ -108,19 +108,20 @@ def discrete_norms(params, quad, problem, reference=None, outflow=None, want_tri
     angular = quad.angular
     emb = network.embedding_for(params)
 
+    b = quad.boundary
+
     if interior.blocked:
-        terms = kinetic_ops.blocked_terms(params, interior.spatial_x, angular, problem)
+        terms = kinetic_ops.blocked_terms(params, interior.spatial_x, angular, problem, boundary=b)
         x, theta = terms["x"], terms["theta"]
         n_blocks = interior.spatial_x.shape[0]
     else:
-        terms = kinetic_ops.sample_terms(params, interior.x, interior.theta, angular, problem)
+        terms = kinetic_ops.sample_terms(
+            params, interior.x, interior.theta, angular, problem, boundary=b
+        )
         x, theta = interior.x, interior.theta
         n_blocks = None
     w = interior.weight
-    u, du = terms["u"], terms["du"]
-
-    b = quad.boundary
-    u_b = network.eval_batch(params, b.x, b.theta, emb)
+    u, du, u_b = terms["u"], terms["du"], terms["u_boundary"]
 
     if reference is None:
         diff, ddir = u, du

@@ -159,6 +159,7 @@ class SourceAndInflow:
     f: object = None
     g: object = None
     noise: NoiseSpec | None = None
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def source(self, x, theta):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -177,6 +178,13 @@ class SourceAndInflow:
             delta = rng.normal(0.0, self.noise.std, len(boundary))
             base = base + delta * (base != 0.0)
         return base
+
+    def frozen_inflow(self, boundary):
+        """``inflow`` on a frozen node set, computed once per node set."""
+        hit = self._cache.get(id(boundary))
+        if hit is None or hit[0] is not boundary:
+            hit = self._cache[id(boundary)] = (boundary, self.inflow(boundary))
+        return hit[1]
 
 
 @dataclass
@@ -214,25 +222,45 @@ def scattering_apply(u_slice, angular, kernel, sigma_t):
 # -- residual assembly --------------------------------------------------------
 
 
-def blocked_terms(params, spatial_x, angular, problem, embedding=None):
+def _network_pass(params, groups, boundary, embedding, need_grad):
+    """One network pass over row groups [(x, theta), ...] (the first carries
+    the omega-tangent rail), then the ``boundary`` nodes if given.  Returns
+    per-group values, the first group's derivatives and the entries
+    "u_boundary" and, with ``need_grad``, "cache"; else the pass streams."""
+    if embedding is None:
+        embedding = network.embedding_for(params)
+    if boundary is not None:
+        groups = groups + [(boundary.x, boundary.theta)]
+    x = np.concatenate([g[0] for g in groups])
+    theta = np.concatenate([g[1] for g in groups])
+    n_t, extra = groups[0][1].shape[0], {}
+    if need_grad:
+        tangent = embedding.transport_tangent(theta[:n_t])
+        u, du, extra["cache"] = network.forward_jvp_batch(params, embedding.embed(x, theta), tangent)
+    else:
+        u, du = network.eval_jvp_batch(params, x, theta, n_t, embedding)
+    values = np.split(u, np.cumsum([g[1].shape[0] for g in groups])[:-1])
+    if boundary is not None:
+        extra["u_boundary"] = values.pop()
+    return values, du, extra
+
+
+def blocked_terms(params, spatial_x, angular, problem, embedding=None, boundary=None, need_grad=False):
     """Residual data on a spatial block crossed with the angular rule.
 
     Evaluates the network once per (spatial point, angular node) pair,
     reusing the same values for the residual and for the scattering sums,
     so the angular coupling costs one K x K product per spatial point.
-    Returns a dict with flat arrays in spatial-major order plus the
-    forward cache for reverse sweeps.
+    Returns a dict with flat arrays in spatial-major order; frozen
+    ``boundary`` nodes ride along in the same pass ("u_boundary"), and
+    ``need_grad`` keeps the pass's cache for one reverse sweep ("cache").
     """
-    if embedding is None:
-        embedding = network.embedding_for(params)
     spatial_x = np.atleast_2d(np.asarray(spatial_x, dtype=float))
     m = spatial_x.shape[0]
     k = len(angular)
     x = np.repeat(spatial_x, k, axis=0)
     theta = np.tile(angular.theta, m)
-    emb = embedding.embed(x, theta)
-    tan = embedding.tangent(np.stack([np.cos(theta), np.sin(theta)], axis=1))
-    u, du, cache = network.forward_jvp_batch(params, emb, tan)
+    (u,), du, extra = _network_pass(params, [(x, theta)], boundary, embedding, need_grad)
     umat = u.reshape(m, k)
     mat = problem.kernel.matrix(angular)
     scat_mean = umat @ (mat * angular.weight[None, :]).T / TWO_PI
@@ -246,31 +274,27 @@ def blocked_terms(params, spatial_x, angular, problem, embedding=None):
         "du": du,
         "u_matrix": umat,
         "residual": resid,
-        "cache": cache,
         "sigma": sig,
         "kernel_matrix": mat,
+        **extra,
     }
 
 
-def sample_terms(params, x, theta, angular, problem, embedding=None):
+def sample_terms(params, x, theta, angular, problem, embedding=None, boundary=None, need_grad=False):
     """Residual data at loose phase samples (directions off the angular grid).
 
     Each sample needs the full angular slice at its position for the
-    scattering average, so this path costs K extra evaluations per sample;
-    the kernel row is renormalized at the sample's own direction.
+    scattering average, so this path costs K extra value-only rows per
+    sample, evaluated in the same pass; the kernel row is renormalized at
+    the sample's own direction.  Returns the entries of ``blocked_terms``
+    except x, theta and the kernel matrix, with the kernel rows ("rows").
     """
-    if embedding is None:
-        embedding = network.embedding_for(params)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     n = x.shape[0]
     k = len(angular)
-    emb = embedding.embed(x, theta)
-    tan = embedding.tangent(np.stack([np.cos(theta), np.sin(theta)], axis=1))
-    u, du, cache_r = network.forward_jvp_batch(params, emb, tan)
-    xs = np.repeat(x, k, axis=0)
-    ths = np.tile(angular.theta, n)
-    us, cache_s = network.forward_batch(params, embedding.embed(xs, ths))
+    slices = (np.repeat(x, k, axis=0), np.tile(angular.theta, n))
+    (u, us), du, extra = _network_pass(params, [(x, theta), slices], boundary, embedding, need_grad)
     umat = us.reshape(n, k)
     rows = problem.kernel.rows(theta, angular)
     scat_mean = (rows * angular.weight[None, :] * umat).sum(axis=1) / TWO_PI
@@ -282,10 +306,9 @@ def sample_terms(params, x, theta, angular, problem, embedding=None):
         "du": du,
         "u_matrix": umat,
         "residual": resid,
-        "cache_residual": cache_r,
-        "cache_scatter": cache_s,
         "rows": rows,
         "sigma": sig,
+        **extra,
     }
 
 

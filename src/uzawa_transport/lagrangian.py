@@ -5,16 +5,17 @@ The objective is
 assembled on a quadrature set.  The multiplier lives on a frozen copy of
 the inflow-boundary nodes; interior nodes may be subsampled (tensor rules
 subsample whole spatial blocks so the angular coupling stays intact) or,
-for Monte Carlo rules, redrawn per step by the caller.  Gradients reuse
-the forward evaluations: every interior point contributes a value seed and
-a tangent seed, with the angular cross-terms of the scattering sum folded
-into the value seeds, and a single reverse sweep produces the flat
-parameter gradient.
+for Monte Carlo rules, redrawn per step by the caller.  One network pass
+covers the interior points with their tangent rail, the Monte Carlo
+scattering slices and the boundary nodes, and one reverse sweep over its
+cache produces the flat parameter gradient from a value seed per row and
+a tangent seed per interior point, with the angular cross-terms of the
+scattering sum folded into the value seeds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,8 +86,7 @@ def _check_registry(multiplier, quad):
 def _problem_for(problem, config):
     if config.include_source:
         return problem
-    stripped = kinetic_ops.SourceAndInflow(None, problem.data.g, problem.data.noise)
-    return kinetic_ops.ProblemSpec(problem.sigma_a, problem.sigma_t, problem.kernel, stripped)
+    return replace(problem, data=replace(problem.data, f=None))
 
 
 def _evaluate(params, multiplier, quad, problem, config, need_grad):
@@ -94,53 +94,38 @@ def _evaluate(params, multiplier, quad, problem, config, need_grad):
     problem = _problem_for(problem, config)
     interior = quad.interior
     angular = quad.angular
-    grad = None
+    b = quad.boundary
 
     if interior.blocked:
-        terms = kinetic_ops.blocked_terms(params, interior.spatial_x, angular, problem)
-        w = interior.weight
-        r = terms["residual"]
-        pde = 0.5 * float(w @ r**2)
-        if need_grad:
-            m = interior.spatial_x.shape[0]
-            k = len(angular)
-            wr = (w * r).reshape(m, k)
-            scat_seed = -(problem.sigma_t / TWO_PI) * (wr @ terms["kernel_matrix"]) * angular.weight[None, :]
-            alpha = w * r * (terms["sigma"] + problem.sigma_t) + scat_seed.ravel()
-            beta = w * r
-            grad = network.vjp_jvp_batch(params, terms["cache"], alpha, beta)
+        terms = kinetic_ops.blocked_terms(
+            params, interior.spatial_x, angular, problem, boundary=b, need_grad=need_grad
+        )
     else:
-        terms = kinetic_ops.sample_terms(params, interior.x, interior.theta, angular, problem)
-        w = interior.weight
-        r = terms["residual"]
-        pde = 0.5 * float(w @ r**2)
-        if need_grad:
-            wr = w * r
-            alpha = wr * (terms["sigma"] + problem.sigma_t)
-            grad = network.vjp_jvp_batch(params, terms["cache_residual"], alpha, wr)
-            if problem.sigma_t != 0.0:
-                scat_seed = (
-                    -(problem.sigma_t / TWO_PI)
-                    * wr[:, None]
-                    * terms["rows"]
-                    * angular.weight[None, :]
-                )
-                grad = grad + network.vjp_value_batch(
-                    params, terms["cache_scatter"], scat_seed.ravel()
-                )
-
-    b = quad.boundary
-    emb = network.embedding_for(params)
-    u_b, cache_b = network.forward_batch(params, emb.embed(b.x, b.theta))
-    g_b = problem.data.inflow(b)
-    mismatch = u_b - g_b
+        terms = kinetic_ops.sample_terms(
+            params, interior.x, interior.theta, angular, problem, boundary=b, need_grad=need_grad
+        )
+    w = interior.weight
+    r = terms["residual"]
+    pde = 0.5 * float(w @ r**2)
+    mismatch = terms["u_boundary"] - problem.data.frozen_inflow(b)
     penalty = 0.5 * config.gamma * float(b.weight @ mismatch**2)
     mult_term = -float((b.weight * multiplier.values) @ mismatch)
-    if need_grad:
-        seed_b = b.weight * (config.gamma * mismatch - multiplier.values)
-        grad = grad + network.vjp_value_batch(params, cache_b, seed_b)
+    parts = LagrangianParts(pde, penalty, mult_term)
+    if not need_grad:
+        return parts, None
 
-    return LagrangianParts(pde, penalty, mult_term), grad
+    # value seeds in pass order: interior, Monte Carlo scatter, boundary rows
+    wr = w * r
+    scat_scale = -problem.sigma_t / TWO_PI
+    if interior.blocked:
+        scat_seed = scat_scale * (wr.reshape(-1, len(angular)) @ terms["kernel_matrix"]) * angular.weight
+        seeds = [wr * (terms["sigma"] + problem.sigma_t) + scat_seed.ravel()]
+    else:
+        scat_seed = scat_scale * wr[:, None] * terms["rows"] * angular.weight[None, :]
+        seeds = [wr * (terms["sigma"] + problem.sigma_t), scat_seed.ravel()]
+    seeds.append(b.weight * (config.gamma * mismatch - multiplier.values))
+    grad = network.vjp_jvp_batch(params, terms["cache"], np.concatenate(seeds), wr)
+    return parts, grad
 
 
 def assemble(params, multiplier, quad, problem, config):

@@ -3,19 +3,18 @@
 A network maps the embedded phase point to a scalar.  The default
 embedding feeds (x1, x2, cos(theta), sin(theta)) so the output is
 automatically 2*pi-periodic in the angle; a raw-angle mode is kept for
-ablation.  Three batched kernels evaluate it, each keeping only what its
-callers need:
+ablation.  Two kinds of batched kernel evaluate it:
 
-- ``eval_batch`` computes values only.  It embeds and evaluates
-  ``ROW_BLOCK`` rows at a time into one output array and keeps no cache,
-  so forward-only passes (grids, boundary values, single points) stay
-  cache-sized however many rows they cover.
-- ``forward_batch`` returns values and a cache of activations and first
-  derivative factors, which ``vjp_value_batch`` consumes.
-- ``forward_jvp_batch`` adds a forward tangent rail (for omega-directional
-  spatial derivatives) and caches the second derivative factors as well,
-  which the matching reverse sweep ``vjp_jvp_batch`` needs so that
-  parameter gradients of derivative-containing losses are exact.
+- ``forward_jvp_batch`` evaluates n rows plus a forward tangent rail (for
+  omega-directional spatial derivatives) on the first n_t of them, both
+  rails stacked so each layer is one GEMM, and caches what one reverse
+  sweep, ``vjp_jvp_batch``, needs for exact gradients of
+  derivative-containing losses.  Its buffers are reused while (widths,
+  activation, n, n_t) stays the same, so a training step allocates no
+  layer temporaries; ``forward_batch``/``vjp_value_batch`` are n_t = 0.
+- ``eval_jvp_batch`` and ``eval_batch`` (values only) keep no cache and
+  stream ``ROW_BLOCK`` rows at a time through reused block buffers, so
+  forward-only passes stay block-sized however many rows they cover.
 
 A tape-based single-point path (module ``autodiff``) implements the same
 scheme node by node and is used to cross-check the batched kernels.
@@ -70,6 +69,10 @@ class PhaseEmbedding:
         pad = np.zeros((direction.shape[0], self.dim - 2))
         return np.hstack([direction, pad])
 
+    def transport_tangent(self, theta):
+        """Tangent of each point's own direction omega = (cos theta, sin theta)."""
+        return self.tangent(np.stack([np.cos(theta), np.sin(theta)], axis=1))
+
 
 DEFAULT_EMBEDDING = PhaseEmbedding()
 RAW_EMBEDDING = PhaseEmbedding(RAW_ANGLE)
@@ -85,39 +88,44 @@ def embedding_for(params):
     raise ContractViolation(f"no phase embedding with dimension {d0}")
 
 
-def _act_tanh(z, order):
-    """Activation and its derivatives up to ``order``: a prefix of (a, d1, d2)."""
-    a = np.tanh(z)
-    if order == 0:
-        return (a,)
-    d1 = 1.0 - a * a
-    if order == 1:
-        return a, d1
-    return a, d1, -2.0 * a * d1
+def _act_tanh(z, order, out=None):
+    """Activation and its derivatives up to ``order``: a prefix of (a, d1, d2),
+    written into the ``order + 1`` arrays of ``out`` when given."""
+    out = out or tuple(np.empty_like(z) for _ in range(order + 1))
+    a = np.tanh(z, out=out[0])
+    if order:
+        np.subtract(1.0, np.multiply(a, a, out=out[1]), out=out[1])
+    if order == 2:
+        np.multiply(np.multiply(a, -2.0, out=out[2]), out[1], out=out[2])
+    return out
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def _act_gelu(z, order):
+def _act_gelu(z, order, out=None):
+    out = out or tuple(np.empty_like(z) for _ in range(order + 1))
     cdf = 0.5 * (1.0 + erf(z * _INV_SQRT2))
-    if order == 0:
-        return (z * cdf,)
-    pdf = _INV_SQRT2PI * np.exp(-0.5 * z * z)
-    if order == 1:
-        return z * cdf, cdf + z * pdf
-    return z * cdf, cdf + z * pdf, pdf * (2.0 - z * z)
+    np.multiply(z, cdf, out=out[0])
+    if order:
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * z * z)
+        np.add(cdf, z * pdf, out=out[1])
+    if order == 2:
+        np.multiply(pdf, 2.0 - z * z, out=out[2])
+    return out
 
 
-def _act_silu(z, order):
+def _act_silu(z, order, out=None):
+    out = out or tuple(np.empty_like(z) for _ in range(order + 1))
     s = 0.5 * (np.tanh(0.5 * z) + 1.0)
-    if order == 0:
-        return (z * s,)
-    ds = s * (1.0 - s)
-    if order == 1:
-        return z * s, s + z * ds
-    return z * s, s + z * ds, ds * (2.0 + z * (1.0 - 2.0 * s))
+    np.multiply(z, s, out=out[0])
+    if order:
+        dsig = s * (1.0 - s)
+        np.add(s, z * dsig, out=out[1])
+    if order == 2:
+        np.multiply(dsig, 2.0 + z * (1.0 - 2.0 * s), out=out[2])
+    return out
 
 
 ACTIVATIONS = {"tanh": _act_tanh, "gelu": _act_gelu, "silu": _act_silu}
@@ -187,139 +195,170 @@ def flatten(params):
     return np.concatenate(parts)
 
 
+def _layer_views(vec, widths):
+    """Per-layer (weight, bias) views into a vector in ``flatten`` order."""
+    views, k = [], 0
+    for din, dout in zip(widths[:-1], widths[1:]):
+        views.append((vec[k : k + dout * din].reshape(dout, din), vec[k + dout * din : k + dout * din + dout]))
+        k += dout * din + dout
+    return views
+
+
 def unflatten(vec, widths, activation="tanh"):
     vec = np.asarray(vec, dtype=float)
     if vec.size != param_count(widths):
         raise ContractViolation("flat vector length does not match widths")
-    weights, biases = [], []
-    k = 0
-    for din, dout in zip(widths[:-1], widths[1:]):
-        weights.append(vec[k : k + dout * din].reshape(dout, din).copy())
-        k += dout * din
-        biases.append(vec[k : k + dout].copy())
-        k += dout
-    return MlpParams(weights, biases, activation)
+    views = _layer_views(vec, widths)
+    return MlpParams([W.copy() for W, _ in views], [b.copy() for _, b in views], activation)
 
 
 # -- batched kernels --------------------------------------------------------
 
 
-def forward_batch(params, emb):
-    """Values at a batch of embedded points; returns (u, cache).
+class _Workspace:
+    """Flat layer buffers, viewed by ``layout`` for n rows whose first n_t
+    carry tangents, stacked below the primal rows so a layer is one GEMM.
+    Order 2 (a reverse sweep follows) gives each layer its own buffers and
+    a ``d2`` for tangent rows; order 1 shares them across layers."""
 
-    The cache holds every layer's activations and first derivative factors
-    for ``vjp_value_batch``; callers that need values only use
-    ``eval_batch``, which keeps neither.
-    """
+    def __init__(self, widths, n, n_t, order):
+        def flat(count, rows, ws):
+            count = len(ws) if order == 2 else count
+            return [np.empty(rows * max(ws[i::count])) for i in range(count)]
+
+        self.widths, self.generation, hidden = widths, 0, widths[1:-1]
+        self._h, self._y = flat(2, n + n_t, widths[:-1]), flat(1, n + n_t, hidden)
+        self._d1, self._d2 = flat(1, n, hidden), flat(1, n_t, hidden) if order == 2 else None
+        self._out = np.empty(n + n_t)
+        self.layout(n, n_t)
+
+    def layout(self, n, n_t):
+        def views(bufs, rows, ws):
+            return [bufs[i % len(bufs)][: rows * w].reshape(rows, w) for i, w in enumerate(ws)]
+
+        self.n, self.n_t, hidden = n, n_t, self.widths[1:-1]
+        self.h, self.y = views(self._h, n + n_t, self.widths[:-1]), views(self._y, n + n_t, hidden)
+        self.d1 = views(self._d1, n, hidden)
+        self.d2 = views(self._d2, n_t, hidden) if self._d2 else None
+        self.out = self._out[: n + n_t].reshape(-1, 1)
+
+
+_SLOTS = {}
+
+
+def _workspace(slot, key, *shape):
+    """The workspace held in ``slot``, rebuilt whenever ``key`` changes."""
+    if _SLOTS.get(slot, (None,))[0] != key:
+        _SLOTS[slot] = (key, _Workspace(*shape))
+    return _SLOTS[slot][1]
+
+
+def _forward(params, ws):
+    """Stacked output (values, then tangents) before the last bias."""
     act = ACTIVATIONS[params.activation]
-    a = np.asarray(emb, dtype=float)
-    acts, d1s = [a], []
-    for W, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = a @ W.T + b
-        a, d1 = act(z, 1)
-        acts.append(a)
-        d1s.append(d1)
-    u = acts[-1] @ params.weights[-1].T + params.biases[-1]
-    return u[:, 0], (acts, d1s)
+    n, n_t = ws.n, ws.n_t
+    order = 2 if ws.d2 else 1
+    for layer, (W, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
+        y, a = ws.y[layer], ws.h[layer + 1]
+        bufs = (a, ws.d1[layer], ws.d2[layer]) if ws.d2 else (a, ws.d1[layer])
+        np.matmul(ws.h[layer], W.T, out=y)
+        z = y[:n]
+        z += b
+        # tangent rows need one derivative order more than value rows
+        if n_t:
+            act(z[:n_t], order, tuple(buf[:n_t] for buf in bufs))
+        if n > n_t:
+            act(z[n_t:], order - 1, tuple(buf[n_t:n] for buf in bufs[:order]))
+        np.multiply(bufs[1][:n_t], y[n:], out=a[n:])
+    return np.matmul(ws.h[-1], params.weights[-1].T, out=ws.out)
 
 
 def forward_jvp_batch(params, emb, emb_tangent):
-    """Values and tangent-rail directional derivatives at a batch.
+    """Values at every embedded row and tangent-rail directional derivatives
+    at the first n_t <= n rows, whose tangents ``emb_tangent`` holds.
 
-    Returns (u, du, cache); the cache holds everything the reverse sweep
-    needs (activations, both derivative factors, and the tangent rails).
-    """
-    act = ACTIVATIONS[params.activation]
-    a = np.asarray(emb, dtype=float)
-    t = np.asarray(emb_tangent, dtype=float)
-    acts, rails, d1s, d2s, pre_rails = [a], [t], [], [], []
-    for W, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = a @ W.T + b
-        s = t @ W.T
-        a, d1, d2 = act(z, 2)
-        t = d1 * s
-        acts.append(a)
-        rails.append(t)
-        d1s.append(d1)
-        d2s.append(d2)
-        pre_rails.append(s)
-    WL = params.weights[-1]
-    u = acts[-1] @ WL.T + params.biases[-1]
-    du = rails[-1] @ WL.T
-    return u[:, 0], du[:, 0], (acts, rails, d1s, d2s, pre_rails)
+    Returns fresh (u, du) and a cache for one ``vjp_jvp_batch`` sweep, made
+    stale by the next pass of the same (widths, activation, n, n_t)."""
+    emb, tangent = np.asarray(emb, dtype=float), np.asarray(emb_tangent, dtype=float)
+    n, n_t = emb.shape[0], tangent.shape[0]
+    if n_t > n:
+        raise ContractViolation("more tangent rows than rows")
+    ws = _workspace("rails", (params.widths, params.activation, n, n_t), params.widths, n, n_t, 2)
+    ws.generation += 1
+    ws.h[0][:n], ws.h[0][n:] = emb, tangent
+    out = _forward(params, ws)[:, 0]
+    return out[:n] + params.biases[-1], out[n:].copy(), (ws, ws.generation)
+
+
+def forward_batch(params, emb):
+    """Values and a ``vjp_value_batch`` cache: the n_t = 0 case of ``forward_jvp_batch``."""
+    emb = np.asarray(emb, dtype=float)
+    u, _, cache = forward_jvp_batch(params, emb, emb[:0])
+    return u, cache
+
+
+def vjp_jvp_batch(params, cache, seed_value, seed_tangent):
+    """Gradient of sum_i seed_value[i]*u_i + sum_j seed_tangent[j]*du_j.
+
+    Per layer one weight-gradient GEMM into the flat gradient and, above the
+    input layer, one adjoint GEMM over the stacked rails; tangent adjoints
+    enter through the activation's second derivative, which makes gradients
+    of directional derivatives exact.  The sweep overwrites the cached layer
+    inputs, so a cache admits one sweep; a stale cache raises."""
+    ws, generation = cache
+    if generation != ws.generation:
+        raise ContractViolation("stale forward cache: its workspace was reused or already swept")
+    ws.generation += 1
+    n, n_t = ws.n, ws.n_t
+    adj = ws.out
+    adj[:n, 0], adj[n:, 0] = seed_value, seed_tangent
+    grad = np.empty(params.n_params)
+    views = _layer_views(grad, params.widths)
+    for layer in range(len(params.weights) - 1, -1, -1):
+        if layer < len(params.weights) - 1:
+            zbar, tbar, scratch = adj[:n], adj[n:], ws.y[layer][:n_t]
+            np.multiply(tbar, ws.d2[layer], out=scratch)
+            scratch *= ws.y[layer][n:]
+            zbar *= ws.d1[layer]
+            zbar[:n_t] += scratch
+            tbar *= ws.d1[layer][:n_t]
+        np.matmul(adj.T, ws.h[layer], out=views[layer][0])
+        np.sum(adj[:n], axis=0, out=views[layer][1])
+        if layer:
+            adj = np.matmul(adj, params.weights[layer], out=ws.h[layer])
+    return grad
 
 
 def vjp_value_batch(params, cache, seed_value):
     """Gradient of sum_i seed_value[i] * u_i wrt the flat parameters."""
-    acts, d1s = cache
-    zbar = np.asarray(seed_value, dtype=float)[:, None]
-    grads_w, grads_b = [], []
-    W = params.weights[-1]
-    grads_w.append(zbar.T @ acts[-1])
-    grads_b.append(zbar.sum(axis=0))
-    abar = zbar @ W
-    for layer in range(len(params.weights) - 2, -1, -1):
-        zbar = abar * d1s[layer]
-        grads_w.append(zbar.T @ acts[layer])
-        grads_b.append(zbar.sum(axis=0))
-        abar = zbar @ params.weights[layer]
-    return _pack_grads(grads_w, grads_b)
+    return vjp_jvp_batch(params, cache, seed_value, ())
 
 
-def vjp_jvp_batch(params, cache, seed_value, seed_tangent):
-    """Gradient of sum_i (seed_value[i]*u_i + seed_tangent[i]*du_i).
+def eval_jvp_batch(params, x, theta, n_t, embedding=DEFAULT_EMBEDDING):
+    """Values at the phase points (x, theta) and, at the first n_t of them,
+    derivatives along their own direction omega = (cos theta, sin theta).
 
-    Reverse sweep over the augmented (primal, tangent) computation: the
-    tangent-rail adjoints contribute through the second derivative of the
-    activation, which is what makes gradients of directional derivatives
-    exact.
-    """
-    acts, rails, d1s, d2s, pre_rails = cache
-    zbar = np.asarray(seed_value, dtype=float)[:, None]
-    sbar = np.asarray(seed_tangent, dtype=float)[:, None]
-    grads_w, grads_b = [], []
-    W = params.weights[-1]
-    grads_w.append(zbar.T @ acts[-1] + sbar.T @ rails[-1])
-    grads_b.append(zbar.sum(axis=0))
-    abar = zbar @ W
-    tbar = sbar @ W
-    for layer in range(len(params.weights) - 2, -1, -1):
-        zbar = abar * d1s[layer] + tbar * d2s[layer] * pre_rails[layer]
-        sbar = tbar * d1s[layer]
-        grads_w.append(zbar.T @ acts[layer] + sbar.T @ rails[layer])
-        grads_b.append(zbar.sum(axis=0))
-        abar = zbar @ params.weights[layer]
-        tbar = sbar @ params.weights[layer]
-    return _pack_grads(grads_w, grads_b)
-
-
-def _pack_grads(grads_w, grads_b):
-    parts = []
-    for gW, gb in zip(reversed(grads_w), reversed(grads_b)):
-        parts.append(gW.ravel())
-        parts.append(gb)
-    return np.concatenate(parts)
+    Streams ``ROW_BLOCK`` rows at a time through reused block buffers with
+    no cache, so its working set stays block-sized; every value is the same
+    arithmetic as in ``forward_jvp_batch``."""
+    x, theta = np.atleast_2d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(theta, dtype=float))
+    ws = _workspace("blocks", (params.widths, params.activation), params.widths, ROW_BLOCK, ROW_BLOCK, 1)
+    u, du = np.empty(theta.shape[0]), np.empty(n_t)
+    for lo in range(0, u.shape[0], ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, u.shape[0])
+        t_hi = min(max(n_t, lo), hi)
+        ws.layout(hi - lo, t_hi - lo)
+        ws.h[0][: hi - lo] = embedding.embed(x[lo:hi], theta[lo:hi])
+        ws.h[0][hi - lo :] = embedding.transport_tangent(theta[lo:t_hi])
+        out = _forward(params, ws)[:, 0]
+        np.add(out[: hi - lo], params.biases[-1], out=u[lo:hi])
+        du[lo:t_hi] = out[hi - lo :]
+    return u, du
 
 
 def eval_batch(params, x, theta, embedding=DEFAULT_EMBEDDING):
-    """Network values at the phase points (x, theta), values only.
-
-    Works through ``ROW_BLOCK`` rows at a time, embedding and evaluating
-    each block into one preallocated output, so its working set stays
-    bounded by the block size.  Rows are independent, so every value is
-    the same arithmetic as in ``forward_batch``.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    act = ACTIVATIONS[params.activation]
-    u = np.empty(theta.shape[0])
-    for lo in range(0, u.shape[0], ROW_BLOCK):
-        hi = lo + ROW_BLOCK
-        a = embedding.embed(x[lo:hi], theta[lo:hi])
-        for W, b in zip(params.weights[:-1], params.biases[:-1]):
-            (a,) = act(a @ W.T + b, 0)
-        u[lo:hi] = (a @ params.weights[-1].T + params.biases[-1])[:, 0]
-    return u
+    """Network values at the phase points (x, theta): ``eval_jvp_batch`` without tangents."""
+    return eval_jvp_batch(params, x, theta, 0, embedding)[0]
 
 
 # -- single-point operations -------------------------------------------------

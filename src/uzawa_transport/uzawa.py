@@ -168,7 +168,7 @@ def inner_minimize(state, quad, problem, lagr_cfg, config, optimizer, outer, see
 
 def run(problem, quad, params0, config, lagr_cfg, seed=0):
     """Full iteration: returns the final state with per-step histories."""
-    g_values = problem.data.inflow(quad.boundary)
+    g_values = problem.data.frozen_inflow(quad.boundary)
     state = RunState(
         params=params0,
         multiplier=constant_multiplier(quad.boundary, config.lambda_init),

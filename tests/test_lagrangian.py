@@ -1,12 +1,16 @@
 """Objective assembly, gradients, multiplier field, subsampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from uzawa_transport import config as cf
 from uzawa_transport import kinetic_ops as ko
 from uzawa_transport import lagrangian as lg
 from uzawa_transport import network as net
 from uzawa_transport import phase_space as ps
+from uzawa_transport import presets
 from uzawa_transport.errors import ContractViolation
 
 
@@ -258,3 +262,38 @@ def test_multiplier_norm():
     assert mult.norm() == pytest.approx(2.0 * np.sqrt(8.0), abs=1e-12)
     with pytest.raises(ContractViolation):
         lg.MultiplierField(np.zeros(3), nodes)
+
+
+def _example3_forward():
+    cfg = presets.expand_preset("example3-forward")
+    problem, _ = cf.build_problem(cfg)
+    quad = cf.build_quadrature_set(cfg)
+    return problem, quad, cf.build_network(cfg), cf.build_lagrangian_config(cfg)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_step_allocates_no_layer_buffers():
+    # example3-forward batch: 48 blocks x 32 directions plus 256 boundary rows
+    problem, quad, params, cfg = _example3_forward()
+    batch = lg.subsample(quad, cfg.batch_interior, [0, 0, 0])
+    mult = lg.constant_multiplier(quad.boundary, 0.5)
+    peaks = [
+        _traced_peak(lambda: lg.assemble_with_gradient(params, mult, batch, problem, cfg))
+        for _ in range(5)
+    ]
+    assert max(peaks[1:]) < 2e6
+
+
+def test_full_set_value_pass_stays_block_sized():
+    # 400 blocks x 32 directions: 12,800 interior rows with tangents
+    problem, quad, params, cfg = _example3_forward()
+    mult = lg.constant_multiplier(quad.boundary, 0.5)
+    assert _traced_peak(lambda: lg.assemble(params, mult, quad, problem, cfg)) < 40e6

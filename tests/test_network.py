@@ -227,3 +227,61 @@ def test_cos_sin_periodicity():
     pt_a = PhasePoint(np.array([0.3, 0.3]), 0.4)
     pt_b = PhasePoint(np.array([0.3, 0.3]), 0.4 + 2 * np.pi)
     assert net.evaluate(params, pt_a) == pytest.approx(net.evaluate(params, pt_b), abs=1e-14)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "gelu", "silu"])
+@pytest.mark.parametrize("widths", [(4, 16, 16, 1), (4, 7, 5, 1)])
+def test_stacked_rails_match_separate_passes(activation, widths):
+    # tangents on the first n_t rows only; the rest are value-only
+    params = net.init_params(widths, activation=activation, seed=4)
+    rng = np.random.default_rng(9)
+    n, n_t = 23, 15
+    emb = rng.uniform(-1.0, 1.0, (n, 4))
+    tan = rng.uniform(-1.0, 1.0, (n_t, 4))
+    seed_value = rng.standard_normal(n)
+    seed_tangent = rng.standard_normal(n_t)
+    u_t, du_t, cache_t = net.forward_jvp_batch(params, emb[:n_t], tan)
+    g_sep = net.vjp_jvp_batch(params, cache_t, seed_value[:n_t], seed_tangent)
+    u_v, cache_v = net.forward_batch(params, emb[n_t:])
+    g_sep = g_sep + net.vjp_value_batch(params, cache_v, seed_value[n_t:])
+
+    u, du, cache = net.forward_jvp_batch(params, emb, tan)
+    u_sep = np.concatenate([u_t, u_v])
+    np.testing.assert_allclose(u, u_sep, rtol=1e-14, atol=1e-14 * np.abs(u_sep).max())
+    np.testing.assert_allclose(du, du_t, rtol=1e-14, atol=1e-14 * np.abs(du_t).max())
+    grad = net.vjp_jvp_batch(params, cache, seed_value, seed_tangent)
+    assert np.linalg.norm(grad - g_sep) <= 1e-13 * np.linalg.norm(g_sep)
+
+
+def test_stale_cache_rejected():
+    params = net.init_params((4, 7, 5, 1), seed=2)
+    rng = np.random.default_rng(1)
+    emb, tan = rng.uniform(-1.0, 1.0, (6, 4)), rng.uniform(-1.0, 1.0, (4, 4))
+    seeds = (np.ones(6), np.ones(4))
+    u, du, stale = net.forward_jvp_batch(params, emb, tan)
+    kept = (u.copy(), du.copy())
+    _, _, cache = net.forward_jvp_batch(params, 2.0 * emb, tan)  # reuses the workspace
+    assert np.array_equal(u, kept[0]) and np.array_equal(du, kept[1])
+    with pytest.raises(ContractViolation):
+        net.vjp_jvp_batch(params, stale, *seeds)
+    net.vjp_jvp_batch(params, cache, *seeds)
+    with pytest.raises(ContractViolation):  # one reverse sweep per cache
+        net.vjp_jvp_batch(params, cache, *seeds)
+    with pytest.raises(ContractViolation):
+        net.forward_jvp_batch(params, emb[:3], tan)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "gelu", "silu"])
+def test_streamed_jvp_matches_cached_pass_bitwise(activation):
+    # the tangent rows end inside the second block; a ragged tail follows
+    params = net.init_params((4, 16, 16, 1), activation=activation, seed=8)
+    rng = np.random.default_rng(6)
+    n, n_t = net.ROW_BLOCK + 9, net.ROW_BLOCK + 4
+    x = rng.uniform(0, 1, (n, 2))
+    theta = rng.uniform(0, 2 * np.pi, n)
+    emb = net.DEFAULT_EMBEDDING.embed(x, theta)
+    tan = net.DEFAULT_EMBEDDING.tangent(np.stack([np.cos(theta), np.sin(theta)], axis=1)[:n_t])
+    u_ref, du_ref, _ = net.forward_jvp_batch(params, emb, tan)
+    u, du = net.eval_jvp_batch(params, x, theta, n_t)
+    assert np.array_equal(u, u_ref)
+    assert np.array_equal(du, du_ref)
