@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kinetic_ops, lagrangian, network, phase_space, uzawa
-from .diagnostics_io import ReferenceSolution
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError
 
 TRAIN = "train"
 ORACLE_VERIFY = "oracle-verify"
@@ -70,7 +69,6 @@ SCHEMA = {
     "quadrature.seed": ("int", 0, None),
     "network.widths": ("ints", (4, 64, 64, 64, 1), None),
     "network.activation": ("str", "tanh", tuple(network.ACTIVATIONS)),
-    "network.embedding": ("str", network.COS_SIN, (network.COS_SIN, network.RAW_ANGLE)),
     "network.seed": ("int", 0, None),
     "lagrangian.gamma": ("float", 1.0, None),
     "lagrangian.include_source": ("bool", True, None),
@@ -90,11 +88,7 @@ SCHEMA = {
     "outputs.grids": ("strs", ("scalar-flux",), None),
     "outputs.emit_quadrature": ("bool", False, None),
     "outputs.checkpoint": ("bool", True, None),
-    "oracle.gamma": ("float", 1.0, None),
-    "oracle.rho": ("float", 0.5, None),
     "oracle.n_iter": ("int", 200, None),
-    "oracle.sigma_a": ("float", 1.0, None),
-    "oracle.sigma_t": ("float", 0.1, None),
 }
 
 
@@ -163,6 +157,14 @@ class ExperimentConfig:
         return out
 
 
+# the absorption values each problem.sigma_a.kind reads
+_ABSORPTION_FIELDS = {
+    "constant": ("problem.sigma_a.value",),
+    "ball-obstacle": ("problem.sigma_a.inside", "problem.sigma_a.outside"),
+    "split-plane": ("problem.sigma_a.left", "problem.sigma_a.right"),
+}
+
+
 def _semantic_violations(values):
     v = []
     if values["uzawa.rho"] <= 0:
@@ -176,6 +178,9 @@ def _semantic_violations(values):
         v.append("uzawa.learning_rate: must be positive")
     if values["lagrangian.gamma"] < 0:
         v.append("lagrangian.gamma: boundary stabilization weight must be >= 0")
+    for key in _ABSORPTION_FIELDS[values["problem.sigma_a.kind"]]:
+        if values[key] < 0:
+            v.append(f"{key}: absorption must be >= 0")
     if values["problem.sigma_t"] < 0:
         v.append("problem.sigma_t: scattering strength must be >= 0")
     if values["problem.kernel.kind"] == "forward-peaked" and values["problem.kernel.epsilon"] <= 0:
@@ -187,13 +192,8 @@ def _semantic_violations(values):
         v.append("network.widths: output width must be 1")
     elif any(w <= 0 for w in widths):
         v.append("network.widths: all widths must be positive")
-    else:
-        emb_dim = 4 if values["network.embedding"] == network.COS_SIN else 3
-        if widths[0] != emb_dim:
-            v.append(
-                f"network.widths: input width {widths[0]} does not match the "
-                f"{values['network.embedding']} embedding dimension {emb_dim}"
-            )
+    elif widths[0] not in (3, 4):
+        v.append("network.widths: input width must be 3 (raw-angle) or 4 (cos-sin)")
     if values["problem.manufactured"] and values["problem.sigma_a.kind"] != "constant":
         v.append("problem.manufactured: needs a constant absorption coefficient")
     if len(values["problem.sigma_a.center"]) != 2:
@@ -233,8 +233,6 @@ def _semantic_violations(values):
                 float(entry.split(":", 1)[1])
             except ValueError:
                 v.append(f"outputs.grids: bad slice angle in {entry!r}")
-    if values["oracle.rho"] <= 0:
-        v.append("oracle.rho: multiplier ascent step must satisfy rho > 0")
     if values["oracle.n_iter"] < 1:
         v.append("oracle.n_iter: must be >= 1")
     return v
@@ -381,7 +379,7 @@ def build_problem(cfg, domain=phase_space.UNIT_SQUARE):
     if cfg["problem.manufactured"]:
         value, directional, source = _manufactured_pieces(cfg["problem.sigma_a.value"])
         f, g = source, None  # the exact trace vanishes on the unit square
-        reference = ReferenceSolution(value, directional)
+        reference = kinetic_ops.ReferenceSolution(value, directional)
     else:
         f = _build_source(cfg)
         g = _build_inflow(cfg, domain)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kinetic_ops, network
 from .errors import ContractViolation
-from .kinetic_ops import TWO_PI
+from .kinetic_ops import TWO_PI, ReferenceSolution  # ReferenceSolution: re-exported
 
 METRICS_HEADER = (
     "outer,inner,loss_total,loss_pde,loss_boundary,loss_multiplier,"
@@ -61,7 +61,7 @@ def scalar_flux(params, angular, nx=101, ny=101, domain=None):
     k = len(angular)
     x = np.repeat(pts, k, axis=0)
     theta = np.tile(angular.theta, pts.shape[0])
-    u = network.eval_batch(params, x, theta, network.embedding_for(params))
+    u = network.eval_batch(params, x, theta)
     values = (u.reshape(pts.shape[0], k) @ angular.weight).reshape(nx, ny)
     extent = (domain.lo[0], domain.hi[0], domain.lo[1], domain.hi[1])
     return FieldGrid(nx, ny, values, extent, "scalar-flux")
@@ -73,91 +73,37 @@ def angular_slice(params, theta, nx=101, ny=101, domain=None):
 
     domain = domain or UNIT_SQUARE
     pts = grid_points(nx, ny, domain)
-    u = network.eval_batch(
-        params, pts, np.full(pts.shape[0], float(theta)), network.embedding_for(params)
-    )
+    u = network.eval_batch(params, pts, np.full(pts.shape[0], float(theta)))
     extent = (domain.lo[0], domain.hi[0], domain.lo[1], domain.hi[1])
     return FieldGrid(nx, ny, u.reshape(nx, ny), extent, f"angular-slice:{theta}")
-
-
-@dataclass
-class ReferenceSolution:
-    """Exact solution with its directional derivative, for error norms."""
-
-    value: object  # (x, theta) -> values
-    directional: object  # (x, theta) -> omega . grad_x at (x, theta)
-
-
-def _ts_apply(values_flat, dir_flat, sigma_flat, sigma_t, kernel_mat, angular, n_blocks):
-    umat = values_flat.reshape(n_blocks, len(angular))
-    mean = umat @ (kernel_mat * angular.weight[None, :]).T / TWO_PI
-    return dir_flat + (sigma_flat + sigma_t) * values_flat - sigma_t * mean.ravel()
 
 
 def discrete_norms(params, quad, problem, reference=None, outflow=None, want_triple=False):
     """Discrete solution-space norms on the given quadrature.
 
     Without a reference: residual norms of the network against the problem
-    data ((T+S)u - f in the interior, u - g on the inflow boundary).  With
-    a reference: the same norms applied to the difference u - reference.
-    The triple norm needs outflow nodes (mirror of the inflow sampler).
+    data ((T+S)u - f in the interior, u - g on the inflow boundary), taken
+    from the residual assembly.  With a reference: the same norms of the
+    difference u - reference; the reference goes through the same assembly,
+    and since T+S is linear, (T+S)(u - reference) is the difference of the
+    two residuals.  The triple norm needs outflow nodes (mirror of the
+    inflow sampler).
     """
     if want_triple and outflow is None:
         raise ContractViolation("triple norm requested without outflow nodes")
-    interior = quad.interior
-    angular = quad.angular
-    emb = network.embedding_for(params)
-
-    b = quad.boundary
-
-    if interior.blocked:
-        terms = kinetic_ops.blocked_terms(params, interior.spatial_x, angular, problem, boundary=b)
-        x, theta = terms["x"], terms["theta"]
-        n_blocks = interior.spatial_x.shape[0]
-    else:
-        terms = kinetic_ops.sample_terms(
-            params, interior.x, interior.theta, angular, problem, boundary=b
-        )
-        x, theta = interior.x, interior.theta
-        n_blocks = None
-    w = interior.weight
-    u, du, u_b = terms["u"], terms["du"], terms["u_boundary"]
-
+    w, b = quad.interior.weight, quad.boundary
+    terms = kinetic_ops.interior_terms(params, quad, problem)
     if reference is None:
-        diff, ddir = u, du
-        source = problem.data.source(x, theta)
-        if interior.blocked:
-            ts = _ts_apply(
-                u, du, terms["sigma"], problem.sigma_t, terms["kernel_matrix"], angular, n_blocks
-            )
-        else:
-            ts = terms["residual"] + source  # residual already is (T+S)u - f
-        pde_sq = float(w @ (ts - source) ** 2)
-        l2_sq = float(w @ u**2)
-        bnd_sq = float(b.weight @ (u_b - problem.data.inflow(b)) ** 2)
+        resid, diff, ddir = terms["residual"], terms["u"], terms["du"]
+        bnd = terms["u_boundary"] - problem.data.inflow(b)
     else:
-        ref = np.asarray(reference.value(x, theta), dtype=float)
-        refd = np.asarray(reference.directional(x, theta), dtype=float)
-        diff = u - ref
-        ddir = du - refd
-        if interior.blocked:
-            ts = _ts_apply(
-                diff, ddir, terms["sigma"], problem.sigma_t, terms["kernel_matrix"], angular, n_blocks
-            )
-        else:
-            rows = terms["rows"]
-            dmat = terms["u_matrix"] - np.asarray(
-                reference.value(
-                    np.repeat(x, len(angular), axis=0), np.tile(angular.theta, x.shape[0])
-                )
-            ).reshape(x.shape[0], len(angular))
-            mean = (rows * angular.weight[None, :] * dmat).sum(axis=1) / TWO_PI
-            ts = ddir + (terms["sigma"] + problem.sigma_t) * diff - problem.sigma_t * mean
-        pde_sq = float(w @ ts**2)
-        l2_sq = float(w @ diff**2)
-        ref_b = np.asarray(reference.value(b.x, b.theta), dtype=float)
-        bnd_sq = float(b.weight @ (u_b - ref_b) ** 2)
-
+        ref = kinetic_ops.interior_terms(reference, quad, problem)
+        resid = terms["residual"] - ref["residual"]
+        diff, ddir = terms["u"] - ref["u"], terms["du"] - ref["du"]
+        bnd = terms["u_boundary"] - ref["u_boundary"]
+    pde_sq = float(w @ resid**2)
+    l2_sq = float(w @ diff**2)
+    bnd_sq = float(b.weight @ bnd**2)
     result = {
         "l2_interior": np.sqrt(l2_sq),
         "pde_residual_norm": np.sqrt(pde_sq),
@@ -167,16 +113,13 @@ def discrete_norms(params, quad, problem, reference=None, outflow=None, want_tri
     }
     if want_triple:
         grad_sq = float(w @ ddir**2)
-        u_out = network.eval_batch(params, outflow.x, outflow.theta, emb)
+        out = network.eval_batch(params, outflow.x, outflow.theta)
         if reference is None:
-            out_sq = float(outflow.weight @ u_out**2)
-            in_sq = float(b.weight @ u_b**2)
+            in_sq = float(b.weight @ terms["u_boundary"] ** 2)
         else:
-            out_sq = float(
-                outflow.weight
-                @ (u_out - np.asarray(reference.value(outflow.x, outflow.theta))) ** 2
-            )
+            out = out - np.asarray(reference.value(outflow.x, outflow.theta))
             in_sq = bnd_sq
+        out_sq = float(outflow.weight @ out**2)
         result["triple_norm"] = np.sqrt(l2_sq + grad_sq + out_sq + in_sq)
     return result
 

@@ -9,6 +9,16 @@ discrete rule would miss even that; each kernel row is therefore
 renormalized against the angular quadrature so that the weighted row
 average is exactly one.  That keeps angular constants in the null space
 of the discrete operator, which the convergence checks rely on.
+
+The discrete operator lives here once.  ``scattering_mean`` is the
+kernel-weighted angular mean and ``scattering_adjoint`` its exact adjoint
+(the gradient seeds of ``lagrangian``); both take the kernel rows either
+as one K x K matrix shared by every slice or as one row per slice.  Every
+residual goes through one assembly body, reached through
+``blocked_terms`` (tensor interiors) or ``sample_terms`` (loose Monte
+Carlo samples), which ``interior_terms`` chooses between for the
+training objective and the norms alike.  The assembly evaluates either a
+network or a ``ReferenceSolution`` in the same way.
 """
 
 from __future__ import annotations
@@ -19,7 +29,6 @@ import numpy as np
 
 from . import network
 from .errors import ContractViolation
-from .phase_space import AngularNodes
 
 TWO_PI = 2.0 * np.pi
 
@@ -204,117 +213,130 @@ class ProblemSpec:
 # -- operators ----------------------------------------------------------------
 
 
+@dataclass
+class ReferenceSolution:
+    """Exact solution with its directional derivative, for error norms; the
+    residual assembly evaluates it in place of the network pass."""
+
+    value: object  # (x, theta) -> values
+    directional: object  # (x, theta) -> omega . grad_x at (x, theta)
+
+
 def transport_apply(u_val, du_omega, sigma_a_at_x):
     """Directional derivative plus absorption."""
     return du_omega + sigma_a_at_x * u_val
 
 
+def scattering_mean(slices, rows, weight):
+    """Kernel-weighted angular mean of each slice,
+    mean[s, i] = sum_j rows[s, i, j] weight[j] slices[s, j] / 2 pi.
+
+    ``slices`` holds one row of K angular-node values per position.
+    ``rows`` is one (K, K) node-to-node matrix shared by every slice
+    (blocked tensor interiors; the mean is (m, K)) or a stack (n, 1, K)
+    of one row per slice at that sample's own direction (loose samples;
+    the mean is (n, 1))."""
+    return np.matmul(rows * weight, slices[..., None])[..., 0] / TWO_PI
+
+
+def scattering_adjoint(seeds, rows, weight):
+    """Exact adjoint of ``scattering_mean`` in its slice argument:
+    <scattering_mean(u, rows, w), s> = <u, scattering_adjoint(s, rows, w)>,
+    with ``seeds`` shaped like the mean and the result like the slices."""
+    return np.matmul(seeds[..., None, :], rows)[..., 0, :] * weight / TWO_PI
+
+
 def scattering_apply(u_slice, angular, kernel, sigma_t):
-    """Discrete scattering of one angular slice at a fixed position."""
+    """Discrete scattering sigma_t (u - mean u) of angular slices at fixed positions."""
     u_slice = np.asarray(u_slice, dtype=float)
     if u_slice.shape[-1] != len(angular):
         raise ContractViolation("slice length must match the angular node count")
-    mat = kernel.matrix(angular)
-    mean = u_slice @ (mat * angular.weight[None, :]).T / TWO_PI
-    return sigma_t * (u_slice - mean)
+    return sigma_t * (u_slice - scattering_mean(u_slice, kernel.matrix(angular), angular.weight))
 
 
 # -- residual assembly --------------------------------------------------------
 
 
-def _network_pass(params, groups, boundary, embedding, need_grad):
-    """One network pass over row groups [(x, theta), ...] (the first carries
-    the omega-tangent rail), then the ``boundary`` nodes if given.  Returns
-    per-group values, the first group's derivatives and the entries
-    "u_boundary" and, with ``need_grad``, "cache"; else the pass streams."""
-    if embedding is None:
-        embedding = network.embedding_for(params)
+def _terms(field, points, slices, kernel_rows, angular, problem, boundary, need_grad):
+    """Residual (T + S)u - f of ``field`` at ``points`` = (x, theta).
+
+    One pass covers the points with their omega-tangent rail, then the
+    scattering slices (extra rows; None when the points are the slices),
+    then the frozen ``boundary`` nodes; ``need_grad`` keeps the network
+    pass's cache.  A ReferenceSolution ``field`` stands in for the pass."""
+    x, theta = points
+    groups = [points] if slices is None else [points, slices]
     if boundary is not None:
-        groups = groups + [(boundary.x, boundary.theta)]
-    x = np.concatenate([g[0] for g in groups])
-    theta = np.concatenate([g[1] for g in groups])
-    n_t, extra = groups[0][1].shape[0], {}
-    if need_grad:
-        tangent = embedding.transport_tangent(theta[:n_t])
-        u, du, extra["cache"] = network.forward_jvp_batch(params, embedding.embed(x, theta), tangent)
+        groups.append((boundary.x, boundary.theta))
+    rows_x = np.concatenate([g[0] for g in groups])
+    rows_theta = np.concatenate([g[1] for g in groups])
+    extra = {}
+    if isinstance(field, ReferenceSolution):
+        u_rows, du = field.value(rows_x, rows_theta), field.directional(x, theta)
+    elif need_grad:
+        u_rows, du, extra["cache"] = network.forward_jvp_phase(field, rows_x, rows_theta, len(theta))
     else:
-        u, du = network.eval_jvp_batch(params, x, theta, n_t, embedding)
-    values = np.split(u, np.cumsum([g[1].shape[0] for g in groups])[:-1])
+        u_rows, du = network.eval_jvp_batch(field, rows_x, rows_theta, len(theta))
+    values = np.split(u_rows, np.cumsum([len(g[1]) for g in groups])[:-1])
     if boundary is not None:
         extra["u_boundary"] = values.pop()
-    return values, du, extra
+    u = values[0]
+    mean = scattering_mean(values[-1].reshape(-1, len(angular)), kernel_rows, angular.weight)
+    sig = problem.sigma_a(x)
+    resid = du + (sig + problem.sigma_t) * u - problem.sigma_t * mean.ravel()
+    resid = resid - problem.data.source(x, theta)
+    return {"u": u, "du": du, "residual": resid, "sigma": sig, "kernel_rows": kernel_rows, **extra}
 
 
-def blocked_terms(params, spatial_x, angular, problem, embedding=None, boundary=None, need_grad=False):
+def blocked_terms(field, spatial_x, angular, problem, boundary=None, need_grad=False):
     """Residual data on a spatial block crossed with the angular rule.
 
-    Evaluates the network once per (spatial point, angular node) pair,
-    reusing the same values for the residual and for the scattering sums,
-    so the angular coupling costs one K x K product per spatial point.
-    Returns a dict with flat arrays in spatial-major order; frozen
-    ``boundary`` nodes ride along in the same pass ("u_boundary"), and
-    ``need_grad`` keeps the pass's cache for one reverse sweep ("cache").
+    ``field`` is network parameters or a ReferenceSolution.  Each (spatial
+    point, angular node) pair is evaluated once, and its value serves both
+    the residual and the scattering sums (the points are the slices), so
+    the angular coupling costs one K x K product per spatial point.
+    Returns a dict of flat arrays in spatial-major order: "u", "du" (along
+    each row's own direction), "residual", "sigma" (absorption per row),
+    and "kernel_rows" (the shared K x K matrix); frozen ``boundary`` nodes
+    ride along in the same pass ("u_boundary"), and ``need_grad`` keeps the
+    pass's cache for one reverse sweep ("cache").
     """
     spatial_x = np.atleast_2d(np.asarray(spatial_x, dtype=float))
-    m = spatial_x.shape[0]
-    k = len(angular)
-    x = np.repeat(spatial_x, k, axis=0)
-    theta = np.tile(angular.theta, m)
-    (u,), du, extra = _network_pass(params, [(x, theta)], boundary, embedding, need_grad)
-    umat = u.reshape(m, k)
+    points = (np.repeat(spatial_x, len(angular), axis=0), np.tile(angular.theta, spatial_x.shape[0]))
     mat = problem.kernel.matrix(angular)
-    scat_mean = umat @ (mat * angular.weight[None, :]).T / TWO_PI
-    sig = np.repeat(problem.sigma_a(spatial_x), k)
-    resid = du + (sig + problem.sigma_t) * u - problem.sigma_t * scat_mean.ravel()
-    resid = resid - problem.data.source(x, theta)
-    return {
-        "x": x,
-        "theta": theta,
-        "u": u,
-        "du": du,
-        "u_matrix": umat,
-        "residual": resid,
-        "sigma": sig,
-        "kernel_matrix": mat,
-        **extra,
-    }
+    return _terms(field, points, None, mat, angular, problem, boundary, need_grad)
 
 
-def sample_terms(params, x, theta, angular, problem, embedding=None, boundary=None, need_grad=False):
+def sample_terms(field, x, theta, angular, problem, boundary=None, need_grad=False):
     """Residual data at loose phase samples (directions off the angular grid).
 
     Each sample needs the full angular slice at its position for the
     scattering average, so this path costs K extra value-only rows per
-    sample, evaluated in the same pass; the kernel row is renormalized at
-    the sample's own direction.  Returns the entries of ``blocked_terms``
-    except x, theta and the kernel matrix, with the kernel rows ("rows").
+    sample, evaluated in the same pass after the samples; the kernel row is
+    renormalized at the sample's own direction.  Returns the entries of
+    ``blocked_terms``, with "kernel_rows" one row per sample, (n, 1, K).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    n = x.shape[0]
     k = len(angular)
-    slices = (np.repeat(x, k, axis=0), np.tile(angular.theta, n))
-    (u, us), du, extra = _network_pass(params, [(x, theta), slices], boundary, embedding, need_grad)
-    umat = us.reshape(n, k)
-    rows = problem.kernel.rows(theta, angular)
-    scat_mean = (rows * angular.weight[None, :] * umat).sum(axis=1) / TWO_PI
-    sig = problem.sigma_a(x)
-    resid = du + (sig + problem.sigma_t) * u - problem.sigma_t * scat_mean
-    resid = resid - problem.data.source(x, theta)
-    return {
-        "u": u,
-        "du": du,
-        "u_matrix": umat,
-        "residual": resid,
-        "rows": rows,
-        "sigma": sig,
-        **extra,
-    }
+    slices = (np.repeat(x, k, axis=0), np.tile(angular.theta, x.shape[0]))
+    rows = problem.kernel.rows(theta, angular)[:, None, :]
+    return _terms(field, (x, theta), slices, rows, angular, problem, boundary, need_grad)
 
 
-def pde_residual(params, point, angular, problem, embedding=None):
-    """Strong residual (T + S)u - f at one interior phase point."""
-    terms = sample_terms(
-        params, point.x[None, :], [point.theta], angular, problem, embedding
+def interior_terms(field, quad, problem, need_grad=False):
+    """Residual data of ``field`` on the interior of ``quad``, with its
+    inflow-boundary nodes in the same pass: ``blocked_terms`` for tensor
+    interiors, ``sample_terms`` for loose Monte Carlo samples."""
+    interior = quad.interior
+    if interior.blocked:
+        return blocked_terms(field, interior.spatial_x, quad.angular, problem, quad.boundary, need_grad)
+    return sample_terms(
+        field, interior.x, interior.theta, quad.angular, problem, quad.boundary, need_grad
     )
+
+
+def pde_residual(field, point, angular, problem):
+    """Strong residual (T + S)u - f at one interior phase point."""
+    terms = sample_terms(field, point.x[None, :], [point.theta], angular, problem)
     return float(terms["residual"][0])

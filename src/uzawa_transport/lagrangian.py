@@ -10,7 +10,7 @@ covers the interior points with their tangent rail, the Monte Carlo
 scattering slices and the boundary nodes, and one reverse sweep over its
 cache produces the flat parameter gradient from a value seed per row and
 a tangent seed per interior point, with the angular cross-terms of the
-scattering sum folded into the value seeds.
+scattering sum (``kinetic_ops.scattering_adjoint``) in the value seeds.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 from . import kinetic_ops, network
 from .errors import ContractViolation
-from .kinetic_ops import TWO_PI
 from .phase_space import InteriorNodes, QuadratureSet
 
 
@@ -92,19 +91,9 @@ def _problem_for(problem, config):
 def _evaluate(params, multiplier, quad, problem, config, need_grad):
     _check_registry(multiplier, quad)
     problem = _problem_for(problem, config)
-    interior = quad.interior
-    angular = quad.angular
     b = quad.boundary
-
-    if interior.blocked:
-        terms = kinetic_ops.blocked_terms(
-            params, interior.spatial_x, angular, problem, boundary=b, need_grad=need_grad
-        )
-    else:
-        terms = kinetic_ops.sample_terms(
-            params, interior.x, interior.theta, angular, problem, boundary=b, need_grad=need_grad
-        )
-    w = interior.weight
+    terms = kinetic_ops.interior_terms(params, quad, problem, need_grad)
+    w = quad.interior.weight
     r = terms["residual"]
     pde = 0.5 * float(w @ r**2)
     mismatch = terms["u_boundary"] - problem.data.frozen_inflow(b)
@@ -114,15 +103,17 @@ def _evaluate(params, multiplier, quad, problem, config, need_grad):
     if not need_grad:
         return parts, None
 
-    # value seeds in pass order: interior, Monte Carlo scatter, boundary rows
+    # value seeds in pass order: interior, Monte Carlo slices, boundary rows
     wr = w * r
-    scat_scale = -problem.sigma_t / TWO_PI
-    if interior.blocked:
-        scat_seed = scat_scale * (wr.reshape(-1, len(angular)) @ terms["kernel_matrix"]) * angular.weight
-        seeds = [wr * (terms["sigma"] + problem.sigma_t) + scat_seed.ravel()]
+    rows = terms["kernel_rows"]
+    scat_seed = -problem.sigma_t * kinetic_ops.scattering_adjoint(
+        wr.reshape(-1, rows.shape[-2]), rows, quad.angular.weight
+    ).ravel()
+    seeds = [wr * (terms["sigma"] + problem.sigma_t)]
+    if quad.interior.blocked:  # the slices are the interior rows themselves
+        seeds[0] += scat_seed
     else:
-        scat_seed = scat_scale * wr[:, None] * terms["rows"] * angular.weight[None, :]
-        seeds = [wr * (terms["sigma"] + problem.sigma_t), scat_seed.ravel()]
+        seeds.append(scat_seed)
     seeds.append(b.weight * (config.gamma * mismatch - multiplier.values))
     grad = network.vjp_jvp_batch(params, terms["cache"], np.concatenate(seeds), wr)
     return parts, grad
@@ -156,10 +147,7 @@ def subsample(quad, batch_interior, step_seed):
     multiplier registry is frozen, so boundary nodes are never subsampled.
     """
     interior = quad.interior
-    if interior.blocked:
-        n_full = interior.spatial_x.shape[0]
-    else:
-        n_full = len(interior)
+    n_full = interior.spatial_x.shape[0] if interior.blocked else len(interior)
     if batch_interior is None or batch_interior == n_full:
         return quad
     if batch_interior > n_full:
@@ -167,22 +155,16 @@ def subsample(quad, batch_interior, step_seed):
     rng = np.random.default_rng(step_seed)
     idx = np.sort(rng.choice(n_full, size=batch_interior, replace=False))
     scale = n_full / batch_interior
+    flat_idx, spatial = idx, {}
     if interior.blocked:
         k = len(quad.angular)
         flat_idx = (idx[:, None] * k + np.arange(k)[None, :]).ravel()
-        sub = InteriorNodes(
-            interior.x[flat_idx],
-            interior.theta[flat_idx],
-            interior.weight[flat_idx] * scale,
-            blocked=True,
-            spatial_x=interior.spatial_x[idx],
-            spatial_w=interior.spatial_w[idx] * scale,
-        )
-    else:
-        sub = InteriorNodes(
-            interior.x[idx],
-            interior.theta[idx],
-            interior.weight[idx] * scale,
-            blocked=False,
-        )
+        spatial = dict(spatial_x=interior.spatial_x[idx], spatial_w=interior.spatial_w[idx] * scale)
+    sub = InteriorNodes(
+        interior.x[flat_idx],
+        interior.theta[flat_idx],
+        interior.weight[flat_idx] * scale,
+        blocked=interior.blocked,
+        **spatial,
+    )
     return QuadratureSet(sub, quad.angular, quad.boundary, quad.scheme, quad.seeds, quad.domain)

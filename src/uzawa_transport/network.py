@@ -2,11 +2,14 @@
 
 A network maps the embedded phase point to a scalar.  The default
 embedding feeds (x1, x2, cos(theta), sin(theta)) so the output is
-automatically 2*pi-periodic in the angle; a raw-angle mode is kept for
-ablation.  Two kinds of batched kernel evaluate it:
+automatically 2*pi-periodic in the angle; a raw-angle mode (x1, x2,
+theta) is kept for ablation.  The embedding is decided here, from the
+input width (``embedding_for``): every function that takes phase points
+(x, theta) embeds them itself.  Two kinds of batched kernel evaluate it:
 
-- ``forward_jvp_batch`` evaluates n rows plus a forward tangent rail (for
-  omega-directional spatial derivatives) on the first n_t of them, both
+- ``forward_jvp_batch`` evaluates n embedded rows plus a forward tangent
+  rail (for omega-directional spatial derivatives) on the first n_t of
+  them (``forward_jvp_phase`` at phase points), both
   rails stacked so each layer is one GEMM, and caches what one reverse
   sweep, ``vjp_jvp_batch``, needs for exact gradients of
   derivative-containing losses.  Its buffers are reused while (widths,
@@ -30,7 +33,7 @@ from scipy.special import erf
 
 from . import autodiff
 from .errors import ContractViolation
-from .phase_space import EPS_UNIT, PhasePoint
+from .phase_space import EPS_UNIT
 
 CHECKPOINT_MAGIC = b"UZMLP1"
 
@@ -44,17 +47,10 @@ RAW_ANGLE = "raw-angle"
 
 @dataclass(frozen=True)
 class PhaseEmbedding:
-    """How the direction is fed to the network."""
+    """How the direction is fed to the network, and the input width it takes."""
 
-    mode: str = COS_SIN
-
-    @property
-    def dim(self):
-        if self.mode == COS_SIN:
-            return 4
-        if self.mode == RAW_ANGLE:
-            return 3
-        raise ContractViolation(f"unknown embedding mode '{self.mode}'")
+    mode: str
+    dim: int
 
     def embed(self, x, theta):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -74,18 +70,17 @@ class PhaseEmbedding:
         return self.tangent(np.stack([np.cos(theta), np.sin(theta)], axis=1))
 
 
-DEFAULT_EMBEDDING = PhaseEmbedding()
-RAW_EMBEDDING = PhaseEmbedding(RAW_ANGLE)
+DEFAULT_EMBEDDING = PhaseEmbedding(COS_SIN, 4)
+RAW_EMBEDDING = PhaseEmbedding(RAW_ANGLE, 3)
+_EMBEDDINGS = {e.dim: e for e in (DEFAULT_EMBEDDING, RAW_EMBEDDING)}
 
 
 def embedding_for(params):
     """Infer the phase embedding from the network's input width."""
     d0 = params.weights[0].shape[1]
-    if d0 == DEFAULT_EMBEDDING.dim:
-        return DEFAULT_EMBEDDING
-    if d0 == RAW_EMBEDDING.dim:
-        return RAW_EMBEDDING
-    raise ContractViolation(f"no phase embedding with dimension {d0}")
+    if d0 not in _EMBEDDINGS:
+        raise ContractViolation(f"no phase embedding with dimension {d0}")
+    return _EMBEDDINGS[d0]
 
 
 def _act_tanh(z, order, out=None):
@@ -334,7 +329,15 @@ def vjp_value_batch(params, cache, seed_value):
     return vjp_jvp_batch(params, cache, seed_value, ())
 
 
-def eval_jvp_batch(params, x, theta, n_t, embedding=DEFAULT_EMBEDDING):
+def forward_jvp_phase(params, x, theta, n_t):
+    """``forward_jvp_batch`` at the phase points (x, theta), the first n_t
+    differentiated along their own direction omega = (cos theta, sin theta)."""
+    embedding = embedding_for(params)
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    return forward_jvp_batch(params, embedding.embed(x, theta), embedding.transport_tangent(theta[:n_t]))
+
+
+def eval_jvp_batch(params, x, theta, n_t):
     """Values at the phase points (x, theta) and, at the first n_t of them,
     derivatives along their own direction omega = (cos theta, sin theta).
 
@@ -342,6 +345,7 @@ def eval_jvp_batch(params, x, theta, n_t, embedding=DEFAULT_EMBEDDING):
     no cache, so its working set stays block-sized; every value is the same
     arithmetic as in ``forward_jvp_batch``."""
     x, theta = np.atleast_2d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(theta, dtype=float))
+    embedding = embedding_for(params)
     ws = _workspace("blocks", (params.widths, params.activation), params.widths, ROW_BLOCK, ROW_BLOCK, 1)
     u, du = np.empty(theta.shape[0]), np.empty(n_t)
     for lo in range(0, u.shape[0], ROW_BLOCK):
@@ -356,28 +360,25 @@ def eval_jvp_batch(params, x, theta, n_t, embedding=DEFAULT_EMBEDDING):
     return u, du
 
 
-def eval_batch(params, x, theta, embedding=DEFAULT_EMBEDDING):
+def eval_batch(params, x, theta):
     """Network values at the phase points (x, theta): ``eval_jvp_batch`` without tangents."""
-    return eval_jvp_batch(params, x, theta, 0, embedding)[0]
+    return eval_jvp_batch(params, x, theta, 0)[0]
 
 
 # -- single-point operations -------------------------------------------------
 
 
-def evaluate(params, point, embedding=DEFAULT_EMBEDDING):
+def evaluate(params, point):
     """Network value at one phase point."""
-    if params.weights[0].shape[1] != embedding.dim:
-        raise ContractViolation("embedding dimension does not match input width")
-    return float(eval_batch(params, point.x[None, :], [point.theta], embedding)[0])
+    return float(eval_batch(params, point.x[None, :], [point.theta])[0])
 
 
-def eval_with_spatial_directional(params, point, direction, embedding=DEFAULT_EMBEDDING):
+def eval_with_spatial_directional(params, point, direction):
     """Value and spatial directional derivative along a unit direction."""
     direction = np.asarray(direction, dtype=float)
     if abs(np.hypot(direction[0], direction[1]) - 1.0) > EPS_UNIT:
         raise ContractViolation("direction must be a unit vector")
-    if params.weights[0].shape[1] != embedding.dim:
-        raise ContractViolation("embedding dimension does not match input width")
+    embedding = embedding_for(params)
     emb = embedding.embed(point.x[None, :], [point.theta])
     tan = embedding.tangent(direction[None, :])
     u, du, _ = forward_jvp_batch(params, emb, tan)
@@ -416,8 +417,9 @@ def tape_program(params):
     return program
 
 
-def tape_eval_with_directional(params, point, direction, embedding=DEFAULT_EMBEDDING):
+def tape_eval_with_directional(params, point, direction):
     """Single-point (value, directional, tape) via the scalar tape engine."""
+    embedding = embedding_for(params)
     emb = embedding.embed(point.x[None, :], [point.theta])[0]
     tan = embedding.tangent(np.asarray(direction, dtype=float)[None, :])[0]
     tape = autodiff.Tape()

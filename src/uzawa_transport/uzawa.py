@@ -105,7 +105,7 @@ class RunState:
 
 def boundary_residual(params, nodes, g_values):
     """Discrete inflow-trace mismatch norm ||u - g||."""
-    u = network.eval_batch(params, nodes.x, nodes.theta, network.embedding_for(params))
+    u = network.eval_batch(params, nodes.x, nodes.theta)
     return float(np.sqrt(nodes.weight @ (u - g_values) ** 2))
 
 
@@ -114,7 +114,7 @@ def multiplier_update(multiplier, params, g_values, rho):
     if rho <= 0:
         raise ContractViolation("multiplier step rho must be positive")
     nodes = multiplier.nodes
-    u = network.eval_batch(params, nodes.x, nodes.theta, network.embedding_for(params))
+    u = network.eval_batch(params, nodes.x, nodes.theta)
     return MultiplierField(multiplier.values - rho * (u - np.asarray(g_values)), nodes)
 
 

@@ -216,6 +216,29 @@ def test_cli_verify_exit_zero(tmp_path):
     assert "[FAIL]" not in out.stdout
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"problem.sigma_a.value": "-1"}, "problem.sigma_a.value"),
+        ({"problem.sigma_a.kind": "ball-obstacle", "problem.sigma_a.inside": "-2"}, "problem.sigma_a.inside"),
+        ({"problem.sigma_a.kind": "split-plane", "problem.sigma_a.right": "-0.5"}, "problem.sigma_a.right"),
+    ],
+)
+def test_negative_absorption_rejected(overrides, key):
+    with pytest.raises(ConfigError) as err:
+        cm.from_flat(overrides)
+    assert key in str(err.value)
+    # fields the selected kind does not read are not checked
+    cm.from_flat({"problem.sigma_a.kind": "split-plane", "problem.sigma_a.value": "-1"})
+
+
+def test_cli_negative_absorption_exit_code():
+    out = _run_cli(["preset", "example1", "--override", "problem.sigma_a.value=-1"])
+    assert out.returncode == 2, out.stderr
+    assert "problem.sigma_a.value" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_cli_override_rejects_bad_shape():
     out = _run_cli(["preset", "example1", "--override", "uzawa.rho"])
     assert out.returncode == 2

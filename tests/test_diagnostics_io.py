@@ -126,8 +126,15 @@ def test_norms_of_unit_constant():
     assert norms["boundary_residual_norm"] == pytest.approx(np.sqrt(8.0), abs=1e-10)
 
 
-def test_norms_zero_in_reference_mode():
-    quad = ps.build_quadrature(n_spatial=6, n_angular=8, n_boundary=(4, 4))
+_RULES = {
+    ps.TENSOR_GAUSS: dict(scheme=ps.TENSOR_GAUSS, n_spatial=6, n_angular=8, n_boundary=(4, 4)),
+    ps.MONTE_CARLO: dict(scheme=ps.MONTE_CARLO, n_spatial=50, n_angular=8, n_boundary=40, seed=3),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(_RULES))
+def test_norms_zero_in_reference_mode(scheme):
+    quad = ps.build_quadrature(**_RULES[scheme])
     zero_ref = dio.ReferenceSolution(
         lambda x, t: np.zeros(np.atleast_2d(x).shape[0]),
         lambda x, t: np.zeros(np.atleast_2d(x).shape[0]),
@@ -135,6 +142,21 @@ def test_norms_zero_in_reference_mode():
     norms = dio.discrete_norms(_const_net(0.0), quad, _problem(), reference=zero_ref)
     for key in ("l2_interior", "pde_residual_norm", "boundary_residual_norm", "v_norm"):
         assert norms[key] == 0.0
+
+
+@pytest.mark.parametrize("scheme", sorted(_RULES))
+def test_reference_mode_constant_difference(scheme):
+    # u = c, reference c', sigma_t > 0: scattering annihilates the constant
+    # difference, so ||(T+S)(u - ref)||^2 = sigma_a^2 (c - c')^2 |W| = ... * 2 pi
+    c, c_ref, sigma_a = 1.5, 0.25, 0.7
+    quad = ps.build_quadrature(**_RULES[scheme])
+    ref = dio.ReferenceSolution(
+        lambda x, t: np.full(np.atleast_2d(x).shape[0], c_ref),
+        lambda x, t: np.zeros(np.atleast_2d(x).shape[0]),
+    )
+    norms = dio.discrete_norms(_const_net(c), quad, _problem(sigma_a, sigma_t=2.0), reference=ref)
+    expected = sigma_a**2 * (c - c_ref) ** 2 * TWO_PI
+    assert norms["pde_residual_norm"] ** 2 == pytest.approx(expected, rel=1e-12)
 
 
 def test_triple_norm_contract_and_value():

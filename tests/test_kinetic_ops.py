@@ -147,6 +147,25 @@ def test_scattering_slice_length_contract():
         ko.scattering_apply(np.ones(15), ang, ko.isotropic_kernel(), 1.0)
 
 
+@pytest.mark.parametrize("kernel", [ko.isotropic_kernel(), ko.forward_peaked_kernel(0.1)])
+@pytest.mark.parametrize("form", ["shared-matrix", "per-slice"])
+def test_scattering_adjoint_identity(kernel, form):
+    # <mean(u), s> = <u, adjoint(s)> for both forms of the kernel rows
+    ang = ps.angular_rule(12)
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=(7, 12))
+    if form == "shared-matrix":
+        rows = kernel.matrix(ang)
+    else:
+        rows = kernel.rows(rng.uniform(0, TWO_PI, 7), ang)[:, None, :]
+    mean = ko.scattering_mean(u, rows, ang.weight)
+    s = rng.normal(size=mean.shape)
+    adj = ko.scattering_adjoint(s, rows, ang.weight)
+    assert adj.shape == u.shape
+    lhs, rhs = np.sum(mean * s), np.sum(u * adj)
+    assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+
+
 def test_kernel_row_normalization_off_grid():
     ang = ps.angular_rule(32)
     kernel = ko.forward_peaked_kernel(0.2)

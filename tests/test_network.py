@@ -218,8 +218,19 @@ def test_raw_angle_embedding_mode():
     emb = net.embedding_for(params)
     assert emb.mode == net.RAW_ANGLE
     pt = PhasePoint(np.array([0.2, 0.4]), 1.5)
-    val = net.evaluate(params, pt, emb)
+    val = net.evaluate(params, pt)
     assert np.isfinite(val)
+
+
+def test_raw_angle_batch_infers_embedding():
+    # no embedding argument anywhere: eval_batch reads it off the input width
+    params = net.init_params((3, 8, 1), seed=1)
+    rng = np.random.default_rng(2)
+    x = rng.uniform(0, 1, (5, 2))
+    theta = rng.uniform(0, 2 * np.pi, 5)
+    u = net.eval_batch(params, x, theta)
+    for i in range(5):
+        assert u[i] == pytest.approx(net.evaluate(params, PhasePoint(x[i], theta[i])), abs=1e-14)
 
 
 def test_cos_sin_periodicity():
