@@ -8,7 +8,6 @@ before numpy loads.
 __version__ = "0.1.0"
 
 _SUBMODULES = (
-    "autodiff",
     "cli",
     "config",
     "diagnostics_io",

@@ -92,10 +92,10 @@ def _resolve_out_dir(explicit, config):
     return os.path.join(base, name)
 
 
-def _final_metrics(state, quad, problem, reference, config):
+def _final_metrics(state, quad, reference):
     import numpy as np
 
-    from . import diagnostics_io
+    from . import network
 
     last = state.outer_history[-1]
     metrics = {
@@ -108,23 +108,22 @@ def _final_metrics(state, quad, problem, reference, config):
         "lambda_norm": last.lambda_norm,
     }
     if reference is not None:
-        norms = diagnostics_io.discrete_norms(state.params, quad, problem, reference)
-        w = quad.interior.weight
-        ref = reference.value(quad.interior.x, quad.interior.theta)
-        ref_norm = float(np.sqrt(w @ np.asarray(ref) ** 2))
-        metrics["l2_error"] = norms["l2_interior"]
-        metrics["l2_error_rel"] = norms["l2_interior"] / ref_norm
+        x, theta, w = quad.interior.x, quad.interior.theta, quad.interior.weight
+        ref = np.asarray(reference.value(x, theta))
+        err = network.eval_batch(state.params, x, theta) - ref
+        metrics["l2_error"] = float(np.sqrt(w @ err**2))
+        metrics["l2_error_rel"] = metrics["l2_error"] / float(np.sqrt(w @ ref**2))
     return metrics
 
 
-def _emit_train_outputs(out_dir, config, state, quad, problem, reference, wall_clock):
+def _emit_train_outputs(out_dir, config, state, quad, reference, wall_clock):
     from . import __version__, diagnostics_io, network, phase_space
 
     os.makedirs(out_dir, exist_ok=True)
     diagnostics_io.emit_metrics(
         os.path.join(out_dir, "metrics.csv"), diagnostics_io.metrics_rows(state)
     )
-    final = _final_metrics(state, quad, problem, reference, config)
+    final = _final_metrics(state, quad, reference)
     manifest = diagnostics_io.RunManifest(
         config=config.to_flat(), version=__version__, wall_clock=wall_clock, final_metrics=final
     )
@@ -193,9 +192,7 @@ def run_experiment(config, out_dir=None):
         diagnostics_io.emit_manifest(os.path.join(out_dir, "manifest.json"), manifest)
         raise
 
-    final = _emit_train_outputs(
-        out_dir, config, state, quad, problem, reference, time.perf_counter() - start
-    )
+    final = _emit_train_outputs(out_dir, config, state, quad, reference, time.perf_counter() - start)
     summary = ", ".join(
         f"{k}={final[k]:.6g}" for k in ("loss_total", "boundary_residual") if k in final
     )

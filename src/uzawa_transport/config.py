@@ -181,6 +181,9 @@ def _semantic_violations(values):
     for key in _ABSORPTION_FIELDS[values["problem.sigma_a.kind"]]:
         if values[key] < 0:
             v.append(f"{key}: absorption must be >= 0")
+    for key in ("problem.sigma_a.radius", "problem.source.radius"):
+        if values[key] < 0:
+            v.append(f"{key}: radius must be >= 0")
     if values["problem.sigma_t"] < 0:
         v.append("problem.sigma_t: scattering strength must be >= 0")
     if values["problem.kernel.kind"] == "forward-peaked" and values["problem.kernel.epsilon"] <= 0:

@@ -5,10 +5,6 @@ class ContractViolation(ValueError):
     """An operation was called outside its documented contract."""
 
 
-class EvaluationError(RuntimeError):
-    """A primitive failed during a forward pass (domain error, divide by zero)."""
-
-
 class NumericalAbort(RuntimeError):
     """Training produced a non-finite quantity; message names step and term."""
 

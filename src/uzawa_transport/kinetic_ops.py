@@ -1,14 +1,15 @@
 """Transport and scattering operators, coefficients, sources, inflow data.
 
 The transport part is pointwise: directional spatial derivative plus
-absorption.  The scattering part redistributes intensity across the
-angular nodes at a fixed position through a kernel in cos of the angle
-between directions.  The kernel's stated normalization (unit integral of
-pi over [-1,1]) does not make the circle average of pi equal one, and a
-discrete rule would miss even that; each kernel row is therefore
-renormalized against the angular quadrature so that the weighted row
-average is exactly one.  That keeps angular constants in the null space
-of the discrete operator, which the convergence checks rely on.
+absorption.  The scattering part sigma_t (u - mean u) redistributes
+intensity across the angular nodes at a fixed position through a kernel
+in cos of the angle between directions.  No continuum normalization of
+the kernel survives a discrete rule exactly, so each kernel row is
+renormalized against the angular quadrature to a weighted row average of
+exactly one.  That keeps angular constants in the null space of the
+discrete operator, which the convergence checks rely on; on the other
+Fourier modes it acts with the eigenvalues of ``angular_eigenvalue`` up
+to angular quadrature error.
 
 The discrete operator lives here once.  ``scattering_mean`` is the
 kernel-weighted angular mean and ``scattering_adjoint`` its exact adjoint
@@ -26,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ive
 
 from . import network
 from .errors import ContractViolation
@@ -86,8 +88,8 @@ class ScatteringKernel:
     """Kernel in y = omega . omega'; isotropic or forward-peaked exp(y/eps).
 
     ``matrix``/``rows`` return discretely renormalized values (weighted row
-    average exactly one); ``continuum_density`` returns pi normalized to
-    unit integral over [-1, 1] for the spectral eigenvalue formula.
+    average exactly one), so only the shape of the kernel matters, never
+    its continuum normalization.
     """
 
     kind: str = "isotropic"
@@ -100,16 +102,19 @@ class ScatteringKernel:
         if self.kind == "forward-peaked" and self.epsilon <= 0:
             raise ContractViolation("forward-peaked kernel needs epsilon > 0")
 
-    def _shape(self, cosang):
-        # any positive multiple works; the exp is shifted for stability
-        if self.kind == "isotropic":
-            return np.ones_like(cosang)
-        return np.exp((cosang - 1.0) / self.epsilon)
-
     def rows(self, theta_query, angular):
-        """Renormalized kernel rows at arbitrary query directions."""
+        """Renormalized kernel rows at arbitrary query directions.
+
+        A forward-peaked row is exp((y - max y)/eps): shifting each exponent
+        by its row maximum makes the largest entry one, so the row average
+        cannot underflow however small eps is against the node spacing.
+        """
         theta_query = np.atleast_1d(np.asarray(theta_query, dtype=float))
-        raw = self._shape(np.cos(theta_query[:, None] - angular.theta[None, :]))
+        cosang = np.cos(theta_query[:, None] - angular.theta[None, :])
+        if self.kind == "isotropic":
+            raw = np.ones_like(cosang)
+        else:
+            raw = np.exp((cosang - cosang.max(axis=1, keepdims=True)) / self.epsilon)
         row_avg = raw @ angular.weight / TWO_PI
         return raw / row_avg[:, None]
 
@@ -123,12 +128,6 @@ class ScatteringKernel:
         self._cache[key] = (angular, mat)
         return mat
 
-    def continuum_density(self, y, n_quad=256):
-        """pi(y) normalized so its integral over [-1, 1] equals one."""
-        nodes, weights = np.polynomial.legendre.leggauss(n_quad)
-        z = float(self._shape(nodes) @ weights)
-        return self._shape(np.asarray(y, dtype=float)) / z
-
 
 def isotropic_kernel():
     return ScatteringKernel("isotropic")
@@ -138,13 +137,23 @@ def forward_peaked_kernel(epsilon):
     return ScatteringKernel("forward-peaked", float(epsilon))
 
 
-def legendre_eigenvalue(n, kernel, sigma_t, n_quad=512):
-    """Spectral eigenvalue sigma_t * (1 - integral of pi * P_n)."""
+def angular_eigenvalue(n, kernel, sigma_t):
+    """Eigenvalue of the scattering operator on cos(n theta) and sin(n theta).
+
+    On the circle the operator sigma_t (u - kernel mean of u) is diagonal in
+    the Fourier modes, with eigenvalue sigma_t (1 - k_n / k_0), k_n the n-th
+    Fourier coefficient of the kernel in the angle between directions.  For
+    exp(cos(phi)/eps) that ratio is I_n(1/eps) / I_0(1/eps) (modified Bessel
+    functions, taken exponentially scaled so large 1/eps cannot overflow);
+    for the isotropic kernel it is 1 at n = 0 and 0 otherwise.
+    """
     if n < 0:
         raise ContractViolation("mode index must be nonnegative")
-    nodes, weights = np.polynomial.legendre.leggauss(max(n_quad, 4 * (n + 1)))
-    pn = np.polynomial.legendre.Legendre.basis(n)(nodes)
-    return sigma_t * (1.0 - float((kernel.continuum_density(nodes) * pn) @ weights))
+    if kernel.kind == "isotropic":
+        ratio = 1.0 if n == 0 else 0.0
+    else:
+        ratio = ive(n, 1.0 / kernel.epsilon) / ive(0, 1.0 / kernel.epsilon)
+    return sigma_t * (1.0 - float(ratio))
 
 
 # -- sources and inflow data --------------------------------------------------
@@ -220,11 +229,6 @@ class ReferenceSolution:
 
     value: object  # (x, theta) -> values
     directional: object  # (x, theta) -> omega . grad_x at (x, theta)
-
-
-def transport_apply(u_val, du_omega, sigma_a_at_x):
-    """Directional derivative plus absorption."""
-    return du_omega + sigma_a_at_x * u_val
 
 
 def scattering_mean(slices, rows, weight):
@@ -334,9 +338,3 @@ def interior_terms(field, quad, problem, need_grad=False):
     return sample_terms(
         field, interior.x, interior.theta, quad.angular, problem, quad.boundary, need_grad
     )
-
-
-def pde_residual(field, point, angular, problem):
-    """Strong residual (T + S)u - f at one interior phase point."""
-    terms = sample_terms(field, point.x[None, :], [point.theta], angular, problem)
-    return float(terms["residual"][0])

@@ -125,12 +125,6 @@ def assemble(params, multiplier, quad, problem, config):
     return parts
 
 
-def gradient(params, multiplier, quad, problem, config):
-    """Exact flat-parameter gradient of the assembled objective."""
-    _, grad = _evaluate(params, multiplier, quad, problem, config, need_grad=True)
-    return grad
-
-
 def assemble_with_gradient(params, multiplier, quad, problem, config):
     """Value parts and gradient from one shared forward pass."""
     return _evaluate(params, multiplier, quad, problem, config, need_grad=True)

@@ -21,7 +21,6 @@ updates, so the reference multiplier is the unique fixed point inside
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,22 +258,6 @@ class QuadraticObjective:
     @property
     def minimizer(self):
         return _solve_checked(self.hessian, self.linear, "quadratic")
-
-
-def emit_series_csv(run, path):
-    """Series as (k, dist_lambda, residual_pde, residual_boundary)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "dist_lambda", "residual_pde", "residual_boundary"])
-        for k in range(len(run.dist_lambda)):
-            writer.writerow(
-                [
-                    k,
-                    repr(float(run.dist_lambda[k])),
-                    repr(float(run.err_pde[k])),
-                    repr(float(run.err_boundary[k])),
-                ]
-            )
 
 
 # -- identity gaps ------------------------------------------------------------

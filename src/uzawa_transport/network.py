@@ -19,8 +19,7 @@ input width (``embedding_for``): every function that takes phase points
   stream ``ROW_BLOCK`` rows at a time through reused block buffers, so
   forward-only passes stay block-sized however many rows they cover.
 
-A tape-based single-point path (module ``autodiff``) implements the same
-scheme node by node and is used to cross-check the batched kernels.
+``evaluate`` and ``eval_with_spatial_directional`` are the one-point forms.
 """
 
 from __future__ import annotations
@@ -31,11 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from . import autodiff
 from .errors import ContractViolation
-from .phase_space import EPS_UNIT
 
 CHECKPOINT_MAGIC = b"UZMLP1"
+EPS_UNIT = 1e-12
 
 # Rows per block in ``eval_batch``, small enough that one block's layer
 # activations stay cache-sized.
@@ -383,48 +381,6 @@ def eval_with_spatial_directional(params, point, direction):
     tan = embedding.tangent(direction[None, :])
     u, du, _ = forward_jvp_batch(params, emb, tan)
     return float(u[0]), float(du[0])
-
-
-# -- tape reference path ------------------------------------------------------
-
-
-def tape_program(params):
-    """Node-building closure evaluating the network on a tape.
-
-    Parameter slots follow the flat-vector order, so a reverse sweep over
-    the tape lines up with ``flatten``.
-    """
-
-    def program(tape, in_vars):
-        if params.activation != "tanh":
-            raise ContractViolation("the tape path supports tanh networks")
-        slot = 0
-        a = list(in_vars)
-        n_layers = len(params.weights)
-        for layer, (W, b) in enumerate(zip(params.weights, params.biases)):
-            dout, din = W.shape
-            wvars = [
-                [tape.param(slot + r * din + c, W[r, c]) for c in range(din)]
-                for r in range(dout)
-            ]
-            slot += dout * din
-            bvars = [tape.param(slot + r, b[r]) for r in range(dout)]
-            slot += dout
-            z = [tape.affine(wvars[r], a, bvars[r]) for r in range(dout)]
-            a = z if layer == n_layers - 1 else [zi.tanh() for zi in z]
-        return a[0]
-
-    return program
-
-
-def tape_eval_with_directional(params, point, direction):
-    """Single-point (value, directional, tape) via the scalar tape engine."""
-    embedding = embedding_for(params)
-    emb = embedding.embed(point.x[None, :], [point.theta])[0]
-    tan = embedding.tangent(np.asarray(direction, dtype=float)[None, :])[0]
-    tape = autodiff.Tape()
-    out = autodiff.record_forward(tape, emb, tan, tape_program(params))
-    return out.primal, out.tangent, tape
 
 
 # -- checkpoint io ------------------------------------------------------------

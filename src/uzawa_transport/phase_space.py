@@ -31,13 +31,8 @@ import numpy as np
 
 from .errors import ContractViolation
 
-INTERIOR = "interior"
 INFLOW = "inflow"
 OUTFLOW = "outflow"
-TANGENTIAL = "tangential"
-
-EPS_TANGENTIAL = 1e-12
-EPS_UNIT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,8 +48,7 @@ class Rectangle:
 
     @property
     def edge_lengths(self):
-        # edge order: bottom, right, top, left (corner ties go to the
-        # lower index)
+        # edge order: bottom, right, top, left
         w = self.hi[0] - self.lo[0]
         h = self.hi[1] - self.lo[1]
         return (w, h, w, h)
@@ -67,33 +61,6 @@ class Rectangle:
     def inflow_measure(self):
         # per edge: length * integral of cos(t) over the inward half circle
         return 2.0 * self.perimeter
-
-    def contains(self, x, tol=0.0):
-        x = np.asarray(x)
-        return bool(
-            (x[0] >= self.lo[0] - tol)
-            and (x[0] <= self.hi[0] + tol)
-            and (x[1] >= self.lo[1] - tol)
-            and (x[1] <= self.hi[1] + tol)
-        )
-
-    def edge_index(self, x, tol=1e-12):
-        """Index of the boundary edge containing x, or None if interior.
-
-        Corners belong to the edge of lower index (bottom, right, top,
-        left), a measure-zero but deterministic convention.
-        """
-        if not self.contains(x, tol):
-            raise ContractViolation(f"point {x} lies outside the closed domain")
-        if abs(x[1] - self.lo[1]) <= tol:
-            return 0
-        if abs(x[0] - self.hi[0]) <= tol:
-            return 1
-        if abs(x[1] - self.hi[1]) <= tol:
-            return 2
-        if abs(x[0] - self.lo[0]) <= tol:
-            return 3
-        return None
 
 
 UNIT_SQUARE = Rectangle()
@@ -138,32 +105,6 @@ class PhasePoint:
         if self.x.shape != (2,):
             raise ContractViolation("position must be a 2-vector")
 
-    @property
-    def omega(self):
-        return np.array([np.cos(self.theta), np.sin(self.theta)])
-
-    @classmethod
-    def from_direction(cls, x, omega):
-        omega = np.asarray(omega, dtype=float)
-        if abs(np.hypot(omega[0], omega[1]) - 1.0) > EPS_UNIT:
-            raise ContractViolation("direction must be a unit vector")
-        return cls(x, np.arctan2(omega[1], omega[0]))
-
-
-def classify(x, theta, domain=UNIT_SQUARE, eps_tan=EPS_TANGENTIAL):
-    """Classify a phase point as interior / inflow / outflow / tangential."""
-    x = np.asarray(x, dtype=float)
-    edge = domain.edge_index(x)
-    if edge is None:
-        return INTERIOR
-    n = _EDGE_NORMALS[edge]
-    ndw = n[0] * np.cos(theta) + n[1] * np.sin(theta)
-    if ndw < -eps_tan:
-        return INFLOW
-    if ndw > eps_tan:
-        return OUTFLOW
-    return TANGENTIAL
-
 
 # -- node collections -----------------------------------------------------
 
@@ -174,10 +115,6 @@ class AngularNodes:
 
     theta: np.ndarray
     weight: np.ndarray
-
-    @property
-    def omega(self):
-        return np.stack([np.cos(self.theta), np.sin(self.theta)], axis=1)
 
     def __len__(self):
         return self.theta.size
@@ -218,10 +155,6 @@ class BoundaryNodes:
     @property
     def omega(self):
         return np.stack([np.cos(self.theta), np.sin(self.theta)], axis=1)
-
-    @property
-    def weight_factor(self):
-        return np.abs(self.n_dot_omega)
 
     def __len__(self):
         return self.weight.size

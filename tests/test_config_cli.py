@@ -239,6 +239,35 @@ def test_cli_negative_absorption_exit_code():
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("key", ["problem.sigma_a.radius", "problem.source.radius"])
+def test_cli_negative_radius_exit_code(key):
+    args = ["preset", "example2", "--override", f"{key}=-0.15"]
+    for name, value in FAST_OVERRIDES.items():
+        args += ["--override", f"{name}={value}"]
+    out = _run_cli(args)
+    assert out.returncode == 2, out.stderr
+    assert key in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_cli_sharp_kernel_on_loose_samples_runs_finite(tmp_path):
+    # kernel rows at sample directions far narrower than the node spacing
+    overrides = {
+        **FAST_OVERRIDES,
+        "quadrature.scheme": "monte-carlo",
+        "quadrature.n_interior": "64",
+        "quadrature.n_boundary": "16",
+        "problem.kernel.epsilon": "1e-6",
+    }
+    args = ["preset", "example3-forward", "--out", tmp_path.as_posix(), "--threads", "1"]
+    for key, value in overrides.items():
+        args += ["--override", f"{key}={value}"]
+    out = _run_cli(args)
+    assert out.returncode == 0, out.stderr
+    rows = (tmp_path / "metrics.csv").read_text().strip().splitlines()[1:]
+    assert np.isfinite([float(v) for row in rows for v in row.split(",")]).all()
+
+
 def test_cli_override_rejects_bad_shape():
     out = _run_cli(["preset", "example1", "--override", "uzawa.rho"])
     assert out.returncode == 2

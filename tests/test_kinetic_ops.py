@@ -8,7 +8,6 @@ from uzawa_transport import kinetic_ops as ko
 from uzawa_transport import network as net
 from uzawa_transport import phase_space as ps
 from uzawa_transport.errors import ContractViolation
-from uzawa_transport.phase_space import PhasePoint
 
 TWO_PI = 2.0 * np.pi
 
@@ -25,24 +24,37 @@ def _zero_problem(sigma_a=1.0, sigma_t=0.0, kernel=None, f=None, g=None):
 # -- transport ----------------------------------------------------------------
 
 
+def _transport_residual(value, directional, x, theta, sigma_a):
+    # sigma_t = 0 and f = 0: the assembled residual is the transport part alone
+    problem = _zero_problem(sigma_a=sigma_a)
+    field = ko.ReferenceSolution(value, directional)
+    terms = ko.sample_terms(field, np.array([x]), [theta], ps.angular_rule(8), problem)
+    return float(terms["residual"][0])
+
+
 def test_transport_apply_hand_values():
     # u = x1, omega=(1,0): directional derivative 1, so T u = 1 + x1
-    assert ko.transport_apply(0.3, 1.0, 1.0) == pytest.approx(1.3)
+    r = _transport_residual(lambda x, t: x[:, 0], lambda x, t: np.cos(t), [0.3, 0.5], 0.0, 1.0)
+    assert r == pytest.approx(1.3)
     # sigma_a = 0 and omega perpendicular to the gradient
-    assert ko.transport_apply(123.0, 0.0, 0.0) == 0.0
+    constant = (lambda x, t: np.full(len(t), 123.0), lambda x, t: 0.0 * t)
+    assert _transport_residual(*constant, [0.4, 0.6], 1.1, 0.0) == 0.0
 
 
 def test_transport_symbolic_oracle():
-    x1, x2 = sympy.symbols("x1 x2")
+    x1, x2, th = sympy.symbols("x1 x2 th")
     u_sym = sympy.sin(sympy.pi * x1) * sympy.sin(sympy.pi * x2)
     theta = 0.3
     point = np.array([0.25, 0.5])
-    du_sym = sympy.cos(theta) * sympy.diff(u_sym, x1) + sympy.sin(theta) * sympy.diff(u_sym, x2)
-    subs = {x1: point[0], x2: point[1]}
-    u_val = float(u_sym.subs(subs))
-    du_val = float(du_sym.subs(subs))
-    expected = du_val + 1.0 * u_val
-    assert ko.transport_apply(u_val, du_val, 1.0) == pytest.approx(expected, abs=1e-10)
+    du_sym = sympy.cos(th) * sympy.diff(u_sym, x1) + sympy.sin(th) * sympy.diff(u_sym, x2)
+    subs = {x1: point[0], x2: point[1], th: theta}
+    expected = float(du_sym.subs(subs)) + 1.0 * float(u_sym.subs(subs))
+    u_fn = sympy.lambdify((x1, x2), u_sym, "numpy")
+    du_fn = sympy.lambdify((x1, x2, th), du_sym, "numpy")
+    r = _transport_residual(
+        lambda x, t: u_fn(x[:, 0], x[:, 1]), lambda x, t: du_fn(x[:, 0], x[:, 1], t), point, theta, 1.0
+    )
+    assert r == pytest.approx(expected, abs=1e-10)
 
 
 def test_transport_identity_refines():
@@ -180,22 +192,34 @@ def test_kernel_row_normalization_off_grid():
 
 def test_legendre_eigenvalue_zeroth_always_zero():
     for kernel in (ko.isotropic_kernel(), ko.forward_peaked_kernel(0.5)):
-        assert abs(ko.legendre_eigenvalue(0, kernel, 3.3)) <= 1e-12
+        assert abs(ko.angular_eigenvalue(0, kernel, 3.3)) <= 1e-12
 
 
 def test_legendre_eigenvalue_isotropic():
     sigma_t = 2.5
     kernel = ko.isotropic_kernel()
-    assert ko.legendre_eigenvalue(1, kernel, sigma_t) == pytest.approx(sigma_t, abs=1e-10)
-    assert ko.legendre_eigenvalue(2, kernel, sigma_t) == pytest.approx(sigma_t, abs=1e-10)
+    assert ko.angular_eigenvalue(1, kernel, sigma_t) == pytest.approx(sigma_t, abs=1e-10)
+    assert ko.angular_eigenvalue(2, kernel, sigma_t) == pytest.approx(sigma_t, abs=1e-10)
 
 
 def test_legendre_eigenvalue_forward_peaked_smaller_than_isotropic():
     # angular persistence: a peaked kernel damps low modes less
     sigma_t = 1.0
-    mu1_fp = ko.legendre_eigenvalue(1, ko.forward_peaked_kernel(0.1), sigma_t)
-    mu1_iso = ko.legendre_eigenvalue(1, ko.isotropic_kernel(), sigma_t)
+    mu1_fp = ko.angular_eigenvalue(1, ko.forward_peaked_kernel(0.1), sigma_t)
+    mu1_iso = ko.angular_eigenvalue(1, ko.isotropic_kernel(), sigma_t)
     assert 0.0 < mu1_fp < mu1_iso
+
+
+@pytest.mark.parametrize("epsilon, mu1", [(0.1, 0.05140017), (0.5, 0.30222534)])
+def test_angular_eigenvalue_matches_discrete_operator(epsilon, mu1):
+    # cos(n theta) is an eigenvector of the renormalized kernel on the circle
+    sigma_t, ang = 1.3, ps.angular_rule(64)
+    kernel = ko.forward_peaked_kernel(epsilon)
+    assert ko.angular_eigenvalue(1, kernel, 1.0) == pytest.approx(mu1, abs=1e-8)
+    for n in (1, 2, 3):
+        u = np.cos(n * ang.theta)
+        out = ko.scattering_apply(u, ang, kernel, sigma_t)
+        assert np.abs(out - ko.angular_eigenvalue(n, kernel, sigma_t) * u).max() <= 1e-8
 
 
 # -- residual assembly ----------------------------------------------------------
@@ -206,7 +230,7 @@ def test_residual_zero_network_zero_source():
     zero = net.unflatten(np.zeros(params.n_params), params.widths)
     ang = ps.angular_rule(8)
     problem = _zero_problem(sigma_a=1.0)
-    r = ko.pde_residual(zero, PhasePoint(np.array([0.4, 0.6]), 0.5), ang, problem)
+    r = ko.sample_terms(zero, np.array([[0.4, 0.6]]), [0.5], ang, problem)["residual"][0]
     assert r == 0.0
 
 
@@ -215,7 +239,7 @@ def test_residual_zero_network_unit_source():
     zero = net.unflatten(np.zeros(params.n_params), params.widths)
     ang = ps.angular_rule(8)
     problem = _zero_problem(sigma_a=1.0, f=lambda x, t: np.ones(np.atleast_2d(x).shape[0]))
-    r = ko.pde_residual(zero, PhasePoint(np.array([0.4, 0.6]), 0.5), ang, problem)
+    r = ko.sample_terms(zero, np.array([[0.4, 0.6]]), [0.5], ang, problem)["residual"][0]
     assert r == pytest.approx(-1.0)
 
 

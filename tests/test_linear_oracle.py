@@ -149,16 +149,6 @@ def test_rho_contract(space):
         lo.run_uzawa_oracle(space, 1.0, 0.0, 5)
 
 
-def test_series_csv(tmp_path, space, datum):
-    _, g_values = datum
-    run = lo.run_uzawa_oracle(space, 1.0, 0.5, 5, g_values=g_values)
-    path = tmp_path / "series.csv"
-    lo.emit_series_csv(run, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,dist_lambda,residual_pde,residual_boundary"
-    assert len(lines) == 7
-
-
 def test_verification_suite_all_pass():
     checks = lo.verification_suite(n_iter=50)
     assert all(ok for _, ok, _ in checks)

@@ -114,22 +114,6 @@ def test_boundary_rule_converges_exponentially_in_angle():
     assert errs[1] <= errs[0] / 10.0 and errs[2] <= errs[1] / 10.0
 
 
-def test_classify_examples():
-    assert ps.classify(np.array([0.0, 0.5]), 0.0) == ps.INFLOW  # omega=(1,0), n=(-1,0)
-    assert ps.classify(np.array([0.0, 0.5]), np.pi / 2) == ps.TANGENTIAL
-    assert ps.classify(np.array([0.3, 0.4]), 1.0) == ps.INTERIOR
-    assert ps.classify(np.array([1.0, 0.5]), 0.0) == ps.OUTFLOW
-    with pytest.raises(ContractViolation):
-        ps.classify(np.array([1.5, 0.5]), 0.0)
-
-
-def test_classify_corner_tie_break():
-    # corners belong to the lower edge index: (0,0) is on the bottom edge
-    assert ps.classify(np.array([0.0, 0.0]), np.pi / 2) == ps.INFLOW  # omega=(0,1), n=(0,-1)
-    # bottom-edge tangential direction at the corner
-    assert ps.classify(np.array([0.0, 0.0]), 0.0) == ps.TANGENTIAL
-
-
 def test_seeded_determinism():
     a = ps.mc_interior(ps.UNIT_SQUARE, 500, seed=9)
     b = ps.mc_interior(ps.UNIT_SQUARE, 500, seed=9)
@@ -160,10 +144,6 @@ def test_mc_convergence_rate_interior():
 def test_phase_point_validation():
     with pytest.raises(ContractViolation):
         ps.PhasePoint(np.array([0.1, 0.2, 0.3]), 0.0)
-    with pytest.raises(ContractViolation):
-        ps.PhasePoint.from_direction(np.array([0.1, 0.2]), np.array([1.0, 1.0]))
-    pt = ps.PhasePoint.from_direction(np.array([0.1, 0.2]), np.array([0.0, 1.0]))
-    assert pt.theta == pytest.approx(np.pi / 2)
 
 
 def test_unknown_scheme_rejected():
