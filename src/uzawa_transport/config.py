@@ -128,6 +128,8 @@ def _convert(key, raw, violations):
     except (TypeError, ValueError) as err:
         violations.append(f"{key}: cannot parse {raw!r} as {tag} ({err})")
         return default
+    if tag in ("float", "floats") and not np.isfinite(value).all():
+        violations.append(f"{key}: must be finite, got {raw!r}")
     if choices is not None and value not in choices:
         violations.append(f"{key}: {value!r} is not one of {choices}")
     return value
@@ -176,6 +178,11 @@ def _semantic_violations(values):
         v.append("uzawa.n_outer/n_inner: iteration counts must be >= 1")
     if values["uzawa.learning_rate"] <= 0:
         v.append("uzawa.learning_rate: must be positive")
+    for key in ("uzawa.beta1", "uzawa.beta2"):
+        if not 0.0 <= values[key] < 1.0:
+            v.append(f"{key}: Adam decay rate must satisfy 0 <= {key[6:]} < 1")
+    if values["uzawa.eps_adam"] <= 0:
+        v.append("uzawa.eps_adam: must be positive")
     if values["lagrangian.gamma"] < 0:
         v.append("lagrangian.gamma: boundary stabilization weight must be >= 0")
     for key in _ABSORPTION_FIELDS[values["problem.sigma_a.kind"]]:
@@ -395,22 +402,17 @@ def build_problem(cfg, domain=phase_space.UNIT_SQUARE):
 
 
 def build_quadrature_set(cfg, domain=phase_space.UNIT_SQUARE):
-    scheme = cfg["quadrature.scheme"]
-    if scheme == phase_space.TENSOR_GAUSS:
-        return phase_space.build_quadrature(
-            domain,
-            scheme,
-            n_spatial=cfg["quadrature.n_spatial"],
-            n_angular=cfg["quadrature.n_angular"],
-            n_boundary=(cfg["quadrature.n_boundary_pos"], cfg["quadrature.n_boundary_ang"]),
-            seed=cfg["quadrature.seed"],
-        )
+    tensor = cfg["quadrature.scheme"] == phase_space.TENSOR_GAUSS
     return phase_space.build_quadrature(
         domain,
-        scheme,
-        n_spatial=cfg["quadrature.n_interior"],
+        cfg["quadrature.scheme"],
+        n_spatial=cfg["quadrature.n_spatial" if tensor else "quadrature.n_interior"],
         n_angular=cfg["quadrature.n_angular"],
-        n_boundary=cfg["quadrature.n_boundary"],
+        n_boundary=(
+            (cfg["quadrature.n_boundary_pos"], cfg["quadrature.n_boundary_ang"])
+            if tensor
+            else cfg["quadrature.n_boundary"]
+        ),
         seed=cfg["quadrature.seed"],
     )
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kinetic_ops, network
 from .errors import ContractViolation
-from .phase_space import InteriorNodes, QuadratureSet
+from .phase_space import InteriorNodes
 
 
 @dataclass
@@ -61,9 +61,13 @@ def constant_multiplier(nodes, value=0.0):
 
 @dataclass
 class LagrangianParts:
+    """The three objective terms; ``mismatch`` is u - g on the boundary nodes,
+    kept by ``assemble`` only, so inner-step traces hold no per-node arrays."""
+
     pde: float
     boundary_penalty: float
     multiplier_term: float
+    mismatch: np.ndarray | None = None
 
     @property
     def value(self):
@@ -99,9 +103,9 @@ def _evaluate(params, multiplier, quad, problem, config, need_grad):
     mismatch = terms["u_boundary"] - problem.data.frozen_inflow(b)
     penalty = 0.5 * config.gamma * float(b.weight @ mismatch**2)
     mult_term = -float((b.weight * multiplier.values) @ mismatch)
-    parts = LagrangianParts(pde, penalty, mult_term)
     if not need_grad:
-        return parts, None
+        return LagrangianParts(pde, penalty, mult_term, mismatch), None
+    parts = LagrangianParts(pde, penalty, mult_term)
 
     # value seeds in pass order: interior, Monte Carlo slices, boundary rows
     wr = w * r
@@ -120,7 +124,7 @@ def _evaluate(params, multiplier, quad, problem, config, need_grad):
 
 
 def assemble(params, multiplier, quad, problem, config):
-    """Objective value split into its three parts."""
+    """Objective value split into its three parts, with the boundary mismatch."""
     parts, _ = _evaluate(params, multiplier, quad, problem, config, need_grad=False)
     return parts
 
@@ -161,4 +165,4 @@ def subsample(quad, batch_interior, step_seed):
         blocked=interior.blocked,
         **spatial,
     )
-    return QuadratureSet(sub, quad.angular, quad.boundary, quad.scheme, quad.seeds, quad.domain)
+    return replace(quad, interior=sub)

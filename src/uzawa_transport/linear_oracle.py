@@ -88,8 +88,6 @@ class LinearTrialSpace:
     outflow_mass: np.ndarray = field(init=False, repr=False)
     trace: np.ndarray = field(init=False, repr=False)  # basis at boundary nodes
     boundary_w: np.ndarray = field(init=False, repr=False)
-    boundary_x: np.ndarray = field(init=False, repr=False)
-    boundary_theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         domain = UNIT_SQUARE
@@ -109,8 +107,6 @@ class LinearTrialSpace:
         inflow = tensor_boundary(domain, 32, 32, side=INFLOW)
         self.trace = _basis_values(inflow.x, inflow.theta)
         self.boundary_w = inflow.weight
-        self.boundary_x = inflow.x
-        self.boundary_theta = inflow.theta
         self.boundary_mass = self.trace.T @ (self.boundary_w[:, None] * self.trace)
 
         outflow = tensor_boundary(domain, 32, 32, side=OUTFLOW)
@@ -327,11 +323,12 @@ def verification_suite(n_iter=200, pairs=((1.0, 0.5), (1.0, 1.5), (2.0, 3.5))):
     """Run the full identity battery; returns (name, ok, detail) tuples.
 
     Identity tolerances 1e-10, telescoping 1e-8, matching the acceptance
-    gate.  The strong-regime case uses absorption 1, scattering 0.1,
-    gamma 2, rho 1.
+    gate.  Every case runs on one trial space (absorption 1, scattering
+    0.1) and one seeded datum; the strong-regime case uses gamma 2, rho 1.
     """
     checks = []
-    space = LinearTrialSpace(sigma_a=1.0, sigma_t=0.1)
+    sigma_a, sigma_t = 1.0, 0.1
+    space = LinearTrialSpace(sigma_a=sigma_a, sigma_t=sigma_t)
     _, g_values = default_trace_datum(space)
     for gamma, rho in pairs:
         run = run_uzawa_oracle(space, gamma, rho, n_iter, 0.0, g_values)
@@ -351,10 +348,8 @@ def verification_suite(n_iter=200, pairs=((1.0, 0.5), (1.0, 1.5), (2.0, 3.5))):
         )
         checks.append((f"monotone multiplier distance ({label})", mono, ""))
 
-    sigma_a, sigma_t, gamma, rho = 1.0, 0.1, 2.0, 1.0
-    strong_space = LinearTrialSpace(sigma_a=sigma_a, sigma_t=sigma_t)
-    _, g_strong = default_trace_datum(strong_space)
-    run = run_uzawa_oracle(strong_space, gamma, rho, n_iter, 0.0, g_strong)
+    gamma, rho = 2.0, 1.0
+    run = run_uzawa_oracle(space, gamma, rho, n_iter, 0.0, g_values)
     c_const = strong_regime_constant(sigma_a, sigma_t, gamma, rho)
     partial = c_const * np.cumsum(run.err_triple[:-1] ** 2)
     bound = run.dist_lambda[0] ** 2 + 1e-8

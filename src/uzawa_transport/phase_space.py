@@ -20,6 +20,9 @@ Monte Carlo rules: uniform samples on D x S^1 with constant weight
 (position uniform on the perimeter, t = arcsin(2u-1)) with constant weight
 (total inflow measure)/N.  Drawing from the weighted density keeps weights
 constant and avoids blow-up near grazing angles.
+
+``side=OUTFLOW`` gives the mirror boundary rules on the outflow boundary;
+``build_quadrature`` picks the scheme and builds the whole set.
 """
 
 from __future__ import annotations
@@ -65,31 +68,12 @@ class Rectangle:
 
 UNIT_SQUARE = Rectangle()
 
-# outward normals and inward-normal angles per edge (bottom, right, top, left)
+# per edge (bottom, right, top, left): outward normal, inward-normal angle,
+# start corner (True takes hi on that axis, False lo) and direction of travel
 _EDGE_NORMALS = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
 _EDGE_INWARD_ANGLE = np.array([np.pi / 2.0, np.pi, 3.0 * np.pi / 2.0, 0.0])
-
-
-def _edge_points(domain, edge, s):
-    """Map arclength fractions s in [0,1] to points on the given edge."""
-    lo, hi = domain.lo, domain.hi
-    s = np.asarray(s, dtype=float)
-    x = np.empty((s.size, 2))
-    if edge == 0:
-        x[:, 0] = lo[0] + s * (hi[0] - lo[0])
-        x[:, 1] = lo[1]
-    elif edge == 1:
-        x[:, 0] = hi[0]
-        x[:, 1] = lo[1] + s * (hi[1] - lo[1])
-    elif edge == 2:
-        x[:, 0] = lo[0] + s * (hi[0] - lo[0])
-        x[:, 1] = hi[1]
-    elif edge == 3:
-        x[:, 0] = lo[0]
-        x[:, 1] = lo[1] + s * (hi[1] - lo[1])
-    else:
-        raise ContractViolation(f"no edge {edge}")
-    return x
+_EDGE_START = np.array([[False, False], [True, False], [False, True], [False, False]])
+_EDGE_DIRECTION = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 @dataclass
@@ -149,8 +133,6 @@ class BoundaryNodes:
     normal: np.ndarray
     n_dot_omega: np.ndarray
     weight: np.ndarray
-    edge: np.ndarray
-    side: str = INFLOW
 
     @property
     def omega(self):
@@ -230,42 +212,42 @@ def tensor_interior(domain, nx, ny, angular):
     return InteriorNodes(x, theta, weight, blocked=True, spatial_x=sx, spatial_w=sw)
 
 
+def _edge_nodes(domain, edge, s, t, weight, side):
+    """Boundary nodes; node i sits on edge ``edge[i]`` at arclength fraction
+    ``s[i]`` from its start corner, with direction at angle ``t[i]`` in
+    (-pi/2, pi/2) from the inward normal (the outward one on the outflow
+    side, where n . omega = +cos t instead of -cos t).  ``weight`` already
+    carries the |n . omega| factor."""
+    lo, hi = np.asarray(domain.lo, dtype=float), np.asarray(domain.hi, dtype=float)
+    corner = np.where(_EDGE_START, hi, lo)
+    span = _EDGE_DIRECTION * (hi - lo)
+    x = corner[edge] + s[:, None] * span[edge]
+    base = _EDGE_INWARD_ANGLE + (np.pi if side == OUTFLOW else 0.0)
+    theta = (base[edge] + t) % (2.0 * np.pi)
+    n_dot_omega = (1.0 if side == OUTFLOW else -1.0) * np.cos(t)
+    return BoundaryNodes(x, theta, _EDGE_NORMALS[edge], n_dot_omega, weight)
+
+
 def tensor_boundary(domain, n_pos, n_ang, side=INFLOW):
-    """Per-edge tensor rule for the |n . omega|-weighted boundary measure."""
-    pos, wpos = gauss_interval(n_pos, 0.0, 1.0)
-    tq, wt = cos_weight_gauss(n_ang)
-    cos_t = np.cos(tq)
-    xs, thetas, normals, ndws, weights, edges = [], [], [], [], [], []
-    for edge in range(4):
-        length = domain.edge_lengths[edge]
-        base = _EDGE_INWARD_ANGLE[edge]
-        if side == OUTFLOW:
-            base = base + np.pi
-        px = _edge_points(domain, edge, pos)
-        for k in range(len(tq)):
-            theta = (base + tq[k]) % (2.0 * np.pi)
-            xs.append(px)
-            thetas.append(np.full(n_pos, theta))
-            normals.append(np.tile(_EDGE_NORMALS[edge], (n_pos, 1)))
-            sign = 1.0 if side == OUTFLOW else -1.0
-            ndws.append(np.full(n_pos, sign * cos_t[k]))
-            weights.append(length * wpos * wt[k])
-            edges.append(np.full(n_pos, edge, dtype=int))
-    return BoundaryNodes(
-        np.concatenate(xs),
-        np.concatenate(thetas),
-        np.concatenate(normals),
-        np.concatenate(ndws),
-        np.concatenate(weights),
-        np.concatenate(edges),
-        side=side,
-    )
+    """Per-edge tensor rule for the |n . omega|-weighted boundary measure.
+
+    Gauss-Legendre in position crossed with ``cos_weight_gauss`` in angle,
+    nodes ordered by edge, then angle, then position.
+    """
+    s, ws = gauss_interval(n_pos, 0.0, 1.0)
+    t, wt = cos_weight_gauss(n_ang)
+    edge, k, j = np.indices((4, n_ang, n_pos)).reshape(3, -1)
+    weight = np.asarray(domain.edge_lengths)[edge] * ws[j] * wt[k]
+    return _edge_nodes(domain, edge, s[j], t[k], weight, side)
 
 
 # -- Monte Carlo rules -----------------------------------------------------
 
 
 def mc_interior(domain, n_points, seed):
+    """``n_points`` iid uniform phase points, constant weight |D|*2*pi/n."""
+    if n_points < 1:
+        raise ContractViolation("n_points must be positive")
     rng = np.random.default_rng(seed)
     x = np.column_stack(
         [
@@ -279,74 +261,23 @@ def mc_interior(domain, n_points, seed):
 
 
 def mc_boundary(domain, n_points, seed, side=INFLOW):
+    """``n_points`` draws from the |n . omega| density, constant weight."""
+    if n_points < 1:
+        raise ContractViolation("n_points must be positive")
     rng = np.random.default_rng(seed)
     lengths = np.asarray(domain.edge_lengths)
     edge = rng.choice(4, size=n_points, p=lengths / lengths.sum())
     s = rng.uniform(0.0, 1.0, n_points)
     # inverse CDF of the cos(t)/2 density on (-pi/2, pi/2)
     t = np.arcsin(2.0 * rng.uniform(0.0, 1.0, n_points) - 1.0)
-    x = np.empty((n_points, 2))
-    theta = np.empty(n_points)
-    normal = np.empty((n_points, 2))
-    for e in range(4):
-        m = edge == e
-        if not m.any():
-            continue
-        x[m] = _edge_points(domain, e, s[m])
-        base = _EDGE_INWARD_ANGLE[e]
-        if side == OUTFLOW:
-            base = base + np.pi
-        theta[m] = (base + t[m]) % (2.0 * np.pi)
-        normal[m] = _EDGE_NORMALS[e]
-    sign = 1.0 if side == OUTFLOW else -1.0
-    ndw = sign * np.cos(t)
     weight = np.full(n_points, domain.inflow_measure / n_points)
-    return BoundaryNodes(x, theta, normal, ndw, weight, edge.astype(int), side=side)
+    return _edge_nodes(domain, edge, s, t, weight, side)
 
 
-# -- spec-level samplers ----------------------------------------------------
+# -- quadrature sets --------------------------------------------------------
 
 MONTE_CARLO = "monte-carlo"
 TENSOR_GAUSS = "tensor-gauss"
-
-
-def sample_interior(domain, n_points, scheme=MONTE_CARLO, seed=0, angular=None):
-    """Interior nodes for the given scheme.
-
-    Monte Carlo: ``n_points`` iid uniform phase points, constant weight
-    |D|*2*pi/n.  Tensor: ``n_points`` is (nx, ny) and ``angular`` supplies
-    the angular rule the grid is crossed with.
-    """
-    if scheme == MONTE_CARLO:
-        if int(n_points) <= 0:
-            raise ContractViolation("n_points must be positive")
-        return mc_interior(domain, int(n_points), seed)
-    if scheme == TENSOR_GAUSS:
-        nx, ny = (n_points, n_points) if np.isscalar(n_points) else n_points
-        if angular is None:
-            raise ContractViolation("tensor interior rule needs an angular rule")
-        return tensor_interior(domain, int(nx), int(ny), angular)
-    raise ContractViolation(f"unknown quadrature scheme '{scheme}'")
-
-
-def sample_inflow_boundary(domain, n_points, scheme=MONTE_CARLO, seed=0, side=INFLOW):
-    """Inflow-boundary nodes; weights sum to the exact inflow measure.
-
-    The sum is 2*perimeter up to rounding for both schemes and every node
-    count; ``side=OUTFLOW`` gives the mirror rule on the outflow boundary.
-    Monte Carlo: ``n_points`` samples from the |n . omega|-weighted
-    density, constant weight.  Tensor: ``n_points`` is (positions, angles)
-    per edge, Gauss-Legendre in position crossed with ``cos_weight_gauss``
-    in angle; exponentially accurate for integrands smooth in the angle.
-    """
-    if scheme == MONTE_CARLO:
-        if int(n_points) <= 0:
-            raise ContractViolation("n_points must be positive")
-        return mc_boundary(domain, int(n_points), seed, side=side)
-    if scheme == TENSOR_GAUSS:
-        n_pos, n_ang = (n_points, n_points) if np.isscalar(n_points) else n_points
-        return tensor_boundary(domain, int(n_pos), int(n_ang), side=side)
-    raise ContractViolation(f"unknown quadrature scheme '{scheme}'")
 
 
 def build_quadrature(
@@ -357,16 +288,21 @@ def build_quadrature(
     n_boundary=(8, 8),
     seed=0,
 ):
-    """Assemble the full interior/angular/boundary quadrature set."""
-    angular = angular_rule(int(n_angular))
+    """Assemble the full interior/angular/boundary quadrature set.
+
+    Tensor: ``n_spatial`` Gauss nodes per axis crossed with the angular
+    rule, and ``n_boundary`` = (positions, angles) per edge.  Monte Carlo:
+    ``n_spatial`` interior samples drawn with ``seed`` and ``n_boundary``
+    inflow samples drawn with ``seed + 1``.  The boundary weights sum to the
+    inflow measure 2*perimeter up to rounding in both schemes.
+    """
+    angular = angular_rule(n_angular)
     if scheme == TENSOR_GAUSS:
-        interior = sample_interior(domain, n_spatial, TENSOR_GAUSS, angular=angular)
-        boundary = sample_inflow_boundary(domain, n_boundary, TENSOR_GAUSS)
+        interior = tensor_interior(domain, n_spatial, n_spatial, angular)
+        boundary = tensor_boundary(domain, *n_boundary)
     elif scheme == MONTE_CARLO:
-        interior = sample_interior(domain, n_spatial, MONTE_CARLO, seed=seed)
-        boundary = sample_inflow_boundary(
-            domain, n_boundary, MONTE_CARLO, seed=seed + 1
-        )
+        interior = mc_interior(domain, n_spatial, seed)
+        boundary = mc_boundary(domain, n_boundary, seed + 1)
     else:
         raise ContractViolation(f"unknown quadrature scheme '{scheme}'")
     return QuadratureSet(
@@ -381,30 +317,12 @@ def build_quadrature(
 
 def dump_quadrature_csv(quad, path):
     """Write every node as (kind, x1, x2, omega_angle, weight)."""
+    kinds = (("interior", quad.interior), ("angular", quad.angular), ("boundary", quad.boundary))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "x1", "x2", "omega_angle", "weight"])
-        for i in range(len(quad.interior)):
-            writer.writerow(
-                [
-                    "interior",
-                    repr(float(quad.interior.x[i, 0])),
-                    repr(float(quad.interior.x[i, 1])),
-                    repr(float(quad.interior.theta[i])),
-                    repr(float(quad.interior.weight[i])),
-                ]
-            )
-        for i in range(len(quad.angular)):
-            writer.writerow(
-                ["angular", "", "", repr(float(quad.angular.theta[i])), repr(float(quad.angular.weight[i]))]
-            )
-        for i in range(len(quad.boundary)):
-            writer.writerow(
-                [
-                    "boundary",
-                    repr(float(quad.boundary.x[i, 0])),
-                    repr(float(quad.boundary.x[i, 1])),
-                    repr(float(quad.boundary.theta[i])),
-                    repr(float(quad.boundary.weight[i])),
-                ]
-            )
+        for kind, nodes in kinds:
+            x = getattr(nodes, "x", None)  # angular nodes have no position
+            for i in range(len(nodes)):
+                position = ["", ""] if x is None else [repr(float(v)) for v in x[i]]
+                writer.writerow([kind, *position] + [repr(float(a[i])) for a in (nodes.theta, nodes.weight)])

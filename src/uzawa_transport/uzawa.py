@@ -8,7 +8,8 @@ multiplier along the boundary mismatch:
     lambda(b) <- lambda(b) - rho * (u(b) - g(b))   on every frozen node.
 
 The minus sign is the ascent direction of the saddle objective in the
-multiplier.  The outer loop is strictly sequential; all randomness is
+multiplier, and u - g is read from the full-set ``lagrangian.assemble``
+pass that also gives the outer record's loss parts.  The outer loop is strictly sequential; all randomness is
 drawn from seeds keyed by (run seed, outer index, inner index), so a run
 is reproducible bit for bit in single-threaded mode.
 """
@@ -16,7 +17,7 @@ is reproducible bit for bit in single-threaded mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,19 +104,16 @@ class RunState:
     initial_boundary_residual: float = float("nan")
 
 
-def boundary_residual(params, nodes, g_values):
-    """Discrete inflow-trace mismatch norm ||u - g||."""
-    u = network.eval_batch(params, nodes.x, nodes.theta)
-    return float(np.sqrt(nodes.weight @ (u - g_values) ** 2))
+def boundary_residual(nodes, mismatch):
+    """Discrete inflow-trace mismatch norm ||u - g|| from mismatch = u - g."""
+    return float(np.sqrt(nodes.weight @ mismatch**2))
 
 
-def multiplier_update(multiplier, params, g_values, rho):
-    """One ascent step on the frozen boundary nodes."""
+def multiplier_update(multiplier, mismatch, rho):
+    """One ascent step on the frozen boundary nodes, mismatch = u - g there."""
     if rho <= 0:
         raise ContractViolation("multiplier step rho must be positive")
-    nodes = multiplier.nodes
-    u = network.eval_batch(params, nodes.x, nodes.theta)
-    return MultiplierField(multiplier.values - rho * (u - np.asarray(g_values)), nodes)
+    return MultiplierField(multiplier.values - rho * mismatch, multiplier.nodes)
 
 
 def _check_finite(parts, grad, outer, inner):
@@ -138,10 +136,7 @@ def _check_finite(parts, grad, outer, inner):
 def _step_quadrature(quad, lagr_cfg, seed, outer, inner):
     if quad.scheme == phase_space.MONTE_CARLO and lagr_cfg.resample:
         n = lagr_cfg.batch_interior or len(quad.interior)
-        interior = phase_space.mc_interior(quad.domain, n, [seed, outer, inner])
-        return phase_space.QuadratureSet(
-            interior, quad.angular, quad.boundary, quad.scheme, quad.seeds, quad.domain
-        )
+        return replace(quad, interior=phase_space.mc_interior(quad.domain, n, [seed, outer, inner]))
     if lagr_cfg.batch_interior is not None:
         return lagr.subsample(quad, lagr_cfg.batch_interior, [seed, outer, inner])
     return quad
@@ -161,6 +156,10 @@ def inner_minimize(state, quad, problem, lagr_cfg, config, optimizer, outer, see
         )
         _check_finite(parts, grad, outer, m)
         theta = optimizer.step(theta, grad)
+        if not np.isfinite(theta).all():
+            raise NumericalAbort(
+                f"non-finite parameters after the optimizer step at outer step {outer}, inner step {m}"
+            )
         trace.append(parts)
     state.params = network.unflatten(theta, widths, activation)
     return trace
@@ -168,20 +167,19 @@ def inner_minimize(state, quad, problem, lagr_cfg, config, optimizer, outer, see
 
 def run(problem, quad, params0, config, lagr_cfg, seed=0):
     """Full iteration: returns the final state with per-step histories."""
-    g_values = problem.data.frozen_inflow(quad.boundary)
+    b = quad.boundary
     state = RunState(
         params=params0,
-        multiplier=constant_multiplier(quad.boundary, config.lambda_init),
+        multiplier=constant_multiplier(b, config.lambda_init),
     )
-    state.initial_boundary_residual = boundary_residual(
-        state.params, quad.boundary, g_values
-    )
+    u0 = network.eval_batch(params0, b.x, b.theta)
+    state.initial_boundary_residual = boundary_residual(b, u0 - problem.data.frozen_inflow(b))
     optimizer = make_optimizer(config)
     for k in range(config.n_outer):
         trace = inner_minimize(state, quad, problem, lagr_cfg, config, optimizer, k, seed)
         full_parts = lagr.assemble(state.params, state.multiplier, quad, problem, lagr_cfg)
-        br = boundary_residual(state.params, quad.boundary, g_values)
-        state.multiplier = multiplier_update(state.multiplier, state.params, g_values, config.rho)
+        br = boundary_residual(b, full_parts.mismatch)
+        state.multiplier = multiplier_update(state.multiplier, full_parts.mismatch, config.rho)
         state.inner_history.append(trace)
         state.outer_history.append(
             OuterRecord(k, full_parts, br, state.multiplier.norm())

@@ -250,6 +250,28 @@ def test_cli_negative_radius_exit_code(key):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("uzawa.rho", "nan"),
+        ("uzawa.learning_rate", "nan"),
+        ("problem.sigma_t", "inf"),
+        ("problem.sigma_a.center", "nan,0.5"),
+        ("uzawa.beta1", "1"),
+        ("uzawa.beta2", "1.5"),
+        ("uzawa.eps_adam", "-1"),
+    ],
+)
+def test_cli_bad_float_exit_code(key, value):
+    args = ["preset", "example1", "--override", f"{key}={value}"]
+    for name, fast in FAST_OVERRIDES.items():
+        args += ["--override", f"{name}={fast}"]
+    out = _run_cli(args)
+    assert out.returncode == 2, out.stderr
+    assert key in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_cli_sharp_kernel_on_loose_samples_runs_finite(tmp_path):
     # kernel rows at sample directions far narrower than the node spacing
     overrides = {

@@ -63,19 +63,30 @@ def test_inflow_measure_mc():
 
 
 def test_inflow_nodes_point_inward():
-    for scheme_nodes in (
-        ps.tensor_boundary(ps.UNIT_SQUARE, 6, 6),
-        ps.mc_boundary(ps.UNIT_SQUARE, 5000, seed=1),
-    ):
-        assert np.all(scheme_nodes.n_dot_omega < 0)
-        recomputed = np.einsum("ij,ij->i", scheme_nodes.normal, scheme_nodes.omega)
-        np.testing.assert_allclose(recomputed, scheme_nodes.n_dot_omega, atol=1e-12)
+    # inflow directions point into D, outflow ones out of it; every node
+    # sits on the edge whose outward normal it carries
+    for domain in (ps.UNIT_SQUARE, ps.Rectangle((0.0, -1.0), (2.0, 0.5))):
+        for side, sign in ((ps.INFLOW, -1.0), (ps.OUTFLOW, 1.0)):
+            for scheme_nodes in (
+                ps.tensor_boundary(domain, 6, 6, side=side),
+                ps.mc_boundary(domain, 5000, seed=1, side=side),
+            ):
+                assert np.all(sign * scheme_nodes.n_dot_omega > 0)
+                recomputed = np.einsum("ij,ij->i", scheme_nodes.normal, scheme_nodes.omega)
+                np.testing.assert_allclose(recomputed, scheme_nodes.n_dot_omega, atol=1e-12)
+                n, x = scheme_nodes.normal, scheme_nodes.x
+                support = np.maximum(n, 0.0) @ domain.hi + np.minimum(n, 0.0) @ domain.lo
+                np.testing.assert_allclose(np.einsum("ij,ij->i", n, x), support, atol=1e-15)
+                assert np.all((x >= domain.lo) & (x <= domain.hi))
 
 
 def test_outflow_mirror():
-    nodes = ps.tensor_boundary(ps.UNIT_SQUARE, 8, 8, side=ps.OUTFLOW)
-    assert np.all(nodes.n_dot_omega > 0)
-    assert nodes.weight.sum() == pytest.approx(8.0, abs=1e-12)
+    for nodes in (
+        ps.tensor_boundary(ps.UNIT_SQUARE, 8, 8, side=ps.OUTFLOW),
+        ps.mc_boundary(ps.UNIT_SQUARE, 5000, seed=2, side=ps.OUTFLOW),
+    ):
+        assert np.all(nodes.n_dot_omega > 0)
+        assert nodes.weight.sum() == pytest.approx(8.0, abs=1e-12)
 
 
 def test_boundary_smooth_integrand_high_accuracy():
@@ -148,9 +159,16 @@ def test_phase_point_validation():
 
 def test_unknown_scheme_rejected():
     with pytest.raises(ContractViolation):
-        ps.sample_interior(ps.UNIT_SQUARE, 10, scheme="sparse-grid")
+        ps.build_quadrature(scheme="sparse-grid")
     with pytest.raises(ContractViolation):
-        ps.sample_inflow_boundary(ps.UNIT_SQUARE, 10, scheme="qmc")
+        ps.build_quadrature(scheme="qmc", n_spatial=10, n_boundary=10)
+
+
+def test_mc_rules_need_a_sample():
+    with pytest.raises(ContractViolation):
+        ps.mc_interior(ps.UNIT_SQUARE, 0, seed=0)
+    with pytest.raises(ContractViolation):
+        ps.mc_boundary(ps.UNIT_SQUARE, 0, seed=0)
 
 
 def test_quadrature_csv_dump_reparses(tmp_path):

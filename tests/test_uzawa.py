@@ -39,21 +39,19 @@ def test_config_contracts():
 
 def test_multiplier_update_arithmetic():
     nodes = ps.tensor_boundary(ps.UNIT_SQUARE, 2, 2)
-    params = net.init_params((4, 8, 1), seed=0)
-    zero = net.unflatten(np.zeros(params.n_params), params.widths)
 
-    # u = 0 everywhere; g = -0.2/0.5 scaled cases via g_values directly
+    # u = 0 everywhere, so the mismatch u - g is -g
     mult = lg.MultiplierField(np.ones(len(nodes)), nodes)
     g_vals = np.full(len(nodes), 0.2)  # u - g = -0.2
-    updated = uzawa.multiplier_update(mult, zero, g_vals, rho=0.5)
+    updated = uzawa.multiplier_update(mult, -g_vals, rho=0.5)
     np.testing.assert_allclose(updated.values, 1.0 + 0.5 * 0.2)
 
     # fixed point: u = g
-    fixed = uzawa.multiplier_update(mult, zero, np.zeros(len(nodes)), rho=0.5)
+    fixed = uzawa.multiplier_update(mult, np.zeros(len(nodes)), rho=0.5)
     np.testing.assert_allclose(fixed.values, mult.values)
 
     # two updates with frozen u compose additively
-    twice = uzawa.multiplier_update(updated, zero, g_vals, rho=0.5)
+    twice = uzawa.multiplier_update(updated, -g_vals, rho=0.5)
     np.testing.assert_allclose(twice.values, 1.0 + 2 * 0.5 * 0.2)
     assert twice.nodes is nodes
 
@@ -64,8 +62,8 @@ def test_multiplier_update_linear_in_mismatch():
     mult = lg.constant_multiplier(nodes, 0.0)
     g1 = np.linspace(0.1, 0.4, len(nodes))
     u_b = net.eval_batch(params, nodes.x, nodes.theta)
-    upd1 = uzawa.multiplier_update(mult, params, g1, rho=1.0)
-    upd2 = uzawa.multiplier_update(mult, params, u_b - 2.0 * (u_b - g1), rho=1.0)
+    upd1 = uzawa.multiplier_update(mult, u_b - g1, rho=1.0)
+    upd2 = uzawa.multiplier_update(mult, u_b - (u_b - 2.0 * (u_b - g1)), rho=1.0)
     np.testing.assert_allclose(upd2.values, 2.0 * upd1.values, atol=1e-14)
 
 
@@ -73,8 +71,9 @@ def test_run_records_zero_boundary_residual_for_zero_problem():
     quad, problem, params = _tiny_setup()
     zero = net.unflatten(np.zeros(params.n_params), params.widths)
     state = uzawa.RunState(zero, lg.constant_multiplier(quad.boundary, 0.0))
-    g_vals = problem.data.inflow(quad.boundary)
-    assert uzawa.boundary_residual(zero, quad.boundary, g_vals) == 0.0
+    b = quad.boundary
+    mismatch = net.eval_batch(zero, b.x, b.theta) - problem.data.inflow(b)
+    assert uzawa.boundary_residual(b, mismatch) == 0.0
     assert state.initial_boundary_residual != state.initial_boundary_residual  # nan until run
 
 
@@ -123,6 +122,15 @@ def test_non_finite_abort_names_step_and_part():
     lcfg = lg.LagrangianConfig(gamma=1.0)
     with pytest.raises(NumericalAbort, match="inner step"):
         uzawa.run(problem, quad, params, cfg, lcfg, seed=0)
+
+
+def test_overflowing_optimizer_step_aborts():
+    quad, problem, params = _tiny_setup(g=lambda x, t: np.full(np.atleast_2d(x).shape[0], 0.3))
+    cfg = uzawa.UzawaConfig(rho=0.5, n_outer=1, n_inner=5, learning_rate=1e308)
+    lcfg = lg.LagrangianConfig(gamma=1.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalAbort, match="parameters .* outer step 0, inner step 0"):
+            uzawa.run(problem, quad, params, cfg, lcfg, seed=0)
 
 
 def test_gd_suboptimality_bound_on_quadratic():
@@ -181,3 +189,11 @@ def test_metrics_history_shapes():
     assert [len(t) for t in state.inner_history] == [7, 7, 7]
     assert np.isfinite(state.initial_boundary_residual)
     assert state.multiplier.nodes is quad.boundary
+    # the outer record reads the full-set pass; inner traces keep no node arrays
+    b = quad.boundary
+    u_b = net.eval_batch(state.params, b.x, b.theta)
+    mismatch = u_b - problem.data.frozen_inflow(b)
+    assert state.outer_history[-1].boundary_residual == pytest.approx(
+        np.sqrt(b.weight @ mismatch**2), rel=1e-12
+    )
+    assert all(parts.mismatch is None for trace in state.inner_history for parts in trace)
