@@ -240,9 +240,11 @@ def _semantic_violations(values):
             v.append(f"outputs.grids: unknown grid kind {entry!r}")
         elif entry.startswith("angular-slice:"):
             try:
-                float(entry.split(":", 1)[1])
+                angle = float(entry.split(":", 1)[1])
             except ValueError:
-                v.append(f"outputs.grids: bad slice angle in {entry!r}")
+                angle = math.nan
+            if not math.isfinite(angle):
+                v.append(f"outputs.grids: slice angle must be a finite number in {entry!r}")
     if values["oracle.n_iter"] < 1:
         v.append("oracle.n_iter: must be >= 1")
     return v

@@ -51,7 +51,14 @@ def grid_points(nx, ny, domain):
 
 
 def scalar_flux(params, angular, nx=101, ny=101, domain=None):
-    """Angular integral of the network at every grid node."""
+    """Angular integral of the network at every grid node.
+
+    Row r of the (grid point, angle) product is point r // K at angle
+    r % K.  The rows are built and evaluated one ``network.ROW_BLOCK``
+    block at a time, the blocks one ``eval_batch`` call over all rows would
+    form, so the values are bitwise that call's while the product itself
+    is never held: only the (points, K) values are.
+    """
     from .phase_space import UNIT_SQUARE
 
     domain = domain or UNIT_SQUARE
@@ -59,10 +66,13 @@ def scalar_flux(params, angular, nx=101, ny=101, domain=None):
         raise ContractViolation("angular weights must sum to 2*pi")
     pts = grid_points(nx, ny, domain)
     k = len(angular)
-    x = np.repeat(pts, k, axis=0)
-    theta = np.tile(angular.theta, pts.shape[0])
-    u = network.eval_batch(params, x, theta)
-    values = (u.reshape(pts.shape[0], k) @ angular.weight).reshape(nx, ny)
+    u = np.empty((pts.shape[0], k))
+    flat = u.reshape(-1)
+    for lo in range(0, flat.size, network.ROW_BLOCK):
+        point, angle = np.divmod(np.arange(lo, min(lo + network.ROW_BLOCK, flat.size)), k)
+        u_block = network.eval_batch(params, pts.take(point, axis=0), angular.theta.take(angle))
+        flat[lo : lo + point.size] = u_block
+    values = (u @ angular.weight).reshape(nx, ny)
     extent = (domain.lo[0], domain.hi[0], domain.lo[1], domain.hi[1])
     return FieldGrid(nx, ny, values, extent, "scalar-flux")
 

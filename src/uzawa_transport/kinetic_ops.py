@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ive
 
 from . import network
 from .errors import ContractViolation
@@ -145,13 +144,17 @@ def angular_eigenvalue(n, kernel, sigma_t):
     Fourier coefficient of the kernel in the angle between directions.  For
     exp(cos(phi)/eps) that ratio is I_n(1/eps) / I_0(1/eps) (modified Bessel
     functions, taken exponentially scaled so large 1/eps cannot overflow);
-    for the isotropic kernel it is 1 at n = 0 and 0 otherwise.
+    for the isotropic kernel it is 1 at n = 0 and 0 otherwise.  The Bessel
+    functions come from ``scipy.special``, imported here, in the one
+    function that needs it, so that a solve never loads scipy.
     """
     if n < 0:
         raise ContractViolation("mode index must be nonnegative")
     if kernel.kind == "isotropic":
         ratio = 1.0 if n == 0 else 0.0
     else:
+        from scipy.special import ive
+
         ratio = ive(n, 1.0 / kernel.epsilon) / ive(0, 1.0 / kernel.epsilon)
     return sigma_t * (1.0 - float(ratio))
 

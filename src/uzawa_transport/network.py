@@ -5,7 +5,10 @@ embedding feeds (x1, x2, cos(theta), sin(theta)) so the output is
 automatically 2*pi-periodic in the angle; a raw-angle mode (x1, x2,
 theta) is kept for ablation.  The embedding is decided here, from the
 input width (``embedding_for``): every function that takes phase points
-(x, theta) embeds them itself.  Two kinds of batched kernel evaluate it:
+(x, theta) embeds them itself.  The activation is tanh, gelu or silu;
+gelu's normal CDF is ``scipy.special.erf``, imported at gelu's first
+call, so a tanh or silu network never loads scipy.  Two kinds of batched
+kernel evaluate it:
 
 - ``forward_jvp_batch`` evaluates n embedded rows plus a forward tangent
   rail (for omega-directional spatial derivatives) on the first n_t of
@@ -28,7 +31,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ContractViolation
 
@@ -98,6 +100,8 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def _act_gelu(z, order, out=None):
+    from scipy.special import erf
+
     out = out or tuple(np.empty_like(z) for _ in range(order + 1))
     cdf = 0.5 * (1.0 + erf(z * _INV_SQRT2))
     np.multiply(z, cdf, out=out[0])

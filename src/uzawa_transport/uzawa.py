@@ -40,12 +40,20 @@ class UzawaConfig:
     lambda_init: float = 0.0
 
     def __post_init__(self):
-        if self.rho <= 0:
+        # the checks of config validation, written so that NaN fails each one
+        floats = (self.rho, self.learning_rate, self.beta1, self.beta2, self.eps_adam, self.lambda_init)
+        if not all(math.isfinite(value) for value in floats):
+            raise ContractViolation("rho, learning_rate, beta1, beta2, eps_adam, lambda_init must be finite")
+        if not self.rho > 0:
             raise ContractViolation("multiplier step rho must be positive")
         if self.n_outer < 1 or self.n_inner < 1:
             raise ContractViolation("iteration counts must be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ContractViolation("learning rate must be positive")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ContractViolation("Adam decay rates must satisfy 0 <= beta1, beta2 < 1")
+        if not self.eps_adam > 0:
+            raise ContractViolation("eps_adam must be positive")
         if self.optimizer not in ("sgd", "adam"):
             raise ContractViolation(f"unknown optimizer '{self.optimizer}'")
 

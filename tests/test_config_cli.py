@@ -260,6 +260,8 @@ def test_cli_negative_radius_exit_code(key):
         ("uzawa.beta1", "1"),
         ("uzawa.beta2", "1.5"),
         ("uzawa.eps_adam", "-1"),
+        ("outputs.grids", "angular-slice:nan"),
+        ("outputs.grids", "angular-slice:inf"),
     ],
 )
 def test_cli_bad_float_exit_code(key, value):

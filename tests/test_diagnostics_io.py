@@ -87,6 +87,34 @@ def test_scalar_flux_memory_stays_block_sized():
     assert peak < 64e6
 
 
+@pytest.mark.parametrize("k, activation", [(7, "tanh"), (12, "gelu"), (32, "silu")])
+def test_scalar_flux_blocks_match_one_pass(k, activation):
+    # 37 x 29 points: no K here makes the row count a multiple of ROW_BLOCK
+    params = net.init_params((4, 16, 16, 1), activation, seed=4)
+    ang = ps.angular_rule(k)
+    grid = dio.scalar_flux(params, ang, nx=37, ny=29)
+    pts = dio.grid_points(37, 29, ps.UNIT_SQUARE)
+    assert (pts.shape[0] * k) % net.ROW_BLOCK
+    u = net.eval_batch(params, np.repeat(pts, k, axis=0), np.tile(ang.theta, pts.shape[0]))
+    expected = (u.reshape(pts.shape[0], k) @ ang.weight).reshape(37, 29)
+    assert np.array_equal(grid.values, expected)
+
+
+def test_scalar_flux_streams_the_phase_grid():
+    # with the block workspace warm, the peak is the (points, K) values
+    # (2.6 MB here) plus one block, not the 101^2 x 32 phase points
+    params = net.init_params((4, 64, 64, 64, 1), seed=0)
+    ang = ps.angular_rule(32)
+    dio.scalar_flux(params, ang, nx=5, ny=5)
+    tracemalloc.start()
+    try:
+        dio.scalar_flux(params, ang, nx=101, ny=101)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
 def test_scalar_flux_checks_angular_weights():
     ang = ps.angular_rule(8)
     bad = ps.AngularNodes(ang.theta, ang.weight * 0.5)

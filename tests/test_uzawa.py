@@ -37,6 +37,28 @@ def test_config_contracts():
         uzawa.UzawaConfig(optimizer="lbfgs")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("rho", float("nan")),
+        ("rho", float("inf")),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("beta1", 1.0),
+        ("beta1", -0.1),
+        ("beta1", float("nan")),
+        ("beta2", 1.0),
+        ("beta2", float("nan")),
+        ("eps_adam", 0.0),
+        ("eps_adam", float("nan")),
+        ("lambda_init", float("inf")),
+    ],
+)
+def test_config_rejects_what_the_schema_rejects(field, value):
+    with pytest.raises(ContractViolation):
+        uzawa.UzawaConfig(**{field: value})
+
+
 def test_multiplier_update_arithmetic():
     nodes = ps.tensor_boundary(ps.UNIT_SQUARE, 2, 2)
 
