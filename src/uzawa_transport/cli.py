@@ -119,7 +119,6 @@ def _final_metrics(state, quad, reference):
 def _emit_train_outputs(out_dir, config, state, quad, reference, wall_clock):
     from . import __version__, diagnostics_io, network, phase_space
 
-    os.makedirs(out_dir, exist_ok=True)
     diagnostics_io.emit_metrics(
         os.path.join(out_dir, "metrics.csv"), diagnostics_io.metrics_rows(state)
     )
@@ -152,6 +151,8 @@ def run_experiment(config, out_dir=None):
     from .errors import NumericalAbort
 
     out_dir = _resolve_out_dir(out_dir, config)
+    # before any solve, so an unusable output directory exits 4 at once
+    os.makedirs(out_dir, exist_ok=True)
     start = time.perf_counter()
 
     if config.mode == configmod.ORACLE_VERIFY:
@@ -163,7 +164,6 @@ def run_experiment(config, out_dir=None):
             print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))
             details[name] = {"ok": ok, "detail": detail}
             all_ok &= ok
-        os.makedirs(out_dir, exist_ok=True)
         manifest = diagnostics_io.RunManifest(
             config=config.to_flat(),
             version=__version__,
@@ -182,7 +182,6 @@ def run_experiment(config, out_dir=None):
         state = uzawa.run(problem, quad, params0, uz_cfg, lg_cfg, seed=config["seed"])
     except NumericalAbort:
         # flush a manifest naming the abort so the run is diagnosable
-        os.makedirs(out_dir, exist_ok=True)
         manifest = diagnostics_io.RunManifest(
             config=config.to_flat(),
             version=__version__,

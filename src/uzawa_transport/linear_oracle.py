@@ -41,6 +41,7 @@ _N_POLY = 6
 _N_ANG = 3
 # scattering eigenvalue of each angular factor under the isotropic kernel
 _ANG_SCATTER = np.array([0.0, 1.0, 1.0])
+_GRAM_BLOCK = 4096
 
 
 def _poly_values(x):
@@ -76,7 +77,11 @@ def _advection_values(x, theta):
 
 @dataclass
 class LinearTrialSpace:
-    """Frozen Gram-type matrices of the 18-function trial space."""
+    """Frozen Gram-type matrices of the 18-function trial space.
+
+    The interior Grams (``pde_gram``, ``mass``, ``advection_gram``) are
+    summed over ``_GRAM_BLOCK``-row blocks of the 32^2 x 64 interior rule,
+    so the basis tables never exceed one block."""
 
     sigma_a: float
     sigma_t: float
@@ -91,18 +96,17 @@ class LinearTrialSpace:
 
     def __post_init__(self):
         domain = UNIT_SQUARE
-        angular = angular_rule(64)
-        interior = tensor_interior(domain, 32, 32, angular)
-        x, theta, w = interior.x, interior.theta, interior.weight
-
-        phi = _basis_values(x, theta)
-        adv = _advection_values(x, theta)
+        interior = tensor_interior(domain, 32, 32, angular_rule(64))
         scatter_scale = self.sigma_a + self.sigma_t * np.repeat(_ANG_SCATTER, _N_POLY)
-        ts = adv + phi * scatter_scale[None, :]
-
-        self.pde_gram = ts.T @ (w[:, None] * ts)
-        self.mass = phi.T @ (w[:, None] * phi)
-        self.advection_gram = adv.T @ (w[:, None] * adv)
+        self.pde_gram, self.mass, self.advection_gram = (np.zeros((self.n_basis,) * 2) for _ in range(3))
+        for lo in range(0, interior.weight.shape[0], _GRAM_BLOCK):
+            x, theta, w = (a[lo : lo + _GRAM_BLOCK] for a in (interior.x, interior.theta, interior.weight))
+            phi = _basis_values(x, theta)
+            adv = _advection_values(x, theta)
+            ts = adv + phi * scatter_scale[None, :]
+            self.pde_gram += ts.T @ (w[:, None] * ts)
+            self.mass += phi.T @ (w[:, None] * phi)
+            self.advection_gram += adv.T @ (w[:, None] * adv)
 
         inflow = tensor_boundary(domain, 32, 32, side=INFLOW)
         self.trace = _basis_values(inflow.x, inflow.theta)

@@ -15,12 +15,18 @@ kernel evaluate it:
   them (``forward_jvp_phase`` at phase points), both
   rails stacked so each layer is one GEMM, and caches what one reverse
   sweep, ``vjp_jvp_batch``, needs for exact gradients of
-  derivative-containing losses.  Its buffers are reused while (widths,
-  activation, n, n_t) stays the same, so a training step allocates no
-  layer temporaries; ``forward_batch``/``vjp_value_batch`` are n_t = 0.
+  derivative-containing losses: each layer's stacked input, the
+  activation's derivative at the n value rows, and, at the n_t tangent
+  rows only, the tangent pre-activations and second derivatives.  Each
+  GEMM writes into the next layer's input, where the activation runs in
+  place, so no full-height pre-activation is kept.  The buffers are
+  reused while (widths, activation, n, n_t) stays the same, so a training
+  step allocates no layer temporaries; ``forward_batch``/
+  ``vjp_value_batch`` are n_t = 0.
 - ``eval_jvp_batch`` and ``eval_batch`` (values only) keep no cache and
-  stream ``ROW_BLOCK`` rows at a time through reused block buffers, so
-  forward-only passes stay block-sized however many rows they cover.
+  stream ``ROW_BLOCK`` rows at a time through two alternating input
+  buffers and one derivative buffer, so forward-only passes stay
+  block-sized however many rows they cover.
 
 ``evaluate`` and ``eval_with_spatial_directional`` are the one-point forms.
 """
@@ -37,9 +43,9 @@ from .errors import ContractViolation
 CHECKPOINT_MAGIC = b"UZMLP1"
 EPS_UNIT = 1e-12
 
-# Rows per block in ``eval_batch``, small enough that one block's layer
-# activations stay cache-sized.
-ROW_BLOCK = 4096
+# Rows per block in ``eval_jvp_batch``/``eval_batch``: a 64-wide layer array
+# of one block is 1,024 x 64 x 8 B = 512 KB, inside a 2 MB L2 cache.
+ROW_BLOCK = 1024
 
 COS_SIN = "cos-sin"
 RAW_ANGLE = "raw-angle"
@@ -85,7 +91,8 @@ def embedding_for(params):
 
 def _act_tanh(z, order, out=None):
     """Activation and its derivatives up to ``order``: a prefix of (a, d1, d2),
-    written into the ``order + 1`` arrays of ``out`` when given."""
+    written into the ``order + 1`` arrays of ``out`` when given.  Every
+    activation writes ``out[0]`` last, so ``out[0]`` may be ``z`` itself."""
     out = out or tuple(np.empty_like(z) for _ in range(order + 1))
     a = np.tanh(z, out=out[0])
     if order:
@@ -104,24 +111,24 @@ def _act_gelu(z, order, out=None):
 
     out = out or tuple(np.empty_like(z) for _ in range(order + 1))
     cdf = 0.5 * (1.0 + erf(z * _INV_SQRT2))
-    np.multiply(z, cdf, out=out[0])
     if order:
         pdf = _INV_SQRT2PI * np.exp(-0.5 * z * z)
         np.add(cdf, z * pdf, out=out[1])
     if order == 2:
         np.multiply(pdf, 2.0 - z * z, out=out[2])
+    np.multiply(z, cdf, out=out[0])
     return out
 
 
 def _act_silu(z, order, out=None):
     out = out or tuple(np.empty_like(z) for _ in range(order + 1))
     s = 0.5 * (np.tanh(0.5 * z) + 1.0)
-    np.multiply(z, s, out=out[0])
     if order:
         dsig = s * (1.0 - s)
         np.add(s, z * dsig, out=out[1])
     if order == 2:
         np.multiply(dsig, 2.0 + z * (1.0 - 2.0 * s), out=out[2])
+    np.multiply(z, s, out=out[0])
     return out
 
 
@@ -214,9 +221,14 @@ def unflatten(vec, widths, activation="tanh"):
 
 class _Workspace:
     """Flat layer buffers, viewed by ``layout`` for n rows whose first n_t
-    carry tangents, stacked below the primal rows so a layer is one GEMM.
-    Order 2 (a reverse sweep follows) gives each layer its own buffers and
-    a ``d2`` for tangent rows; order 1 shares them across layers."""
+    carry tangents.  ``h[l]`` is layer l's input: n value rows stacked over
+    n_t tangent rows, so a layer is one GEMM, which writes straight into
+    ``h[l + 1]``; the activation then runs in place on the value rows.
+    ``d1`` holds the activation's derivative at the value rows.  Order 2 (a
+    reverse sweep follows) gives each layer its own buffers plus, at the
+    tangent rows only, the tangent pre-activations ``t`` and the second
+    derivative ``d2``; order 1 alternates two input buffers and shares one
+    ``d1``."""
 
     def __init__(self, widths, n, n_t, order):
         def flat(count, rows, ws):
@@ -224,8 +236,8 @@ class _Workspace:
             return [np.empty(rows * max(ws[i::count])) for i in range(count)]
 
         self.widths, self.generation, hidden = widths, 0, widths[1:-1]
-        self._h, self._y = flat(2, n + n_t, widths[:-1]), flat(1, n + n_t, hidden)
-        self._d1, self._d2 = flat(1, n, hidden), flat(1, n_t, hidden) if order == 2 else None
+        self._h, self._d1 = flat(2, n + n_t, widths[:-1]), flat(1, n, hidden)
+        self._t, self._d2 = (flat(1, n_t, hidden), flat(1, n_t, hidden)) if order == 2 else (None, None)
         self._out = np.empty(n + n_t)
         self.layout(n, n_t)
 
@@ -234,9 +246,8 @@ class _Workspace:
             return [bufs[i % len(bufs)][: rows * w].reshape(rows, w) for i, w in enumerate(ws)]
 
         self.n, self.n_t, hidden = n, n_t, self.widths[1:-1]
-        self.h, self.y = views(self._h, n + n_t, self.widths[:-1]), views(self._y, n + n_t, hidden)
-        self.d1 = views(self._d1, n, hidden)
-        self.d2 = views(self._d2, n_t, hidden) if self._d2 else None
+        self.h, self.d1 = views(self._h, n + n_t, self.widths[:-1]), views(self._d1, n, hidden)
+        self.t, self.d2 = (views(bufs, n_t, hidden) if bufs else None for bufs in (self._t, self._d2))
         self.out = self._out[: n + n_t].reshape(-1, 1)
 
 
@@ -256,17 +267,18 @@ def _forward(params, ws):
     n, n_t = ws.n, ws.n_t
     order = 2 if ws.d2 else 1
     for layer, (W, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
-        y, a = ws.y[layer], ws.h[layer + 1]
-        bufs = (a, ws.d1[layer], ws.d2[layer]) if ws.d2 else (a, ws.d1[layer])
-        np.matmul(ws.h[layer], W.T, out=y)
-        z = y[:n]
+        a = np.matmul(ws.h[layer], W.T, out=ws.h[layer + 1])
+        z, tangent = a[:n], a[n:]
         z += b
+        if ws.t:
+            ws.t[layer][...] = tangent
+        bufs = (z, ws.d1[layer], ws.d2[layer]) if ws.d2 else (z, ws.d1[layer])
         # tangent rows need one derivative order more than value rows
         if n_t:
             act(z[:n_t], order, tuple(buf[:n_t] for buf in bufs))
         if n > n_t:
             act(z[n_t:], order - 1, tuple(buf[n_t:n] for buf in bufs[:order]))
-        np.multiply(bufs[1][:n_t], y[n:], out=a[n:])
+        tangent *= ws.d1[layer][:n_t]
     return np.matmul(ws.h[-1], params.weights[-1].T, out=ws.out)
 
 
@@ -301,7 +313,8 @@ def vjp_jvp_batch(params, cache, seed_value, seed_tangent):
     input layer, one adjoint GEMM over the stacked rails; tangent adjoints
     enter through the activation's second derivative, which makes gradients
     of directional derivatives exact.  The sweep overwrites the cached layer
-    inputs, so a cache admits one sweep; a stale cache raises."""
+    inputs and second derivatives, so a cache admits one sweep; a stale
+    cache raises."""
     ws, generation = cache
     if generation != ws.generation:
         raise ContractViolation("stale forward cache: its workspace was reused or already swept")
@@ -311,18 +324,21 @@ def vjp_jvp_batch(params, cache, seed_value, seed_tangent):
     adj[:n, 0], adj[n:, 0] = seed_value, seed_tangent
     grad = np.empty(params.n_params)
     views = _layer_views(grad, params.widths)
-    for layer in range(len(params.weights) - 1, -1, -1):
-        if layer < len(params.weights) - 1:
-            zbar, tbar, scratch = adj[:n], adj[n:], ws.y[layer][:n_t]
-            np.multiply(tbar, ws.d2[layer], out=scratch)
-            scratch *= ws.y[layer][n:]
+    last = len(params.weights) - 1
+    for layer in range(last, -1, -1):
+        if layer < last:
+            zbar, tbar, d2 = adj[:n], adj[n:], ws.d2[layer]
+            d2 *= tbar
+            d2 *= ws.t[layer]
             zbar *= ws.d1[layer]
-            zbar[:n_t] += scratch
+            zbar[:n_t] += d2
             tbar *= ws.d1[layer][:n_t]
         np.matmul(adj.T, ws.h[layer], out=views[layer][0])
         np.sum(adj[:n], axis=0, out=views[layer][1])
         if layer:
-            adj = np.matmul(adj, params.weights[layer], out=ws.h[layer])
+            # the output layer's adjoint is an outer product with its one weight row
+            mix = np.multiply if layer == last else np.matmul
+            adj = mix(adj, params.weights[layer], out=ws.h[layer])
     return grad
 
 

@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from uzawa_transport import cli
 from uzawa_transport import config as cm
-from uzawa_transport import presets
+from uzawa_transport import presets, uzawa
 from uzawa_transport.errors import ConfigError
 
 CLI = [sys.executable, "-m", "uzawa_transport"]
@@ -290,6 +291,38 @@ def test_cli_sharp_kernel_on_loose_samples_runs_finite(tmp_path):
     assert out.returncode == 0, out.stderr
     rows = (tmp_path / "metrics.csv").read_text().strip().splitlines()[1:]
     assert np.isfinite([float(v) for row in rows for v in row.split(",")]).all()
+
+
+def test_cli_optimizer_overflow_exit_code(tmp_path):
+    args = ["preset", "example1", "--out", tmp_path.as_posix(), "--override", "uzawa.learning_rate=1e308"]
+    for key, value in FAST_OVERRIDES.items():
+        args += ["--override", f"{key}={value}"]
+    out = _run_cli(args)
+    assert out.returncode == 3, out.stderr
+    assert "numerical abort" in out.stderr
+    assert "Traceback" not in out.stderr
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert "optimizer step" in manifest["final_metrics"]["aborted"]
+
+
+def test_cli_out_is_a_file_exits_before_the_solve(tmp_path, monkeypatch):
+    target = tmp_path / "taken"
+    target.write_text("keep")
+    args = ["preset", "example1", "--out", target.as_posix()]
+    for key, value in FAST_OVERRIDES.items():
+        args += ["--override", f"{key}={value}"]
+    out = _run_cli(args)
+    assert out.returncode == 4, out.stderr
+    assert "i/o error" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert target.read_text() == "keep"
+
+    def solve(*_, **__):
+        raise AssertionError("the solve ran before the output directory was checked")
+
+    monkeypatch.setattr(uzawa, "run", solve)
+    with pytest.raises(OSError):
+        cli.run_experiment(cm.from_flat(FAST_OVERRIDES), target.as_posix())
 
 
 def test_cli_override_rejects_bad_shape():

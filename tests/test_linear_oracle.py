@@ -1,5 +1,7 @@
 """Exact linear-basis iteration: saddle point, identities, decay bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,27 @@ def test_gram_matrices_spd(space):
         assert np.linalg.eigvalsh(mat).min() >= -1e-10
     for gamma in (0.5, 1.0, 2.0):
         assert np.linalg.eigvalsh(space.pde_gram + gamma * space.boundary_mass).min() > 0
+
+
+def test_blocked_grams_match_one_pass(space):
+    rule = lo.tensor_interior(lo.UNIT_SQUARE, 32, 32, lo.angular_rule(64))
+    phi = lo._basis_values(rule.x, rule.theta)
+    adv = lo._advection_values(rule.x, rule.theta)
+    ts = adv + phi * (1.0 + 0.1 * np.repeat(lo._ANG_SCATTER, lo._N_POLY))
+    for got, rows in ((space.pde_gram, ts), (space.mass, phi), (space.advection_gram, adv)):
+        want = rows.T @ (rule.weight[:, None] * rows)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_trial_space_memory_stays_block_sized():
+    # one 65,536 x 18 basis table of the whole rule would be 9.4 MB by itself
+    tracemalloc.start()
+    try:
+        lo.LinearTrialSpace(sigma_a=1.0, sigma_t=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_exact_inner_solve_zero_case(space):

@@ -1,5 +1,7 @@
 """Trial network: init, evaluation, directional derivatives, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -136,6 +138,19 @@ def test_activation_orders_are_prefixes(activation):
         assert len(part) == order + 1
         for got, want in zip(part, full):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "gelu", "silu"])
+def test_activation_in_place_matches_out_of_place(activation):
+    # the stacked pass hands the pre-activation in as out[0]
+    act = net.ACTIVATIONS[activation]
+    z = np.linspace(-6.0, 6.0, 241)
+    for order in (0, 1, 2):
+        want = act(z, order)
+        got = (z.copy(), *(np.empty_like(z) for _ in range(order)))
+        act(got[0], order, got)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 def _phi(z):
@@ -333,3 +348,37 @@ def test_streamed_jvp_matches_cached_pass_bitwise(activation):
     u, du = net.eval_jvp_batch(params, x, theta, n_t)
     assert np.array_equal(u, u_ref)
     assert np.array_equal(du, du_ref)
+
+
+def _cold_peak(fn):
+    """Peak traced bytes of ``fn`` with every kernel workspace dropped first."""
+    net._SLOTS.clear()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stacked_pass_keeps_only_tangent_pre_activations():
+    # mc-manufactured's step: 4,352 value rows, the first 256 with tangents;
+    # the layer inputs and first derivatives alone are 13.9 MB
+    params = net.init_params((4, 64, 64, 64, 1), seed=0)
+    rng = np.random.default_rng(2)
+    emb, tan = rng.uniform(-1.0, 1.0, (4352, 4)), rng.uniform(-1.0, 1.0, (256, 4))
+    seeds = rng.standard_normal(4352), rng.standard_normal(256)
+
+    def step():
+        _, _, cache = net.forward_jvp_batch(params, emb, tan)
+        net.vjp_jvp_batch(params, cache, *seeds)
+
+    assert _cold_peak(step) < 16e6
+
+
+def test_streamed_jvp_working_set_is_block_sized():
+    # absorb-tensor's full set: 9,216 interior rows with tangents, 512 boundary rows
+    params = net.init_params((4, 64, 64, 64, 1), seed=0)
+    rng = np.random.default_rng(4)
+    x, theta = rng.uniform(0, 1, (9728, 2)), rng.uniform(0, 2 * np.pi, 9728)
+    assert _cold_peak(lambda: net.eval_jvp_batch(params, x, theta, 9216)) < 5e6
