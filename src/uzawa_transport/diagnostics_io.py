@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kinetic_ops, network
-from .errors import ContractViolation
+from .errors import ConfigError, ContractViolation
 from .kinetic_ops import TWO_PI, ReferenceSolution  # ReferenceSolution: re-exported
 
 METRICS_HEADER = (
@@ -225,8 +225,21 @@ def emit_manifest(path, manifest):
 
 
 def parse_manifest(path):
-    with open(path) as fh:
-        payload = json.load(fh)
+    """Read a manifest written by ``emit_manifest``.  A file that cannot be
+    read or is not one (not JSON, not an object, a key missing, a config
+    that is not an object) raises ConfigError naming the path."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as err:
+        raise ConfigError([f"{path}: {err}"]) from err
+    if not isinstance(payload, dict):
+        raise ConfigError([f"{path}: a manifest is a JSON object, not {type(payload).__name__}"])
+    missing = [key for key in ("config", "version", "wall_clock") if key not in payload]
+    if missing:
+        raise ConfigError([f"{path}: manifest has no '{key}'" for key in missing])
+    if not isinstance(payload["config"], dict):
+        raise ConfigError([f"{path}: the manifest's 'config' is not an object"])
     return RunManifest(
         config=payload["config"],
         version=payload["version"],

@@ -17,16 +17,24 @@ kernel evaluate it:
   sweep, ``vjp_jvp_batch``, needs for exact gradients of
   derivative-containing losses: each layer's stacked input, the
   activation's derivative at the n value rows, and, at the n_t tangent
-  rows only, the tangent pre-activations and second derivatives.  Each
-  GEMM writes into the next layer's input, where the activation runs in
-  place, so no full-height pre-activation is kept.  The buffers are
-  reused while (widths, activation, n, n_t) stays the same, so a training
-  step allocates no layer temporaries; ``forward_batch``/
-  ``vjp_value_batch`` are n_t = 0.
+  rows only, the second derivative times the tangent pre-activation (the
+  one product the sweep reads).  Each GEMM writes into the next layer's
+  input, where the activation runs in place, so no full-height
+  pre-activation is kept.  The buffers are reused while (widths,
+  activation, n, n_t) stays the same, so a training step allocates no
+  layer temporaries; ``forward_batch``/``vjp_value_batch`` are n_t = 0.
 - ``eval_jvp_batch`` and ``eval_batch`` (values only) keep no cache and
   stream ``ROW_BLOCK`` rows at a time through two alternating input
   buffers and one derivative buffer, so forward-only passes stay
   block-sized however many rows they cover.
+
+Only one workspace is live at a time: a pass of another shape drops it
+and builds its own, so a training step's buffers are freed while the
+outer bookkeeping and the output emission stream their blocks, and the
+run's peak memory is its largest phase, not their sum.  A cache keeps its
+own workspace alive until it is swept or dropped.  Workspace buffers are
+anonymous memory mappings (``_mapped``), which ``tracemalloc`` does not
+see.
 
 ``evaluate`` and ``eval_with_spatial_directional`` are the one-point forms.
 """
@@ -219,26 +227,37 @@ def unflatten(vec, widths, activation="tanh"):
 # -- batched kernels --------------------------------------------------------
 
 
+def _mapped(size):
+    """A float64 buffer of ``size`` entries in its own anonymous mapping,
+    whose pages go back to the system when it is dropped.  Heap arrays
+    would stay resident, and workspaces rebuilt twice per outer step would
+    fragment the heap, so peak memory would creep up with outer steps."""
+    import mmap  # here, so a run that builds no workspace never loads it
+
+    # a mapping cannot be empty; an n_t = 0 buffer gets one unused entry
+    return np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), dtype=float)
+
+
 class _Workspace:
     """Flat layer buffers, viewed by ``layout`` for n rows whose first n_t
     carry tangents.  ``h[l]`` is layer l's input: n value rows stacked over
     n_t tangent rows, so a layer is one GEMM, which writes straight into
     ``h[l + 1]``; the activation then runs in place on the value rows.
     ``d1`` holds the activation's derivative at the value rows.  Order 2 (a
-    reverse sweep follows) gives each layer its own buffers plus, at the
-    tangent rows only, the tangent pre-activations ``t`` and the second
-    derivative ``d2``; order 1 alternates two input buffers and shares one
+    reverse sweep follows) gives each layer its own buffers plus ``d2``:
+    at the tangent rows only, the second derivative times the tangent
+    pre-activation; order 1 alternates two input buffers and shares one
     ``d1``."""
 
     def __init__(self, widths, n, n_t, order):
         def flat(count, rows, ws):
             count = len(ws) if order == 2 else count
-            return [np.empty(rows * max(ws[i::count])) for i in range(count)]
+            return [_mapped(rows * max(ws[i::count])) for i in range(count)]
 
         self.widths, self.generation, hidden = widths, 0, widths[1:-1]
         self._h, self._d1 = flat(2, n + n_t, widths[:-1]), flat(1, n, hidden)
-        self._t, self._d2 = (flat(1, n_t, hidden), flat(1, n_t, hidden)) if order == 2 else (None, None)
-        self._out = np.empty(n + n_t)
+        self._d2 = flat(1, n_t, hidden) if order == 2 else None
+        self._out = _mapped(n + n_t)
         self.layout(n, n_t)
 
     def layout(self, n, n_t):
@@ -247,18 +266,22 @@ class _Workspace:
 
         self.n, self.n_t, hidden = n, n_t, self.widths[1:-1]
         self.h, self.d1 = views(self._h, n + n_t, self.widths[:-1]), views(self._d1, n, hidden)
-        self.t, self.d2 = (views(bufs, n_t, hidden) if bufs else None for bufs in (self._t, self._d2))
+        self.d2 = views(self._d2, n_t, hidden) if self._d2 else None
         self.out = self._out[: n + n_t].reshape(-1, 1)
 
 
-_SLOTS = {}
+_SLOTS = {}  # the one live workspace, under its key
 
 
-def _workspace(slot, key, *shape):
-    """The workspace held in ``slot``, rebuilt whenever ``key`` changes."""
-    if _SLOTS.get(slot, (None,))[0] != key:
-        _SLOTS[slot] = (key, _Workspace(*shape))
-    return _SLOTS[slot][1]
+def _workspace(params, n, n_t, order):
+    """The live workspace for this network and shape.  A different key
+    drops the live one before the new one is built, so two never coexist
+    unless a cache still holds the old one."""
+    key = (params.widths, params.activation, n, n_t, order)
+    if key not in _SLOTS:
+        _SLOTS.clear()
+        _SLOTS[key] = _Workspace(params.widths, n, n_t, order)
+    return _SLOTS[key]
 
 
 def _forward(params, ws):
@@ -270,14 +293,14 @@ def _forward(params, ws):
         a = np.matmul(ws.h[layer], W.T, out=ws.h[layer + 1])
         z, tangent = a[:n], a[n:]
         z += b
-        if ws.t:
-            ws.t[layer][...] = tangent
         bufs = (z, ws.d1[layer], ws.d2[layer]) if ws.d2 else (z, ws.d1[layer])
         # tangent rows need one derivative order more than value rows
         if n_t:
             act(z[:n_t], order, tuple(buf[:n_t] for buf in bufs))
         if n > n_t:
             act(z[n_t:], order - 1, tuple(buf[n_t:n] for buf in bufs[:order]))
+        if ws.d2:
+            ws.d2[layer] *= tangent  # the sweep reads only d2 * t
         tangent *= ws.d1[layer][:n_t]
     return np.matmul(ws.h[-1], params.weights[-1].T, out=ws.out)
 
@@ -292,7 +315,7 @@ def forward_jvp_batch(params, emb, emb_tangent):
     n, n_t = emb.shape[0], tangent.shape[0]
     if n_t > n:
         raise ContractViolation("more tangent rows than rows")
-    ws = _workspace("rails", (params.widths, params.activation, n, n_t), params.widths, n, n_t, 2)
+    ws = _workspace(params, n, n_t, 2)
     ws.generation += 1
     ws.h[0][:n], ws.h[0][n:] = emb, tangent
     out = _forward(params, ws)[:, 0]
@@ -313,8 +336,8 @@ def vjp_jvp_batch(params, cache, seed_value, seed_tangent):
     input layer, one adjoint GEMM over the stacked rails; tangent adjoints
     enter through the activation's second derivative, which makes gradients
     of directional derivatives exact.  The sweep overwrites the cached layer
-    inputs and second derivatives, so a cache admits one sweep; a stale
-    cache raises."""
+    inputs and second-derivative products, so a cache admits one sweep; a
+    stale cache raises."""
     ws, generation = cache
     if generation != ws.generation:
         raise ContractViolation("stale forward cache: its workspace was reused or already swept")
@@ -329,7 +352,6 @@ def vjp_jvp_batch(params, cache, seed_value, seed_tangent):
         if layer < last:
             zbar, tbar, d2 = adj[:n], adj[n:], ws.d2[layer]
             d2 *= tbar
-            d2 *= ws.t[layer]
             zbar *= ws.d1[layer]
             zbar[:n_t] += d2
             tbar *= ws.d1[layer][:n_t]
@@ -364,7 +386,7 @@ def eval_jvp_batch(params, x, theta, n_t):
     arithmetic as in ``forward_jvp_batch``."""
     x, theta = np.atleast_2d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(theta, dtype=float))
     embedding = embedding_for(params)
-    ws = _workspace("blocks", (params.widths, params.activation), params.widths, ROW_BLOCK, ROW_BLOCK, 1)
+    ws = _workspace(params, ROW_BLOCK, ROW_BLOCK, 1)
     u, du = np.empty(theta.shape[0]), np.empty(n_t)
     for lo in range(0, u.shape[0], ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, u.shape[0])

@@ -163,7 +163,9 @@ def inner_minimize(state, quad, problem, lagr_cfg, config, optimizer, outer, see
             params, state.multiplier, batch, problem, lagr_cfg
         )
         _check_finite(parts, grad, outer, m)
-        theta = optimizer.step(theta, grad)
+        # an overflow here is reported once, as the named abort below
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = optimizer.step(theta, grad)
         if not np.isfinite(theta).all():
             raise NumericalAbort(
                 f"non-finite parameters after the optimizer step at outer step {outer}, inner step {m}"

@@ -168,6 +168,26 @@ def test_cli_config_error_exit_code(tmp_path):
     assert "rho" in out.stderr
 
 
+MALFORMED_MANIFESTS = {
+    "not-json": "{not json",
+    "no-config": '{"version": "0.1.0", "wall_clock": 1.0}',
+    "no-version": '{"config": {"uzawa.rho": 1}}',
+    "not-an-object": "[1, 2]",
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_MANIFESTS)
+def test_cli_malformed_manifest_exit_code(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    if MALFORMED_MANIFESTS[name] is not None:
+        path.write_text(MALFORMED_MANIFESTS[name])
+    out = _run_cli(["run", path.as_posix(), "--out", (tmp_path / "out").as_posix()])
+    assert out.returncode == 2, out.stderr
+    assert "configuration error" in out.stderr and path.name in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_cli_unknown_preset_exit_code():
     out = _run_cli(["preset", "nope"])
     assert out.returncode == 2
@@ -301,6 +321,7 @@ def test_cli_optimizer_overflow_exit_code(tmp_path):
     assert out.returncode == 3, out.stderr
     assert "numerical abort" in out.stderr
     assert "Traceback" not in out.stderr
+    assert "RuntimeWarning" not in out.stderr
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert "optimizer step" in manifest["final_metrics"]["aborted"]
 

@@ -350,13 +350,23 @@ def test_streamed_jvp_matches_cached_pass_bitwise(activation):
     assert np.array_equal(du, du_ref)
 
 
+def _workspace_bytes():
+    """Bytes of the live kernel workspace: memory mappings, untraced."""
+    return sum(
+        buf.nbytes
+        for ws in net._SLOTS.values()
+        for buf in (*ws._h, *ws._d1, *(ws._d2 or ()), ws._out)
+    )
+
+
 def _cold_peak(fn):
-    """Peak traced bytes of ``fn`` with every kernel workspace dropped first."""
+    """Peak bytes of ``fn`` with every kernel workspace dropped first: the
+    traced peak plus the workspace ``fn`` leaves live."""
     net._SLOTS.clear()
     tracemalloc.start()
     try:
         fn()
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] + _workspace_bytes()
     finally:
         tracemalloc.stop()
 
@@ -382,3 +392,55 @@ def test_streamed_jvp_working_set_is_block_sized():
     rng = np.random.default_rng(4)
     x, theta = rng.uniform(0, 1, (9728, 2)), rng.uniform(0, 2 * np.pi, 9728)
     assert _cold_peak(lambda: net.eval_jvp_batch(params, x, theta, 9216)) < 5e6
+
+
+def test_stacked_pass_caches_one_product_per_tangent_row():
+    # scatter-tensor's step: 1,792 value rows, the first 1,536 with tangents
+    params = net.init_params((4, 64, 64, 64, 1), seed=0)
+    rng = np.random.default_rng(5)
+    emb, tan = rng.uniform(-1.0, 1.0, (1792, 4)), rng.uniform(-1.0, 1.0, (1536, 4))
+    seeds = rng.standard_normal(1792), rng.standard_normal(1536)
+
+    def step():
+        _, _, cache = net.forward_jvp_batch(params, emb, tan)
+        net.vjp_jvp_batch(params, cache, *seeds)
+
+    assert _cold_peak(step) < 11.5e6
+
+
+def test_streamed_pass_frees_the_training_workspace():
+    # once its cache is gone, a training step's workspace does not outlive
+    # the next streamed pass: only the block workspace stays held
+    params = net.init_params((4, 64, 64, 64, 1), seed=0)
+    rng = np.random.default_rng(6)
+    emb, tan = rng.uniform(-1.0, 1.0, (1792, 4)), rng.uniform(-1.0, 1.0, (1536, 4))
+    x, theta = rng.uniform(0, 1, (100, 2)), rng.uniform(0, 2 * np.pi, 100)
+    net._SLOTS.clear()
+    tracemalloc.start()
+    try:
+        _, _, cache = net.forward_jvp_batch(params, emb, tan)
+        net.vjp_jvp_batch(params, cache, np.ones(1792), np.ones(1536))
+        del cache
+        u = net.eval_batch(params, x, theta)
+        held = tracemalloc.get_traced_memory()[0] + _workspace_bytes()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(u).all()
+    assert held < 4e6
+
+
+@pytest.mark.parametrize("activation", ["tanh", "gelu", "silu"])
+def test_cache_outlives_a_workspace_switch(activation):
+    # a streamed pass replaces the live workspace; the cache keeps its own
+    params = net.init_params((4, 16, 16, 1), activation=activation, seed=5)
+    rng = np.random.default_rng(8)
+    emb, tan = rng.uniform(-1.0, 1.0, (23, 4)), rng.uniform(-1.0, 1.0, (15, 4))
+    seeds = rng.standard_normal(23), rng.standard_normal(15)
+    x, theta = rng.uniform(0, 1, (40, 2)), rng.uniform(0, 2 * np.pi, 40)
+
+    _, _, cache = net.forward_jvp_batch(params, emb, tan)
+    want = net.vjp_jvp_batch(params, cache, *seeds)
+    _, _, cache = net.forward_jvp_batch(params, emb, tan)
+    net.eval_batch(params, x, theta)
+    assert cache[0] not in net._SLOTS.values()
+    assert np.array_equal(net.vjp_jvp_batch(params, cache, *seeds), want)
