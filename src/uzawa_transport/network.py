@@ -34,7 +34,7 @@ outer bookkeeping and the output emission stream their blocks, and the
 run's peak memory is its largest phase, not their sum.  A cache keeps its
 own workspace alive until it is swept or dropped.  Workspace buffers are
 anonymous memory mappings (``_mapped``), which ``tracemalloc`` does not
-see.
+see; each workspace records their total size in ``nbytes``.
 
 ``evaluate`` and ``eval_with_spatial_directional`` are the one-point forms.
 """
@@ -42,6 +42,7 @@ see.
 from __future__ import annotations
 
 import json
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,8 +233,6 @@ def _mapped(size):
     whose pages go back to the system when it is dropped.  Heap arrays
     would stay resident, and workspaces rebuilt twice per outer step would
     fragment the heap, so peak memory would creep up with outer steps."""
-    import mmap  # here, so a run that builds no workspace never loads it
-
     # a mapping cannot be empty; an n_t = 0 buffer gets one unused entry
     return np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), dtype=float)
 
@@ -247,7 +246,7 @@ class _Workspace:
     reverse sweep follows) gives each layer its own buffers plus ``d2``:
     at the tangent rows only, the second derivative times the tangent
     pre-activation; order 1 alternates two input buffers and shares one
-    ``d1``."""
+    ``d1``.  ``nbytes`` is the size of all its buffers."""
 
     def __init__(self, widths, n, n_t, order):
         def flat(count, rows, ws):
@@ -258,6 +257,7 @@ class _Workspace:
         self._h, self._d1 = flat(2, n + n_t, widths[:-1]), flat(1, n, hidden)
         self._d2 = flat(1, n_t, hidden) if order == 2 else None
         self._out = _mapped(n + n_t)
+        self.nbytes = sum(b.nbytes for b in (*self._h, *self._d1, *(self._d2 or ()), self._out))
         self.layout(n, n_t)
 
     def layout(self, n, n_t):

@@ -1,7 +1,5 @@
 """Flux, slices, discrete norms, and file round trips."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -74,16 +72,14 @@ def test_scalar_flux_of_x1_field():
     np.testing.assert_allclose(grid.values, expected, atol=1e-9)
 
 
-def test_scalar_flux_memory_stays_block_sized():
+def test_scalar_flux_memory_stays_block_sized(peak_bytes):
+    # cold: the block workspace is built inside and counted
     params = net.init_params((4, 64, 64, 64, 1), seed=0)
     ang = ps.angular_rule(32)
-    tracemalloc.start()
-    try:
-        grid = dio.scalar_flux(params, ang, nx=101, ny=101)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert grid.values.shape == (101, 101)
+    grids = []
+    net._SLOTS.clear()
+    peak = peak_bytes(lambda: grids.append(dio.scalar_flux(params, ang, nx=101, ny=101)))
+    assert grids[0].values.shape == (101, 101)
     assert peak < 64e6
 
 
@@ -100,19 +96,13 @@ def test_scalar_flux_blocks_match_one_pass(k, activation):
     assert np.array_equal(grid.values, expected)
 
 
-def test_scalar_flux_streams_the_phase_grid():
+def test_scalar_flux_streams_the_phase_grid(peak_bytes):
     # with the block workspace warm, the peak is the (points, K) values
     # (2.6 MB here) plus one block, not the 101^2 x 32 phase points
     params = net.init_params((4, 64, 64, 64, 1), seed=0)
     ang = ps.angular_rule(32)
     dio.scalar_flux(params, ang, nx=5, ny=5)
-    tracemalloc.start()
-    try:
-        dio.scalar_flux(params, ang, nx=101, ny=101)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 5e6
+    assert peak_bytes(lambda: dio.scalar_flux(params, ang, nx=101, ny=101)) < 5e6
 
 
 def test_scalar_flux_checks_angular_weights():

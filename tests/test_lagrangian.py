@@ -1,7 +1,5 @@
 """Objective assembly, gradients, multiplier field, subsampling."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -272,29 +270,20 @@ def _example3_forward():
     return problem, quad, cf.build_network(cfg), cf.build_lagrangian_config(cfg)
 
 
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_training_step_allocates_no_layer_buffers():
+def test_training_step_allocates_no_layer_buffers(peak_bytes):
     # example3-forward batch: 48 blocks x 32 directions plus 256 boundary rows
     problem, quad, params, cfg = _example3_forward()
     batch = lg.subsample(quad, cfg.batch_interior, [0, 0, 0])
     mult = lg.constant_multiplier(quad.boundary, 0.5)
     peaks = [
-        _traced_peak(lambda: lg.assemble_with_gradient(params, mult, batch, problem, cfg))
+        peak_bytes(lambda: lg.assemble_with_gradient(params, mult, batch, problem, cfg))
         for _ in range(5)
     ]
     assert max(peaks[1:]) < 2e6
 
 
-def test_full_set_value_pass_stays_block_sized():
+def test_full_set_value_pass_stays_block_sized(peak_bytes):
     # 400 blocks x 32 directions: 12,800 interior rows with tangents
     problem, quad, params, cfg = _example3_forward()
     mult = lg.constant_multiplier(quad.boundary, 0.5)
-    assert _traced_peak(lambda: lg.assemble(params, mult, quad, problem, cfg)) < 40e6
+    assert peak_bytes(lambda: lg.assemble(params, mult, quad, problem, cfg)) < 40e6

@@ -350,28 +350,7 @@ def test_streamed_jvp_matches_cached_pass_bitwise(activation):
     assert np.array_equal(du, du_ref)
 
 
-def _workspace_bytes():
-    """Bytes of the live kernel workspace: memory mappings, untraced."""
-    return sum(
-        buf.nbytes
-        for ws in net._SLOTS.values()
-        for buf in (*ws._h, *ws._d1, *(ws._d2 or ()), ws._out)
-    )
-
-
-def _cold_peak(fn):
-    """Peak bytes of ``fn`` with every kernel workspace dropped first: the
-    traced peak plus the workspace ``fn`` leaves live."""
-    net._SLOTS.clear()
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] + _workspace_bytes()
-    finally:
-        tracemalloc.stop()
-
-
-def test_stacked_pass_keeps_only_tangent_pre_activations():
+def test_stacked_pass_keeps_only_tangent_pre_activations(peak_bytes):
     # mc-manufactured's step: 4,352 value rows, the first 256 with tangents;
     # the layer inputs and first derivatives alone are 13.9 MB
     params = net.init_params((4, 64, 64, 64, 1), seed=0)
@@ -383,18 +362,20 @@ def test_stacked_pass_keeps_only_tangent_pre_activations():
         _, _, cache = net.forward_jvp_batch(params, emb, tan)
         net.vjp_jvp_batch(params, cache, *seeds)
 
-    assert _cold_peak(step) < 16e6
+    net._SLOTS.clear()
+    assert peak_bytes(step) < 16e6
 
 
-def test_streamed_jvp_working_set_is_block_sized():
+def test_streamed_jvp_working_set_is_block_sized(peak_bytes):
     # absorb-tensor's full set: 9,216 interior rows with tangents, 512 boundary rows
     params = net.init_params((4, 64, 64, 64, 1), seed=0)
     rng = np.random.default_rng(4)
     x, theta = rng.uniform(0, 1, (9728, 2)), rng.uniform(0, 2 * np.pi, 9728)
-    assert _cold_peak(lambda: net.eval_jvp_batch(params, x, theta, 9216)) < 5e6
+    net._SLOTS.clear()
+    assert peak_bytes(lambda: net.eval_jvp_batch(params, x, theta, 9216)) < 5e6
 
 
-def test_stacked_pass_caches_one_product_per_tangent_row():
+def test_stacked_pass_caches_one_product_per_tangent_row(peak_bytes):
     # scatter-tensor's step: 1,792 value rows, the first 1,536 with tangents
     params = net.init_params((4, 64, 64, 64, 1), seed=0)
     rng = np.random.default_rng(5)
@@ -405,7 +386,8 @@ def test_stacked_pass_caches_one_product_per_tangent_row():
         _, _, cache = net.forward_jvp_batch(params, emb, tan)
         net.vjp_jvp_batch(params, cache, *seeds)
 
-    assert _cold_peak(step) < 11.5e6
+    net._SLOTS.clear()
+    assert peak_bytes(step) < 11.5e6
 
 
 def test_streamed_pass_frees_the_training_workspace():
@@ -422,7 +404,7 @@ def test_streamed_pass_frees_the_training_workspace():
         net.vjp_jvp_batch(params, cache, np.ones(1792), np.ones(1536))
         del cache
         u = net.eval_batch(params, x, theta)
-        held = tracemalloc.get_traced_memory()[0] + _workspace_bytes()
+        held = tracemalloc.get_traced_memory()[0] + sum(ws.nbytes for ws in net._SLOTS.values())
     finally:
         tracemalloc.stop()
     assert np.isfinite(u).all()
