@@ -92,11 +92,19 @@ SCHEMA = {
 }
 
 
+def _integer(raw):
+    """An int from an int, an integral float or a decimal string; a bool or
+    a fractional number (both can come from a JSON manifest) is refused."""
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError(f"not an integer: {raw!r}")
+    return int(raw)
+
+
 def _convert(key, raw, violations):
     tag, default, choices = SCHEMA[key]
     try:
         if tag == "int":
-            value = int(raw) if not isinstance(raw, bool) else int(raw)
+            value = _integer(raw)
         elif tag == "float":
             value = float(raw)
         elif tag == "bool":
@@ -110,9 +118,9 @@ def _convert(key, raw, violations):
                 raise ValueError(f"not a boolean: {raw!r}")
         elif tag == "ints":
             if isinstance(raw, (tuple, list)):
-                value = tuple(int(v) for v in raw)
+                value = tuple(_integer(v) for v in raw)
             else:
-                value = tuple(int(p) for p in str(raw).split(",") if p.strip())
+                value = tuple(_integer(p) for p in str(raw).split(",") if p.strip())
         elif tag == "floats":
             if isinstance(raw, (tuple, list)):
                 value = tuple(float(v) for v in raw)
@@ -202,8 +210,8 @@ def _semantic_violations(values):
         v.append("network.widths: output width must be 1")
     elif any(w <= 0 for w in widths):
         v.append("network.widths: all widths must be positive")
-    elif widths[0] not in (3, 4):
-        v.append("network.widths: input width must be 3 (raw-angle) or 4 (cos-sin)")
+    elif widths[0] != 4:
+        v.append("network.widths: input width must be 4, the embedding (x1, x2, cos theta, sin theta)")
     if values["problem.manufactured"] and values["problem.sigma_a.kind"] != "constant":
         v.append("problem.manufactured: needs a constant absorption coefficient")
     if len(values["problem.sigma_a.center"]) != 2:

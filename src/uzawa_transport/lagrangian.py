@@ -106,6 +106,8 @@ def _evaluate(params, multiplier, quad, problem, config, need_grad):
     if not need_grad:
         return LagrangianParts(pde, penalty, mult_term, mismatch), None
     parts = LagrangianParts(pde, penalty, mult_term)
+    if not np.isfinite([pde, penalty, mult_term]).all():
+        return parts, None  # a reverse sweep would only spread the non-finite part
 
     # value seeds in pass order: interior, Monte Carlo slices, boundary rows
     wr = w * r
@@ -130,7 +132,8 @@ def assemble(params, multiplier, quad, problem, config):
 
 
 def assemble_with_gradient(params, multiplier, quad, problem, config):
-    """Value parts and gradient from one shared forward pass."""
+    """Value parts and gradient from one shared forward pass; the gradient
+    is None, and the reverse sweep skipped, when a part is not finite."""
     return _evaluate(params, multiplier, quad, problem, config, need_grad=True)
 
 

@@ -1,14 +1,12 @@
 """Fully-connected trial functions on the position-angle domain.
 
-A network maps the embedded phase point to a scalar.  The default
-embedding feeds (x1, x2, cos(theta), sin(theta)) so the output is
-automatically 2*pi-periodic in the angle; a raw-angle mode (x1, x2,
-theta) is kept for ablation.  The embedding is decided here, from the
-input width (``embedding_for``): every function that takes phase points
-(x, theta) embeds them itself.  The activation is tanh, gelu or silu;
-gelu's normal CDF is ``scipy.special.erf``, imported at gelu's first
-call, so a tanh or silu network never loads scipy.  Two kinds of batched
-kernel evaluate it:
+A network maps the embedded phase point (x1, x2, cos(theta), sin(theta))
+to a scalar, so its input width is 4 and its output is 2*pi-periodic in
+the angle: the trial space lives on D x S^1.  Every function that takes
+phase points (x, theta) embeds them itself.  The activation is tanh,
+gelu or silu; gelu's normal CDF is ``scipy.special.erf``, imported at
+gelu's first call, so a tanh or silu network never loads scipy.  Two
+kinds of batched kernel evaluate it:
 
 - ``forward_jvp_batch`` evaluates n embedded rows plus a forward tangent
   rail (for omega-directional spatial derivatives) on the first n_t of
@@ -35,8 +33,6 @@ run's peak memory is its largest phase, not their sum.  A cache keeps its
 own workspace alive until it is swept or dropped.  Workspace buffers are
 anonymous memory mappings (``_mapped``), which ``tracemalloc`` does not
 see; each workspace records their total size in ``nbytes``.
-
-``evaluate`` and ``eval_with_spatial_directional`` are the one-point forms.
 """
 
 from __future__ import annotations
@@ -50,52 +46,22 @@ import numpy as np
 from .errors import ContractViolation
 
 CHECKPOINT_MAGIC = b"UZMLP1"
-EPS_UNIT = 1e-12
 
 # Rows per block in ``eval_jvp_batch``/``eval_batch``: a 64-wide layer array
 # of one block is 1,024 x 64 x 8 B = 512 KB, inside a 2 MB L2 cache.
 ROW_BLOCK = 1024
 
-COS_SIN = "cos-sin"
-RAW_ANGLE = "raw-angle"
+
+def _embed(x, theta):
+    """Network input rows (x1, x2, cos theta, sin theta) of phase points."""
+    return np.column_stack([x[:, 0], x[:, 1], np.cos(theta), np.sin(theta)])
 
 
-@dataclass(frozen=True)
-class PhaseEmbedding:
-    """How the direction is fed to the network, and the input width it takes."""
-
-    mode: str
-    dim: int
-
-    def embed(self, x, theta):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self.mode == COS_SIN:
-            return np.column_stack([x[:, 0], x[:, 1], np.cos(theta), np.sin(theta)])
-        return np.column_stack([x[:, 0], x[:, 1], theta])
-
-    def tangent(self, direction):
-        """Embedding-space tangent of a spatial direction (angle held fixed)."""
-        direction = np.atleast_2d(np.asarray(direction, dtype=float))
-        pad = np.zeros((direction.shape[0], self.dim - 2))
-        return np.hstack([direction, pad])
-
-    def transport_tangent(self, theta):
-        """Tangent of each point's own direction omega = (cos theta, sin theta)."""
-        return self.tangent(np.stack([np.cos(theta), np.sin(theta)], axis=1))
-
-
-DEFAULT_EMBEDDING = PhaseEmbedding(COS_SIN, 4)
-RAW_EMBEDDING = PhaseEmbedding(RAW_ANGLE, 3)
-_EMBEDDINGS = {e.dim: e for e in (DEFAULT_EMBEDDING, RAW_EMBEDDING)}
-
-
-def embedding_for(params):
-    """Infer the phase embedding from the network's input width."""
-    d0 = params.weights[0].shape[1]
-    if d0 not in _EMBEDDINGS:
-        raise ContractViolation(f"no phase embedding with dimension {d0}")
-    return _EMBEDDINGS[d0]
+def _transport_tangent(theta):
+    """Input tangents (cos theta, sin theta, 0, 0): each point's own direction
+    omega moves the position and holds the angle."""
+    zero = np.zeros_like(theta)
+    return np.column_stack([np.cos(theta), np.sin(theta), zero, zero])
 
 
 def _act_tanh(z, order, out=None):
@@ -161,6 +127,8 @@ class MlpParams:
             raise ContractViolation("weights and biases must pair up")
         if self.weights[-1].shape[0] != 1:
             raise ContractViolation("output layer must have width 1")
+        if self.weights[0].shape[1] != 4:
+            raise ContractViolation("input layer must have width 4: (x1, x2, cos theta, sin theta)")
         for W, b in zip(self.weights, self.biases):
             if W.shape[0] != b.shape[0]:
                 raise ContractViolation("bias length must match layer width")
@@ -372,9 +340,7 @@ def vjp_value_batch(params, cache, seed_value):
 def forward_jvp_phase(params, x, theta, n_t):
     """``forward_jvp_batch`` at the phase points (x, theta), the first n_t
     differentiated along their own direction omega = (cos theta, sin theta)."""
-    embedding = embedding_for(params)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    return forward_jvp_batch(params, embedding.embed(x, theta), embedding.transport_tangent(theta[:n_t]))
+    return forward_jvp_batch(params, _embed(x, theta), _transport_tangent(theta[:n_t]))
 
 
 def eval_jvp_batch(params, x, theta, n_t):
@@ -385,15 +351,14 @@ def eval_jvp_batch(params, x, theta, n_t):
     no cache, so its working set stays block-sized; every value is the same
     arithmetic as in ``forward_jvp_batch``."""
     x, theta = np.atleast_2d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(theta, dtype=float))
-    embedding = embedding_for(params)
     ws = _workspace(params, ROW_BLOCK, ROW_BLOCK, 1)
     u, du = np.empty(theta.shape[0]), np.empty(n_t)
     for lo in range(0, u.shape[0], ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, u.shape[0])
         t_hi = min(max(n_t, lo), hi)
         ws.layout(hi - lo, t_hi - lo)
-        ws.h[0][: hi - lo] = embedding.embed(x[lo:hi], theta[lo:hi])
-        ws.h[0][hi - lo :] = embedding.transport_tangent(theta[lo:t_hi])
+        ws.h[0][: hi - lo] = _embed(x[lo:hi], theta[lo:hi])
+        ws.h[0][hi - lo :] = _transport_tangent(theta[lo:t_hi])
         out = _forward(params, ws)[:, 0]
         np.add(out[: hi - lo], params.biases[-1], out=u[lo:hi])
         du[lo:t_hi] = out[hi - lo :]
@@ -403,26 +368,6 @@ def eval_jvp_batch(params, x, theta, n_t):
 def eval_batch(params, x, theta):
     """Network values at the phase points (x, theta): ``eval_jvp_batch`` without tangents."""
     return eval_jvp_batch(params, x, theta, 0)[0]
-
-
-# -- single-point operations -------------------------------------------------
-
-
-def evaluate(params, point):
-    """Network value at one phase point."""
-    return float(eval_batch(params, point.x[None, :], [point.theta])[0])
-
-
-def eval_with_spatial_directional(params, point, direction):
-    """Value and spatial directional derivative along a unit direction."""
-    direction = np.asarray(direction, dtype=float)
-    if abs(np.hypot(direction[0], direction[1]) - 1.0) > EPS_UNIT:
-        raise ContractViolation("direction must be a unit vector")
-    embedding = embedding_for(params)
-    emb = embedding.embed(point.x[None, :], [point.theta])
-    tan = embedding.tangent(direction[None, :])
-    u, du, _ = forward_jvp_batch(params, emb, tan)
-    return float(u[0]), float(du[0])
 
 
 # -- checkpoint io ------------------------------------------------------------

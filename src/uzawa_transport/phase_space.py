@@ -76,20 +76,6 @@ _EDGE_START = np.array([[False, False], [True, False], [False, True], [False, Fa
 _EDGE_DIRECTION = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-@dataclass
-class PhasePoint:
-    """A position in D paired with a unit direction on the circle."""
-
-    x: np.ndarray
-    theta: float
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.theta = float(self.theta)
-        if self.x.shape != (2,):
-            raise ContractViolation("position must be a 2-vector")
-
-
 # -- node collections -----------------------------------------------------
 
 

@@ -124,21 +124,16 @@ def multiplier_update(multiplier, mismatch, rho):
     return MultiplierField(multiplier.values - rho * mismatch, multiplier.nodes)
 
 
-def _check_finite(parts, grad, outer, inner):
-    named = (
-        ("pde", parts.pde),
-        ("boundary_penalty", parts.boundary_penalty),
-        ("multiplier_term", parts.multiplier_term),
-    )
+def _check_finite(where, named):
+    """Raise the abort naming the first non-finite (name, value) pair and ``where``."""
     for name, value in named:
-        if not math.isfinite(value):
-            raise NumericalAbort(
-                f"non-finite loss part '{name}' at outer step {outer}, inner step {inner}"
-            )
-    if not np.all(np.isfinite(grad)):
-        raise NumericalAbort(
-            f"non-finite gradient at outer step {outer}, inner step {inner}"
-        )
+        if not np.all(np.isfinite(value)):
+            raise NumericalAbort(f"non-finite {name} at {where}")
+
+
+def _part_values(parts):
+    names = ("pde", "boundary_penalty", "multiplier_term")
+    return [(f"loss part '{name}'", getattr(parts, name)) for name in names]
 
 
 def _step_quadrature(quad, lagr_cfg, seed, outer, inner):
@@ -157,19 +152,17 @@ def inner_minimize(state, quad, problem, lagr_cfg, config, optimizer, outer, see
     activation = state.params.activation
     trace = []
     for m in range(config.n_inner):
+        where = f"outer step {outer}, inner step {m}"
         batch = _step_quadrature(quad, lagr_cfg, seed, outer, m)
         params = network.unflatten(theta, widths, activation)
-        parts, grad = lagr.assemble_with_gradient(
-            params, state.multiplier, batch, problem, lagr_cfg
-        )
-        _check_finite(parts, grad, outer, m)
-        # an overflow here is reported once, as the named abort below
+        # an overflow here is reported once, as a named abort
         with np.errstate(over="ignore", invalid="ignore"):
-            theta = optimizer.step(theta, grad)
-        if not np.isfinite(theta).all():
-            raise NumericalAbort(
-                f"non-finite parameters after the optimizer step at outer step {outer}, inner step {m}"
+            parts, grad = lagr.assemble_with_gradient(
+                params, state.multiplier, batch, problem, lagr_cfg
             )
+            _check_finite(where, [*_part_values(parts), ("gradient", grad)])
+            theta = optimizer.step(theta, grad)
+        _check_finite(where, [("parameters after the optimizer step", theta)])
         trace.append(parts)
     state.params = network.unflatten(theta, widths, activation)
     return trace
@@ -187,13 +180,15 @@ def run(problem, quad, params0, config, lagr_cfg, seed=0):
     optimizer = make_optimizer(config)
     for k in range(config.n_outer):
         trace = inner_minimize(state, quad, problem, lagr_cfg, config, optimizer, k, seed)
-        full_parts = lagr.assemble(state.params, state.multiplier, quad, problem, lagr_cfg)
-        br = boundary_residual(b, full_parts.mismatch)
-        state.multiplier = multiplier_update(state.multiplier, full_parts.mismatch, config.rho)
+        with np.errstate(over="ignore", invalid="ignore"):
+            full_parts = lagr.assemble(state.params, state.multiplier, quad, problem, lagr_cfg)
+            br = boundary_residual(b, full_parts.mismatch)
+            state.multiplier = multiplier_update(state.multiplier, full_parts.mismatch, config.rho)
+            record = OuterRecord(k, full_parts, br, state.multiplier.norm())
+        named = [("boundary residual", br), ("multiplier norm", record.lambda_norm)]
+        _check_finite(f"outer step {k}", _part_values(full_parts) + named)
         state.inner_history.append(trace)
-        state.outer_history.append(
-            OuterRecord(k, full_parts, br, state.multiplier.norm())
-        )
+        state.outer_history.append(record)
         state.outer_index = k + 1
     return state
 

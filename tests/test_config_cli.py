@@ -52,6 +52,30 @@ def test_all_violations_reported_together():
     assert "rho" in text2 and "gamma" in text2
 
 
+@pytest.mark.parametrize(
+    "key, raw",
+    [
+        ("uzawa.n_outer", 2.7),
+        ("uzawa.n_outer", True),
+        ("uzawa.n_outer", float("inf")),
+        ("uzawa.n_outer", "2.7"),
+        ("network.widths", [4.9, 8.2, 1]),
+        ("network.widths", [4, True, 1]),
+    ],
+    ids=["float", "bool", "inf", "decimal-string", "float-list", "bool-in-list"],
+)
+def test_integer_keys_reject_non_integral_values(key, raw):
+    # what a JSON manifest fed to ``run`` can hold
+    with pytest.raises(ConfigError) as err:
+        cm.from_flat({key: raw})
+    assert str(err.value).startswith(f"{key}: cannot parse")
+
+
+def test_integer_keys_accept_integral_values():
+    cfg = cm.from_flat({"uzawa.n_outer": 3.0, "uzawa.n_inner": "7", "network.widths": [4, 8.0, 1]})
+    assert (cfg["uzawa.n_outer"], cfg["uzawa.n_inner"], cfg["network.widths"]) == (3, 7, (4, 8, 1))
+
+
 def test_negative_rho_message_names_constraint():
     with pytest.raises(ConfigError) as err:
         cm.from_flat({"uzawa.rho": "-0.5"})
@@ -313,17 +337,61 @@ def test_cli_sharp_kernel_on_loose_samples_runs_finite(tmp_path):
     assert np.isfinite([float(v) for row in rows for v in row.split(",")]).all()
 
 
-def test_cli_optimizer_overflow_exit_code(tmp_path):
-    args = ["preset", "example1", "--out", tmp_path.as_posix(), "--override", "uzawa.learning_rate=1e308"]
-    for key, value in FAST_OVERRIDES.items():
+def _run_aborting(tmp_path, overrides):
+    """A fast example1 run that must end in exit 3 with only the named abort
+    on stderr; returns its ``aborted`` term, read from a strictly valid manifest."""
+    args = ["preset", "example1", "--out", tmp_path.as_posix()]
+    for key, value in {**FAST_OVERRIDES, **overrides}.items():
         args += ["--override", f"{key}={value}"]
     out = _run_cli(args)
     assert out.returncode == 3, out.stderr
-    assert "numerical abort" in out.stderr
-    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("numerical abort: ") and out.stderr.count("\n") == 1, out.stderr
     assert "RuntimeWarning" not in out.stderr
+
+    def refuse(constant):
+        raise ValueError(f"manifest holds {constant}, which is not JSON")
+
+    manifest = json.loads((tmp_path / "manifest.json").read_text(), parse_constant=refuse)
+    return manifest["final_metrics"]["aborted"]
+
+
+@pytest.mark.parametrize(
+    "learning_rate, term",
+    [("1e308", "parameters after the optimizer step"), ("1e200", "loss part 'pde'")],
+    ids=["1e308", "1e200"],
+)
+def test_cli_optimizer_overflow_exit_code(tmp_path, learning_rate, term):
+    # 1e308 overflows the optimizer update, 1e200 the next step's assembly
+    assert term in _run_aborting(tmp_path, {"uzawa.learning_rate": learning_rate})
+
+
+def test_cli_non_finite_outer_record_exit_code(tmp_path):
+    # finite multiplier values whose boundary norm overflows
+    aborted = _run_aborting(tmp_path, {"uzawa.rho": "1e308", "uzawa.n_outer": "1"})
+    assert aborted == "non-finite multiplier norm at outer step 0"
+
+
+def test_cli_failed_verification_exit_code(tmp_path, monkeypatch, capsys):
+    from uzawa_transport import linear_oracle
+
+    checks = [("identity that holds", True, ""), ("identity that fails", False, "residual 1.0e+00")]
+    monkeypatch.setattr(linear_oracle, "verification_suite", lambda n_iter: checks)
+    assert cli.main(["verify", "--out", tmp_path.as_posix()]) == 1
+    out = capsys.readouterr().out
+    assert "[PASS] identity that holds" in out
+    assert "[FAIL] identity that fails (residual 1.0e+00)" in out
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert "optimizer step" in manifest["final_metrics"]["aborted"]
+    assert manifest["final_metrics"]["checks_passed"] is False
+
+
+def test_cli_input_width_three_exit_code():
+    args = ["preset", "example1"]
+    for key, value in {**FAST_OVERRIDES, "network.widths": "3,8,1"}.items():
+        args += ["--override", f"{key}={value}"]
+    out = _run_cli(args)
+    assert out.returncode == 2, out.stderr
+    assert "network.widths" in out.stderr and "input width must be 4" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_cli_out_is_a_file_exits_before_the_solve(tmp_path, monkeypatch):

@@ -8,7 +8,6 @@ from uzawa_transport import kinetic_ops as ko
 from uzawa_transport import network as net
 from uzawa_transport import phase_space as ps
 from uzawa_transport.errors import ContractViolation
-from uzawa_transport.phase_space import PhasePoint
 
 TWO_PI = 2.0 * np.pi
 
@@ -121,7 +120,7 @@ def test_angular_slice_matches_eval_and_periodicity():
     rng = np.random.default_rng(1)
     for _ in range(10):
         i, j = rng.integers(0, 9, 2)
-        direct = net.evaluate(params, PhasePoint(np.array([xs[i], xs[j]]), 0.7))
+        direct = net.eval_batch(params, np.array([[xs[i], xs[j]]]), [0.7])[0]
         assert abs(grid_a.values[i, j] - direct) <= 1e-14
 
 

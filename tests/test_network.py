@@ -8,7 +8,18 @@ from scipy.special import erf
 
 from uzawa_transport import network as net
 from uzawa_transport.errors import ContractViolation
-from uzawa_transport.phase_space import PhasePoint
+
+
+def _one_point(params, x, theta, tangent):
+    """Value and input-tangent derivative at one phase point, by ``forward_jvp_batch``."""
+    emb = np.array([[x[0], x[1], np.cos(theta), np.sin(theta)]])
+    u, du, _ = net.forward_jvp_batch(params, emb, np.asarray(tangent, dtype=float)[None, :])
+    return u[0], du[0]
+
+
+def _spatial(direction):
+    """Input tangent of a spatial direction: the angle held fixed."""
+    return np.array([direction[0], direction[1], 0.0, 0.0])
 
 
 def test_init_deterministic_given_seed():
@@ -37,19 +48,18 @@ def test_no_hidden_layer_rejected():
 def test_zero_params_give_zero_output():
     params = net.init_params((4, 8, 1), seed=0)
     zero = net.unflatten(np.zeros(params.n_params), params.widths)
-    for theta in (0.0, 1.3, 5.0):
-        assert net.evaluate(zero, PhasePoint(np.array([0.3, 0.8]), theta)) == 0.0
+    theta = np.array([0.0, 1.3, 5.0])
+    assert np.array_equal(net.eval_batch(zero, np.tile([0.3, 0.8], (3, 1)), theta), np.zeros(3))
 
 
 def test_eval_matches_hand_rolled_matrices():
     params = net.init_params((4, 5, 3, 1), seed=13)
-    pt = PhasePoint(np.array([0.21, 0.77]), 2.3)
     v = np.array([0.21, 0.77, np.cos(2.3), np.sin(2.3)])
     a = v
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
         a = np.tanh(W @ a + b)
     expected = float((params.weights[-1] @ a + params.biases[-1])[0])
-    assert abs(net.evaluate(params, pt) - expected) <= 1e-14
+    assert abs(net.eval_batch(params, np.array([[0.21, 0.77]]), [2.3])[0] - expected) <= 1e-14
 
 
 def test_directional_derivative_finite_difference():
@@ -60,22 +70,18 @@ def test_directional_derivative_finite_difference():
         theta = rng.uniform(0, 2 * np.pi)
         ang = rng.uniform(0, 2 * np.pi)
         d = np.array([np.cos(ang), np.sin(ang)])
-        pt = PhasePoint(x, theta)
-        _, du = net.eval_with_spatial_directional(params, pt, d)
+        _, du = _one_point(params, x, theta, _spatial(d))
         h = 1e-5
-        fd = (
-            net.evaluate(params, PhasePoint(x + h * d, theta))
-            - net.evaluate(params, PhasePoint(x - h * d, theta))
-        ) / (2 * h)
+        u_pm = net.eval_batch(params, np.stack([x + h * d, x - h * d]), [theta, theta])
+        fd = (u_pm[0] - u_pm[1]) / (2 * h)
         assert abs(du - fd) / max(abs(fd), 1e-12) <= 1e-6
 
 
 def test_directional_antisymmetry():
     params = net.init_params((4, 8, 1), seed=4)
-    pt = PhasePoint(np.array([0.4, 0.6]), 0.9)
-    d = np.array([np.cos(0.2), np.sin(0.2)])
-    _, du_fwd = net.eval_with_spatial_directional(params, pt, d)
-    _, du_bwd = net.eval_with_spatial_directional(params, pt, -d)
+    x, d = np.array([0.4, 0.6]), np.array([np.cos(0.2), np.sin(0.2)])
+    _, du_fwd = _one_point(params, x, 0.9, _spatial(d))
+    _, du_bwd = _one_point(params, x, 0.9, _spatial(-d))
     assert du_fwd == pytest.approx(-du_bwd, abs=1e-15)
 
 
@@ -84,24 +90,16 @@ def test_constant_output_network_has_zero_directional():
     flat = np.zeros(params.n_params)
     flat[-1] = 3.7  # output bias only
     const = net.unflatten(flat, params.widths)
-    pt = PhasePoint(np.array([0.3, 0.3]), 1.0)
-    u, du = net.eval_with_spatial_directional(params=const, point=pt, direction=np.array([1.0, 0.0]))
+    u, du = _one_point(const, np.array([0.3, 0.3]), 1.0, _spatial([1.0, 0.0]))
     assert u == pytest.approx(3.7)
     assert du == 0.0
-
-
-def test_non_unit_direction_rejected():
-    params = net.init_params((4, 8, 1), seed=0)
-    pt = PhasePoint(np.array([0.5, 0.5]), 0.0)
-    with pytest.raises(ContractViolation):
-        net.eval_with_spatial_directional(params, pt, np.array([1.0, 1.0]))
 
 
 def test_flatten_unflatten_roundtrip_preserves_eval():
     params = net.init_params((4, 12, 12, 1), seed=21)
     again = net.unflatten(net.flatten(params), params.widths)
-    pt = PhasePoint(np.array([0.11, 0.93]), 4.2)
-    assert net.evaluate(params, pt) == net.evaluate(again, pt)
+    x, theta = np.array([[0.11, 0.93]]), [4.2]
+    assert net.eval_batch(params, x, theta)[0] == net.eval_batch(again, x, theta)[0]
     assert np.array_equal(net.flatten(params), net.flatten(again))
 
 
@@ -112,7 +110,7 @@ def test_batch_matches_single_point():
     theta = rng.uniform(0, 2 * np.pi, 20)
     u = net.eval_batch(params, x, theta)
     for i in range(20):
-        assert u[i] == pytest.approx(net.evaluate(params, PhasePoint(x[i], theta[i])), abs=1e-14)
+        assert u[i] == pytest.approx(net.eval_batch(params, x[i : i + 1], theta[i : i + 1])[0], abs=1e-14)
 
 
 @pytest.mark.parametrize("activation", ["tanh", "gelu", "silu"])
@@ -123,7 +121,7 @@ def test_eval_batch_blocks_match_forward_batch_bitwise(activation):
     n = 2 * net.ROW_BLOCK + 3
     x = rng.uniform(0, 1, (n, 2))
     theta = rng.uniform(0, 2 * np.pi, n)
-    u_ref, _ = net.forward_batch(params, net.DEFAULT_EMBEDDING.embed(x, theta))
+    u_ref, _ = net.forward_batch(params, net._embed(x, theta))
     assert np.array_equal(net.eval_batch(params, x, theta), u_ref)
 
 
@@ -195,8 +193,8 @@ def test_kernels_match_complex_step(activation):
     params = net.init_params(widths, activation=activation, seed=3)
     x = rng.uniform(0.05, 0.95, (n, 2))
     theta = rng.uniform(0, 2 * np.pi, n)
-    emb = net.DEFAULT_EMBEDDING.embed(x, theta)
-    tan = net.DEFAULT_EMBEDDING.transport_tangent(theta[:n_t])
+    emb = net._embed(x, theta)
+    tan = net._transport_tangent(theta[:n_t])
     seed_value, seed_tangent = rng.standard_normal(n), rng.standard_normal(n_t)
     flat = net.flatten(params)
 
@@ -219,16 +217,15 @@ def test_activations_gradient_check(activation):
     params = net.init_params((4, 6, 1), activation=activation, seed=2)
     x = np.array([0.42, 0.58])
     theta = 0.77
-    d = np.array([np.cos(theta), np.sin(theta)])
-    emb = net.DEFAULT_EMBEDDING.embed(x[None, :], [theta])
-    tan = net.DEFAULT_EMBEDDING.tangent(d[None, :])
+    emb = net._embed(x[None, :], [theta])
+    tan = net._transport_tangent(np.array([theta]))
     _, _, cache = net.forward_jvp_batch(params, emb, tan)
     grad = net.vjp_jvp_batch(params, cache, np.array([1.0]), np.array([0.5]))
     flat = net.flatten(params)
 
     def combined(vec):
         p = net.unflatten(vec, params.widths, activation)
-        u, du = net.eval_with_spatial_directional(p, PhasePoint(x, theta), d)
+        u, du = _one_point(p, x, theta, tan[0])
         return u + 0.5 * du
 
     h = 1e-6
@@ -243,11 +240,9 @@ def test_activations_gradient_check(activation):
 
 def test_smoothness_under_small_perturbation():
     params = net.init_params((4, 32, 32, 1), seed=11)
-    pt = PhasePoint(np.array([0.5, 0.5]), 1.0)
-    d = np.array([1.0, 0.0])
-    u0, du0 = net.eval_with_spatial_directional(params, pt, d)
-    pt_eps = PhasePoint(np.array([0.5 + 1e-6, 0.5 - 1e-6]), 1.0 + 1e-6)
-    u1, du1 = net.eval_with_spatial_directional(params, pt_eps, d)
+    d = _spatial([1.0, 0.0])
+    u0, du0 = _one_point(params, np.array([0.5, 0.5]), 1.0, d)
+    u1, du1 = _one_point(params, np.array([0.5 + 1e-6, 0.5 - 1e-6]), 1.0 + 1e-6, d)
     assert np.isfinite([u0, du0, u1, du1]).all()
     assert abs(u1 - u0) <= 1e-4
     assert abs(du1 - du0) <= 1e-4
@@ -265,31 +260,19 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(net.flatten(loaded), net.flatten(params))
 
 
-def test_raw_angle_embedding_mode():
-    params = net.init_params((3, 8, 1), seed=1)
-    emb = net.embedding_for(params)
-    assert emb.mode == net.RAW_ANGLE
-    pt = PhasePoint(np.array([0.2, 0.4]), 1.5)
-    val = net.evaluate(params, pt)
-    assert np.isfinite(val)
-
-
-def test_raw_angle_batch_infers_embedding():
-    # no embedding argument anywhere: eval_batch reads it off the input width
-    params = net.init_params((3, 8, 1), seed=1)
-    rng = np.random.default_rng(2)
-    x = rng.uniform(0, 1, (5, 2))
-    theta = rng.uniform(0, 2 * np.pi, 5)
-    u = net.eval_batch(params, x, theta)
-    for i in range(5):
-        assert u[i] == pytest.approx(net.evaluate(params, PhasePoint(x[i], theta[i])), abs=1e-14)
+def test_input_width_other_than_four_rejected():
+    # the trial space is on D x S^1 only through the (cos, sin) input
+    with pytest.raises(ContractViolation):
+        net.init_params((3, 8, 1), seed=1)
+    params = net.init_params((4, 8, 1), seed=1)
+    with pytest.raises(ContractViolation):
+        net.MlpParams([params.weights[0][:, :3], params.weights[1]], params.biases)
 
 
 def test_cos_sin_periodicity():
     params = net.init_params((4, 8, 1), seed=5)
-    pt_a = PhasePoint(np.array([0.3, 0.3]), 0.4)
-    pt_b = PhasePoint(np.array([0.3, 0.3]), 0.4 + 2 * np.pi)
-    assert net.evaluate(params, pt_a) == pytest.approx(net.evaluate(params, pt_b), abs=1e-14)
+    u = net.eval_batch(params, np.tile([0.3, 0.3], (2, 1)), [0.4, 0.4 + 2 * np.pi])
+    assert u[0] == pytest.approx(u[1], abs=1e-14)
 
 
 @pytest.mark.parametrize("activation", ["tanh", "gelu", "silu"])
@@ -342,8 +325,8 @@ def test_streamed_jvp_matches_cached_pass_bitwise(activation):
     n, n_t = net.ROW_BLOCK + 9, net.ROW_BLOCK + 4
     x = rng.uniform(0, 1, (n, 2))
     theta = rng.uniform(0, 2 * np.pi, n)
-    emb = net.DEFAULT_EMBEDDING.embed(x, theta)
-    tan = net.DEFAULT_EMBEDDING.tangent(np.stack([np.cos(theta), np.sin(theta)], axis=1)[:n_t])
+    emb = net._embed(x, theta)
+    tan = net._transport_tangent(theta[:n_t])
     u_ref, du_ref, _ = net.forward_jvp_batch(params, emb, tan)
     u, du = net.eval_jvp_batch(params, x, theta, n_t)
     assert np.array_equal(u, u_ref)

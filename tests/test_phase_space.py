@@ -152,11 +152,6 @@ def test_mc_convergence_rate_interior():
     assert -0.65 <= slope <= -0.35
 
 
-def test_phase_point_validation():
-    with pytest.raises(ContractViolation):
-        ps.PhasePoint(np.array([0.1, 0.2, 0.3]), 0.0)
-
-
 def test_unknown_scheme_rejected():
     with pytest.raises(ContractViolation):
         ps.build_quadrature(scheme="sparse-grid")
