@@ -3,9 +3,9 @@
 Subcommands: ``run <config>``, ``preset <name>``, ``list-presets``, and
 ``verify`` (shorthand for the oracle-verify preset).  Exit codes: 0
 success, 1 failed verification, 2 configuration error, 3 numerical abort,
-4 I/O error.  ``--threads 1`` pins the BLAS pools before numpy loads,
-which makes runs bit-for-bit reproducible; the heavy imports are therefore
-deferred until after argument parsing.
+4 I/O error.  ``--threads N`` pins the BLAS pools right after argument
+parsing, before numpy loads (every heavy import is deferred past that
+point); ``--threads 1`` makes runs bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -25,24 +25,8 @@ _THREAD_VARS = (
 )
 
 
-def _peek_threads(argv):
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            try:
-                return int(argv[i + 1])
-            except ValueError:
-                return None
-        if arg.startswith("--threads="):
-            try:
-                return int(arg.split("=", 1)[1])
-            except ValueError:
-                return None
-    return None
-
-
 def _build_parser():
-    # --threads is accepted before or after the subcommand; main() has
-    # already pinned BLAS from it via _peek_threads.
+    # --threads is accepted before or after the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--threads",
@@ -213,14 +197,10 @@ def _load_config(path):
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    threads = _peek_threads(argv)
-    if threads is not None and threads > 0:
+    args = _build_parser().parse_args(argv)
+    if getattr(args, "threads", 0) > 0:
         for var in _THREAD_VARS:
-            os.environ[var] = str(threads)
-
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+            os.environ[var] = str(args.threads)
 
     from .errors import ConfigError, NumericalAbort
 

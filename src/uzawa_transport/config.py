@@ -1,10 +1,13 @@
 """Experiment configuration: flat dotted-key schema with full validation.
 
 Config files are plain text, one ``section.key = value`` per line, ``#``
-comments.  Every key has a declared type and default; unknown keys are
-rejected and all violations are reported together rather than one at a
-time.  The same flat dictionary is what run manifests snapshot, so a
-manifest can be fed back to ``run`` to reproduce an experiment.
+comments.  Each key's type, default and allowed values (a choices tuple
+or a bound such as ``> 0``) are declared once, in ``SCHEMA``;
+``_semantic_violations`` holds only the rules that couple keys or check
+the shape of a list value.  Unknown keys are rejected and all violations
+are reported together rather than one at a time.  The same flat
+dictionary is what run manifests snapshot, so a manifest can be fed back
+to ``run`` to reproduce an experiment.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ from .errors import ConfigError
 TRAIN = "train"
 ORACLE_VERIFY = "oracle-verify"
 
-# key -> (type tag, default, allowed choices or None)
+# key -> (type tag, default, allowed values: a choices tuple, a bound
+# from _BOUNDS, or None)
 SCHEMA = {
     "mode": ("str", TRAIN, (TRAIN, ORACLE_VERIFY)),
     "preset": ("str", "", None),
-    "seed": ("int", 0, None),
+    "seed": ("int", 0, ">= 0"),
     "problem.sigma_a.kind": (
         "str",
         "constant",
@@ -32,19 +36,19 @@ SCHEMA = {
     ),
     "problem.sigma_a.value": ("float", 1.0, None),
     "problem.sigma_a.center": ("floats", (0.5, 0.5), None),
-    "problem.sigma_a.radius": ("float", 0.15, None),
+    "problem.sigma_a.radius": ("float", 0.15, ">= 0"),
     "problem.sigma_a.inside": ("float", 50.0, None),
     "problem.sigma_a.outside": ("float", 1.0, None),
     "problem.sigma_a.threshold": ("float", 0.5, None),
     "problem.sigma_a.left": ("float", 0.1, None),
     "problem.sigma_a.right": ("float", 5.0, None),
-    "problem.sigma_t": ("float", 0.0, None),
+    "problem.sigma_t": ("float", 0.0, ">= 0"),
     "problem.kernel.kind": ("str", "isotropic", ("isotropic", "forward-peaked")),
     "problem.kernel.epsilon": ("float", 0.1, None),
     "problem.source.kind": ("str", "zero", ("zero", "constant", "ball")),
     "problem.source.value": ("float", 1.0, None),
     "problem.source.center": ("floats", (0.5, 0.5), None),
-    "problem.source.radius": ("float", 1.0, None),
+    "problem.source.radius": ("float", 1.0, ">= 0"),
     "problem.inflow.kind": (
         "str",
         "zero",
@@ -52,43 +56,51 @@ SCHEMA = {
     ),
     "problem.inflow.value": ("float", 1.0, None),
     "problem.inflow.half_width": ("float", math.pi / 16.0, None),
-    "problem.noise.std": ("float", 0.0, None),
-    "problem.noise.seed": ("int", 777, None),
+    "problem.noise.std": ("float", 0.0, ">= 0"),
+    "problem.noise.seed": ("int", 777, ">= 0"),
     "problem.manufactured": ("bool", False, None),
     "quadrature.scheme": (
         "str",
         phase_space.TENSOR_GAUSS,
         (phase_space.TENSOR_GAUSS, phase_space.MONTE_CARLO),
     ),
-    "quadrature.n_spatial": ("int", 20, None),
-    "quadrature.n_interior": ("int", 4096, None),
-    "quadrature.n_angular": ("int", 12, None),
-    "quadrature.n_boundary_pos": ("int", 8, None),
-    "quadrature.n_boundary_ang": ("int", 8, None),
-    "quadrature.n_boundary": ("int", 1024, None),
-    "quadrature.seed": ("int", 0, None),
+    "quadrature.n_spatial": ("int", 20, ">= 2"),
+    "quadrature.n_interior": ("int", 4096, ">= 2"),
+    "quadrature.n_angular": ("int", 12, ">= 2"),
+    "quadrature.n_boundary_pos": ("int", 8, ">= 2"),
+    "quadrature.n_boundary_ang": ("int", 8, ">= 2"),
+    "quadrature.n_boundary": ("int", 1024, ">= 2"),
+    "quadrature.seed": ("int", 0, ">= 0"),
     "network.widths": ("ints", (4, 64, 64, 64, 1), None),
     "network.activation": ("str", "tanh", tuple(network.ACTIVATIONS)),
-    "network.seed": ("int", 0, None),
-    "lagrangian.gamma": ("float", 1.0, None),
+    "network.seed": ("int", 0, ">= 0"),
+    "lagrangian.gamma": ("float", 1.0, ">= 0"),
     "lagrangian.include_source": ("bool", True, None),
-    "lagrangian.batch_interior": ("int", 0, None),
+    "lagrangian.batch_interior": ("int", 0, ">= 0"),  # 0 means the full set
     "lagrangian.resample": ("bool", True, None),
-    "uzawa.rho": ("float", 1.0, None),
-    "uzawa.n_outer": ("int", 10, None),
-    "uzawa.n_inner": ("int", 200, None),
-    "uzawa.learning_rate": ("float", 1e-3, None),
+    "uzawa.rho": ("float", 1.0, "> 0"),
+    "uzawa.n_outer": ("int", 10, ">= 1"),
+    "uzawa.n_inner": ("int", 200, ">= 1"),
+    "uzawa.learning_rate": ("float", 1e-3, "> 0"),
     "uzawa.optimizer": ("str", "adam", ("adam", "sgd")),
-    "uzawa.beta1": ("float", 0.9, None),
-    "uzawa.beta2": ("float", 0.999, None),
-    "uzawa.eps_adam": ("float", 1e-8, None),
+    "uzawa.beta1": ("float", 0.9, "in [0, 1)"),
+    "uzawa.beta2": ("float", 0.999, "in [0, 1)"),
+    "uzawa.eps_adam": ("float", 1e-8, "> 0"),
     "uzawa.lambda_init": ("float", 0.0, None),
     "outputs.directory": ("str", "", None),
-    "outputs.grid_n": ("int", 101, None),
+    "outputs.grid_n": ("int", 101, ">= 2"),
     "outputs.grids": ("strs", ("scalar-flux",), None),
     "outputs.emit_quadrature": ("bool", False, None),
     "outputs.checkpoint": ("bool", True, None),
-    "oracle.n_iter": ("int", 200, None),
+    "oracle.n_iter": ("int", 200, ">= 1"),
+}
+
+_BOUNDS = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    ">= 2": lambda v: v >= 2,
+    "in [0, 1)": lambda v: 0 <= v < 1,
 }
 
 
@@ -100,47 +112,44 @@ def _integer(raw):
     return int(raw)
 
 
+def _boolean(raw):
+    if isinstance(raw, bool):
+        return raw
+    if str(raw).lower() in ("true", "1", "yes", "on"):
+        return True
+    if str(raw).lower() in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+# a list tag ("ints", "floats", "strs") parses each item with its scalar tag
+_SCALARS = {"int": _integer, "float": float, "bool": _boolean, "str": str}
+
+
 def _convert(key, raw, violations):
-    tag, default, choices = SCHEMA[key]
+    """The parsed value of one key; on any violation, the key's default,
+    so the coupled rules read only values that passed their own checks."""
+    tag, default, allowed = SCHEMA[key]
     try:
-        if tag == "int":
-            value = _integer(raw)
-        elif tag == "float":
-            value = float(raw)
-        elif tag == "bool":
-            if isinstance(raw, bool):
-                value = raw
-            elif str(raw).lower() in ("true", "1", "yes", "on"):
-                value = True
-            elif str(raw).lower() in ("false", "0", "no", "off"):
-                value = False
-            else:
-                raise ValueError(f"not a boolean: {raw!r}")
-        elif tag == "ints":
-            if isinstance(raw, (tuple, list)):
-                value = tuple(_integer(v) for v in raw)
-            else:
-                value = tuple(_integer(p) for p in str(raw).split(",") if p.strip())
-        elif tag == "floats":
-            if isinstance(raw, (tuple, list)):
-                value = tuple(float(v) for v in raw)
-            else:
-                value = tuple(float(p) for p in str(raw).split(",") if p.strip())
-        elif tag == "strs":
-            if isinstance(raw, (tuple, list)):
-                value = tuple(str(v) for v in raw)
-            else:
-                value = tuple(p.strip() for p in str(raw).split(",") if p.strip())
+        if tag in _SCALARS:
+            value = _SCALARS[tag](raw)
         else:
-            value = str(raw)
+            items = raw
+            if not isinstance(raw, (tuple, list)):
+                items = [p.strip() for p in str(raw).split(",") if p.strip()]
+            value = tuple(map(_SCALARS[tag[:-1]], items))
     except (TypeError, ValueError) as err:
         violations.append(f"{key}: cannot parse {raw!r} as {tag} ({err})")
         return default
     if tag in ("float", "floats") and not np.isfinite(value).all():
         violations.append(f"{key}: must be finite, got {raw!r}")
-    if choices is not None and value not in choices:
-        violations.append(f"{key}: {value!r} is not one of {choices}")
-    return value
+    elif isinstance(allowed, tuple) and value not in allowed:
+        violations.append(f"{key}: {value!r} is not one of {allowed}")
+    elif isinstance(allowed, str) and not _BOUNDS[allowed](value):
+        violations.append(f"{key}: must satisfy {key.rsplit('.', 1)[-1]} {allowed}, got {value!r}")
+    else:
+        return value
+    return default
 
 
 @dataclass(frozen=True, eq=True)
@@ -176,33 +185,22 @@ _ABSORPTION_FIELDS = {
 
 
 def _semantic_violations(values):
+    """The rules that read two or more keys or check a list value's shape."""
     v = []
-    if values["uzawa.rho"] <= 0:
-        v.append(
-            "uzawa.rho: multiplier ascent step must satisfy rho > 0 "
-            "(and the convergence theory wants rho < 2*gamma)"
-        )
-    if values["uzawa.n_outer"] < 1 or values["uzawa.n_inner"] < 1:
-        v.append("uzawa.n_outer/n_inner: iteration counts must be >= 1")
-    if values["uzawa.learning_rate"] <= 0:
-        v.append("uzawa.learning_rate: must be positive")
-    for key in ("uzawa.beta1", "uzawa.beta2"):
-        if not 0.0 <= values[key] < 1.0:
-            v.append(f"{key}: Adam decay rate must satisfy 0 <= {key[6:]} < 1")
-    if values["uzawa.eps_adam"] <= 0:
-        v.append("uzawa.eps_adam: must be positive")
-    if values["lagrangian.gamma"] < 0:
-        v.append("lagrangian.gamma: boundary stabilization weight must be >= 0")
     for key in _ABSORPTION_FIELDS[values["problem.sigma_a.kind"]]:
         if values[key] < 0:
             v.append(f"{key}: absorption must be >= 0")
-    for key in ("problem.sigma_a.radius", "problem.source.radius"):
-        if values[key] < 0:
-            v.append(f"{key}: radius must be >= 0")
-    if values["problem.sigma_t"] < 0:
-        v.append("problem.sigma_t: scattering strength must be >= 0")
     if values["problem.kernel.kind"] == "forward-peaked" and values["problem.kernel.epsilon"] <= 0:
         v.append("problem.kernel.epsilon: forward-peaked kernel needs epsilon > 0")
+    if values["problem.manufactured"] and values["problem.sigma_a.kind"] != "constant":
+        v.append("problem.manufactured: needs a constant absorption coefficient")
+    batch = values["lagrangian.batch_interior"]
+    if values["quadrature.scheme"] == phase_space.TENSOR_GAUSS:
+        full = values["quadrature.n_spatial"] ** 2
+    else:
+        full = values["quadrature.n_interior"]
+    if batch > full:
+        v.append(f"lagrangian.batch_interior: batch {batch} exceeds the interior size {full}")
     widths = values["network.widths"]
     if len(widths) < 3:
         v.append("network.widths: need (d0, ..., 1) with at least one hidden layer")
@@ -212,37 +210,9 @@ def _semantic_violations(values):
         v.append("network.widths: all widths must be positive")
     elif widths[0] != 4:
         v.append("network.widths: input width must be 4, the embedding (x1, x2, cos theta, sin theta)")
-    if values["problem.manufactured"] and values["problem.sigma_a.kind"] != "constant":
-        v.append("problem.manufactured: needs a constant absorption coefficient")
-    if len(values["problem.sigma_a.center"]) != 2:
-        v.append("problem.sigma_a.center: needs two coordinates")
-    if len(values["problem.source.center"]) != 2:
-        v.append("problem.source.center: needs two coordinates")
-    if values["problem.noise.std"] < 0:
-        v.append("problem.noise.std: must be >= 0")
-    batch = values["lagrangian.batch_interior"]
-    if batch < 0:
-        v.append("lagrangian.batch_interior: must be >= 0 (0 means the full set)")
-    elif batch > 0:
-        if values["quadrature.scheme"] == phase_space.TENSOR_GAUSS:
-            full = values["quadrature.n_spatial"] ** 2
-        else:
-            full = values["quadrature.n_interior"]
-        if batch > full:
-            v.append(
-                f"lagrangian.batch_interior: batch {batch} exceeds the interior size {full}"
-            )
-    for key in (
-        "quadrature.n_spatial",
-        "quadrature.n_interior",
-        "quadrature.n_angular",
-        "quadrature.n_boundary_pos",
-        "quadrature.n_boundary_ang",
-        "quadrature.n_boundary",
-        "outputs.grid_n",
-    ):
-        if values[key] < 2:
-            v.append(f"{key}: must be >= 2")
+    for key in ("problem.sigma_a.center", "problem.source.center"):
+        if len(values[key]) != 2:
+            v.append(f"{key}: needs two coordinates")
     for entry in values["outputs.grids"]:
         if entry != "scalar-flux" and not entry.startswith("angular-slice:"):
             v.append(f"outputs.grids: unknown grid kind {entry!r}")
@@ -253,8 +223,6 @@ def _semantic_violations(values):
                 angle = math.nan
             if not math.isfinite(angle):
                 v.append(f"outputs.grids: slice angle must be a finite number in {entry!r}")
-    if values["oracle.n_iter"] < 1:
-        v.append("oracle.n_iter: must be >= 1")
     return v
 
 
@@ -262,17 +230,16 @@ def from_flat(mapping):
     """Validate a flat key/value mapping into an ExperimentConfig.
 
     Raises ConfigError listing every violation (unknown keys, parse
-    failures, contract violations), not just the first.
+    failures, bounds, coupled rules), not just the first.
     """
     violations = []
     values = {key: default for key, (_, default, _) in SCHEMA.items()}
     for key, raw in mapping.items():
         if key not in SCHEMA:
             violations.append(f"{key}: unknown configuration key")
-            continue
-        values[key] = _convert(key, raw, violations)
-    if not violations:
-        violations.extend(_semantic_violations(values))
+        else:
+            values[key] = _convert(key, raw, violations)
+    violations.extend(_semantic_violations(values))
     if violations:
         raise ConfigError(violations)
     return ExperimentConfig(tuple(sorted(values.items())))
@@ -433,25 +400,16 @@ def build_network(cfg):
     )
 
 
+def _section(cfg, prefix):
+    """The keys under ``prefix``, named as the fields of its dataclass."""
+    return {key[len(prefix):]: value for key, value in cfg.items if key.startswith(prefix)}
+
+
 def build_lagrangian_config(cfg):
-    batch = cfg["lagrangian.batch_interior"]
-    return lagrangian.LagrangianConfig(
-        gamma=cfg["lagrangian.gamma"],
-        include_source=cfg["lagrangian.include_source"],
-        batch_interior=batch if batch > 0 else None,
-        resample=cfg["lagrangian.resample"],
-    )
+    section = _section(cfg, "lagrangian.")
+    section["batch_interior"] = section["batch_interior"] or None
+    return lagrangian.LagrangianConfig(**section)
 
 
 def build_uzawa_config(cfg):
-    return uzawa.UzawaConfig(
-        rho=cfg["uzawa.rho"],
-        n_outer=cfg["uzawa.n_outer"],
-        n_inner=cfg["uzawa.n_inner"],
-        learning_rate=cfg["uzawa.learning_rate"],
-        optimizer=cfg["uzawa.optimizer"],
-        beta1=cfg["uzawa.beta1"],
-        beta2=cfg["uzawa.beta2"],
-        eps_adam=cfg["uzawa.eps_adam"],
-        lambda_init=cfg["uzawa.lambda_init"],
-    )
+    return uzawa.UzawaConfig(**_section(cfg, "uzawa."))

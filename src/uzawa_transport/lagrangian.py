@@ -156,16 +156,16 @@ def subsample(quad, batch_interior, step_seed):
     rng = np.random.default_rng(step_seed)
     idx = np.sort(rng.choice(n_full, size=batch_interior, replace=False))
     scale = n_full / batch_interior
-    flat_idx, spatial = idx, {}
+    flat_idx, spatial_x = idx, None
     if interior.blocked:
         k = len(quad.angular)
         flat_idx = (idx[:, None] * k + np.arange(k)[None, :]).ravel()
-        spatial = dict(spatial_x=interior.spatial_x[idx], spatial_w=interior.spatial_w[idx] * scale)
+        spatial_x = interior.spatial_x[idx]
     sub = InteriorNodes(
         interior.x[flat_idx],
         interior.theta[flat_idx],
         interior.weight[flat_idx] * scale,
         blocked=interior.blocked,
-        **spatial,
+        spatial_x=spatial_x,
     )
     return replace(quad, interior=sub)

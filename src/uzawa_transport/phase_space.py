@@ -95,7 +95,7 @@ class InteriorNodes:
     """Phase-space nodes approximating the product measure on D x S^1.
 
     For tensor rules the flat arrays are the spatial grid crossed with the
-    angular rule in spatial-major order, and the spatial factors are kept
+    angular rule in spatial-major order, and the spatial points are kept
     so assembly can work in per-spatial-point blocks.
     """
 
@@ -104,7 +104,6 @@ class InteriorNodes:
     weight: np.ndarray
     blocked: bool = False
     spatial_x: np.ndarray | None = None
-    spatial_w: np.ndarray | None = None
 
     def __len__(self):
         return self.weight.size
@@ -195,7 +194,7 @@ def tensor_interior(domain, nx, ny, angular):
     x = np.repeat(sx, na, axis=0)
     theta = np.tile(angular.theta, ns)
     weight = (sw[:, None] * angular.weight[None, :]).ravel()
-    return InteriorNodes(x, theta, weight, blocked=True, spatial_x=sx, spatial_w=sw)
+    return InteriorNodes(x, theta, weight, blocked=True, spatial_x=sx)
 
 
 def _edge_nodes(domain, edge, s, t, weight, side):

@@ -199,7 +199,7 @@ PRESETS = {
 }
 
 
-def expand_preset(name, overrides=None, seed=None, out_dir=None):
+def expand_preset(name, overrides=None, seed=None):
     """Expand a preset into a validated ExperimentConfig."""
     if name not in PRESETS:
         from .errors import ConfigError
@@ -209,8 +209,6 @@ def expand_preset(name, overrides=None, seed=None, out_dir=None):
     flat = dict(PRESETS[name].flat)
     if seed is not None:
         flat["seed"] = int(seed)
-    if out_dir is not None:
-        flat["outputs.directory"] = str(out_dir)
     if overrides:
         flat.update(overrides)
     return configmod.from_flat(flat)

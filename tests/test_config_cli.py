@@ -1,6 +1,8 @@
 """Config parsing/validation, preset expansion, CLI behavior."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import pytest
 
 from uzawa_transport import cli
 from uzawa_transport import config as cm
-from uzawa_transport import presets, uzawa
+from uzawa_transport import lagrangian, presets, uzawa
 from uzawa_transport.errors import ConfigError
 
 CLI = [sys.executable, "-m", "uzawa_transport"]
@@ -50,6 +52,50 @@ def test_all_violations_reported_together():
         cm.from_flat({"uzawa.rho": "-1", "lagrangian.gamma": "-2"})
     text2 = str(err2.value)
     assert "rho" in text2 and "gamma" in text2
+    # a bound, a list shape and an unknown key in one report
+    with pytest.raises(ConfigError) as err3:
+        cm.from_flat({"uzawa.rho": "-1", "network.widths": "3,8,1", "bogus.key": "1"})
+    keys = sorted(v.split(":", 1)[0] for v in err3.value.violations)
+    assert keys == ["bogus.key", "network.widths", "uzawa.rho"]
+
+
+# bound -> its edges as (value, whether the value is allowed); every closed
+# edge is a lower one
+BOUND_EDGES = {
+    "> 0": [(0, False)],
+    ">= 0": [(0, True)],
+    ">= 1": [(1, True)],
+    ">= 2": [(2, True)],
+    "in [0, 1)": [(0, True), (1, False)],
+}
+
+
+def test_every_integer_key_has_a_bound():
+    # each is a count, a size or a seed
+    assert all(isinstance(bound, str) for tag, _, bound in cm.SCHEMA.values() if tag == "int")
+
+
+@pytest.mark.parametrize("key", [k for k, (_, _, bound) in cm.SCHEMA.items() if isinstance(bound, str)])
+def test_every_schema_bound_holds_at_its_edges(key):
+    tag, _, bound = cm.SCHEMA[key]
+    for edge, allowed in BOUND_EDGES[bound]:
+        outside = edge
+        if allowed:
+            assert cm.from_flat({key: edge})[key] == edge
+            outside = edge - 1 if tag == "int" else math.nextafter(edge, -math.inf)
+        with pytest.raises(ConfigError) as err:
+            cm.from_flat({key: outside})
+        assert len(err.value.violations) == 1
+        assert err.value.violations[0].startswith(f"{key}: ")
+
+
+@pytest.mark.parametrize(
+    "prefix, cls",
+    [("uzawa.", uzawa.UzawaConfig), ("lagrangian.", lagrangian.LagrangianConfig)],
+)
+def test_solver_sections_are_their_dataclass_fields(prefix, cls):
+    keys = {key[len(prefix):] for key in cm.SCHEMA if key.startswith(prefix)}
+    assert keys == {field.name for field in dataclasses.fields(cls)}
 
 
 @pytest.mark.parametrize(
@@ -382,6 +428,56 @@ def test_cli_failed_verification_exit_code(tmp_path, monkeypatch, capsys):
     assert "[FAIL] identity that fails (residual 1.0e+00)" in out
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["final_metrics"]["checks_passed"] is False
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["--seed", "-2"], "seed"),
+        (["--override", "seed=-1"], "seed"),
+        (["--override", "network.seed=-1"], "network.seed"),
+        (["--override", "problem.noise.std=0.1", "--override", "problem.noise.seed=-5"], "problem.noise.seed"),
+        (["--override", "quadrature.scheme=monte-carlo", "--override", "quadrature.seed=-3"], "quadrature.seed"),
+    ],
+    ids=["flag", "run", "network", "noise", "quadrature"],
+)
+def test_cli_negative_seed_exit_code(tmp_path, capsys, args, key):
+    argv = ["preset", "example1", "--out", tmp_path.as_posix(), *args]
+    for name, value in FAST_OVERRIDES.items():
+        argv += ["--override", f"{name}={value}"]
+    assert cli.main(argv) == 2
+    assert f"  - {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--threads", "3", "list-presets"], ["list-presets", "--threads", "3"]],
+    ids=["before", "after"],
+)
+def test_cli_threads_pin_blas_before_numpy_loads(argv):
+    # records the thread variables at the moment numpy is first imported
+    code = (
+        "import json, os, sys\n"
+        "from uzawa_transport import cli\n"
+        "seen = []\n"
+        "class Watch:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append([os.environ.get(var) for var in cli._THREAD_VARS])\n"
+        "sys.meta_path.insert(0, Watch())\n"
+        "numpy_before_main = 'numpy' in sys.modules\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "after = [os.environ.get(var) for var in cli._THREAD_VARS]\n"
+        "print(json.dumps([numpy_before_main, code, seen, after]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in cli._THREAD_VARS}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    numpy_before_main, code, seen, after = json.loads(out.stdout.splitlines()[-1])
+    assert not numpy_before_main and code == 0
+    assert seen == [["3"] * 5] and after == ["3"] * 5
 
 
 def test_cli_input_width_three_exit_code():

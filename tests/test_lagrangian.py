@@ -154,8 +154,6 @@ def test_gradient_homogeneous_in_weights():
 
     doubled = copy.deepcopy(quad)
     doubled.interior.weight = doubled.interior.weight * 2.0
-    if doubled.interior.spatial_w is not None:
-        doubled.interior.spatial_w = doubled.interior.spatial_w * 2.0
     doubled.boundary.weight = doubled.boundary.weight * 2.0
     mult2 = lg.MultiplierField(mult.values, doubled.boundary)
     g2 = lg.assemble_with_gradient(params, mult2, doubled, problem, cfg)[1]
