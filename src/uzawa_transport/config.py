@@ -55,7 +55,7 @@ SCHEMA = {
         ("zero", "constant", "edge-window", "left-edge"),
     ),
     "problem.inflow.value": ("float", 1.0, None),
-    "problem.inflow.half_width": ("float", math.pi / 16.0, None),
+    "problem.inflow.half_width": ("float", math.pi / 16.0, "> 0"),
     "problem.noise.std": ("float", 0.0, ">= 0"),
     "problem.noise.seed": ("int", 777, ">= 0"),
     "problem.manufactured": ("bool", False, None),
@@ -221,8 +221,8 @@ def _semantic_violations(values):
                 angle = float(entry.split(":", 1)[1])
             except ValueError:
                 angle = math.nan
-            if not math.isfinite(angle):
-                v.append(f"outputs.grids: slice angle must be a finite number in {entry!r}")
+            if not 0.0 <= angle < 2.0 * math.pi:  # NaN fails too
+                v.append(f"outputs.grids: slice angle must lie in [0, 2*pi) in {entry!r}")
     return v
 
 

@@ -17,9 +17,10 @@ kernel-weighted angular mean and ``scattering_adjoint`` its exact adjoint
 as one K x K matrix shared by every slice or as one row per slice.  Every
 residual goes through one assembly body, reached through
 ``blocked_terms`` (tensor interiors) or ``sample_terms`` (loose Monte
-Carlo samples), which ``interior_terms`` chooses between for the
-training objective and the norms alike.  The assembly evaluates either a
-network or a ``ReferenceSolution`` in the same way.
+Carlo samples), which ``interior_terms`` picks by the quadrature scheme.
+Both take the interior rows as they are; a tensor interior's rows come in
+spatial-major blocks of K, one per spatial point, theta the angular rule
+in each.  The assembly evaluates a network or a ``ReferenceSolution``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from . import network
 from .errors import ContractViolation
+from .phase_space import TENSOR_GAUSS
 
 TWO_PI = 2.0 * np.pi
 
@@ -190,21 +192,18 @@ class SourceAndInflow:
         return np.asarray(self.f(x, theta), dtype=float)
 
     def inflow(self, boundary):
-        if self.g is None:
-            base = np.zeros(len(boundary))
-        else:
-            base = np.asarray(self.g(boundary.x, boundary.theta), dtype=float)
-        if self.noise is not None:
-            rng = np.random.default_rng(self.noise.seed)
-            delta = rng.normal(0.0, self.noise.std, len(boundary))
-            base = base + delta * (base != 0.0)
-        return base
-
-    def frozen_inflow(self, boundary):
-        """``inflow`` on a frozen node set, computed once per node set."""
+        """g on a frozen boundary node set, noise included; computed once
+        per node set and then returned from the cache."""
         hit = self._cache.get(id(boundary))
         if hit is None or hit[0] is not boundary:
-            hit = self._cache[id(boundary)] = (boundary, self.inflow(boundary))
+            base = np.zeros(len(boundary))
+            if self.g is not None:
+                base = np.asarray(self.g(boundary.x, boundary.theta), dtype=float)
+            if self.noise is not None:
+                rng = np.random.default_rng(self.noise.seed)
+                delta = rng.normal(0.0, self.noise.std, len(boundary))
+                base = base + delta * (base != 0.0)
+            hit = self._cache[id(boundary)] = (boundary, base)
         return hit[1]
 
 
@@ -295,23 +294,23 @@ def _terms(field, points, slices, kernel_rows, angular, problem, boundary, need_
     return {"u": u, "du": du, "residual": resid, "sigma": sig, "kernel_rows": kernel_rows, **extra}
 
 
-def blocked_terms(field, spatial_x, angular, problem, boundary=None, need_grad=False):
-    """Residual data on a spatial block crossed with the angular rule.
+def blocked_terms(field, x, theta, angular, problem, boundary=None, need_grad=False):
+    """Residual data on tensor rows: spatial-major blocks of K rows, one per
+    spatial point, x constant in each block and theta the angular rule.
 
-    ``field`` is network parameters or a ReferenceSolution.  Each (spatial
-    point, angular node) pair is evaluated once, and its value serves both
-    the residual and the scattering sums (the points are the slices), so
-    the angular coupling costs one K x K product per spatial point.
-    Returns a dict of flat arrays in spatial-major order: "u", "du" (along
-    each row's own direction), "residual", "sigma" (absorption per row),
-    and "kernel_rows" (the shared K x K matrix); frozen ``boundary`` nodes
-    ride along in the same pass ("u_boundary"), and ``need_grad`` keeps the
-    pass's cache for one reverse sweep ("cache").
+    ``field`` is network parameters or a ReferenceSolution.  Each row is
+    evaluated once and serves both the residual and the scattering sums
+    (the rows are the slices), so the angular coupling costs one K x K
+    product per block.  Returns a dict of flat arrays in row order: "u",
+    "du" (along each row's own direction), "residual", "sigma" (absorption
+    per row), and "kernel_rows" (the shared K x K matrix); frozen
+    ``boundary`` nodes ride along in the same pass ("u_boundary"), and
+    ``need_grad`` keeps the pass's cache for one reverse sweep ("cache").
     """
-    spatial_x = np.atleast_2d(np.asarray(spatial_x, dtype=float))
-    points = (np.repeat(spatial_x, len(angular), axis=0), np.tile(angular.theta, spatial_x.shape[0]))
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
     mat = problem.kernel.matrix(angular)
-    return _terms(field, points, None, mat, angular, problem, boundary, need_grad)
+    return _terms(field, (x, theta), None, mat, angular, problem, boundary, need_grad)
 
 
 def sample_terms(field, x, theta, angular, problem, boundary=None, need_grad=False):
@@ -335,9 +334,6 @@ def interior_terms(field, quad, problem, need_grad=False):
     """Residual data of ``field`` on the interior of ``quad``, with its
     inflow-boundary nodes in the same pass: ``blocked_terms`` for tensor
     interiors, ``sample_terms`` for loose Monte Carlo samples."""
-    interior = quad.interior
-    if interior.blocked:
-        return blocked_terms(field, interior.spatial_x, quad.angular, problem, quad.boundary, need_grad)
-    return sample_terms(
-        field, interior.x, interior.theta, quad.angular, problem, quad.boundary, need_grad
-    )
+    terms = blocked_terms if quad.scheme == TENSOR_GAUSS else sample_terms
+    rows = quad.interior
+    return terms(field, rows.x, rows.theta, quad.angular, problem, quad.boundary, need_grad)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kinetic_ops, network
 from .errors import ContractViolation
-from .phase_space import InteriorNodes
+from .phase_space import TENSOR_GAUSS, InteriorNodes
 
 
 @dataclass
@@ -100,7 +100,7 @@ def _evaluate(params, multiplier, quad, problem, config, need_grad):
     w = quad.interior.weight
     r = terms["residual"]
     pde = 0.5 * float(w @ r**2)
-    mismatch = terms["u_boundary"] - problem.data.frozen_inflow(b)
+    mismatch = terms["u_boundary"] - problem.data.inflow(b)
     penalty = 0.5 * config.gamma * float(b.weight @ mismatch**2)
     mult_term = -float((b.weight * multiplier.values) @ mismatch)
     if not need_grad:
@@ -116,7 +116,7 @@ def _evaluate(params, multiplier, quad, problem, config, need_grad):
         wr.reshape(-1, rows.shape[-2]), rows, quad.angular.weight
     ).ravel()
     seeds = [wr * (terms["sigma"] + problem.sigma_t)]
-    if quad.interior.blocked:  # the slices are the interior rows themselves
+    if quad.scheme == TENSOR_GAUSS:  # the slices are the interior rows themselves
         seeds[0] += scat_seed
     else:
         seeds.append(scat_seed)
@@ -140,32 +140,23 @@ def assemble_with_gradient(params, multiplier, quad, problem, config):
 def subsample(quad, batch_interior, step_seed):
     """Interior subsample without replacement; boundary nodes kept intact.
 
-    Tensor interiors are subsampled by whole spatial blocks (units of the
-    batch size), Monte Carlo interiors by phase samples.  Weights are
-    rescaled by the inverse inclusion probability, which makes every
-    weighted sum exactly unbiased; for the constant-weight Monte Carlo
-    interiors this also preserves the total measure exactly.  The
+    ``batch_interior`` whole row blocks are drawn and kept in order: K-row
+    spatial blocks for tensor interiors, single samples for Monte Carlo.
+    Weights are rescaled by the inverse inclusion probability, which makes
+    every weighted sum exactly unbiased; for the constant-weight Monte
+    Carlo interiors this also preserves the total measure exactly.  The
     multiplier registry is frozen, so boundary nodes are never subsampled.
     """
     interior = quad.interior
-    n_full = interior.spatial_x.shape[0] if interior.blocked else len(interior)
+    k = len(quad.angular) if quad.scheme == TENSOR_GAUSS else 1
+    n_full = len(interior) // k
     if batch_interior is None or batch_interior == n_full:
         return quad
     if batch_interior > n_full:
         raise ContractViolation("interior batch exceeds the available nodes")
     rng = np.random.default_rng(step_seed)
     idx = np.sort(rng.choice(n_full, size=batch_interior, replace=False))
+    rows = (idx[:, None] * k + np.arange(k)).ravel()
     scale = n_full / batch_interior
-    flat_idx, spatial_x = idx, None
-    if interior.blocked:
-        k = len(quad.angular)
-        flat_idx = (idx[:, None] * k + np.arange(k)[None, :]).ravel()
-        spatial_x = interior.spatial_x[idx]
-    sub = InteriorNodes(
-        interior.x[flat_idx],
-        interior.theta[flat_idx],
-        interior.weight[flat_idx] * scale,
-        blocked=interior.blocked,
-        spatial_x=spatial_x,
-    )
+    sub = InteriorNodes(interior.x[rows], interior.theta[rows], interior.weight[rows] * scale)
     return replace(quad, interior=sub)

@@ -1,11 +1,11 @@
 """The same multiplier iteration on a small linear basis, solved exactly.
 
 Trial space: tensor products of {1, x1, x2, x1*x2, x1^2, x2^2} with
-{1, cos(theta), sin(theta)} (18 functions).  The operator image of each
-basis function is available in closed form (the isotropic scattering
-average of the angular factors is 0 or the factor itself), so the inner
-minimization is an 18x18 normal-equation solve and every quantity in the
-iteration identities can be computed independently of the network path.
+{1, cos(theta), sin(theta)} (18 functions).  The advection of each basis
+function is its own closed-form derivative and its scattering is the
+solver's ``kinetic_ops.scattering_apply`` on the angular factor, so the
+inner minimization is an 18x18 normal-equation solve and every quantity in
+the iteration identities can be computed independently of the network path.
 
 All inner products use one frozen high-order tensor quadrature.  Because
 the matrices, the iterates, and the saddle point are built from the same
@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, IllConditionedSystem
+from .kinetic_ops import isotropic_kernel, scattering_apply
 from .phase_space import (
     INFLOW,
     OUTFLOW,
@@ -39,8 +40,6 @@ COND_LIMIT = 1e12
 
 _N_POLY = 6
 _N_ANG = 3
-# scattering eigenvalue of each angular factor under the isotropic kernel
-_ANG_SCATTER = np.array([0.0, 1.0, 1.0])
 _GRAM_BLOCK = 4096
 
 
@@ -62,17 +61,17 @@ def _angular_values(theta):
     return np.column_stack([np.ones(theta.size), np.cos(theta), np.sin(theta)])
 
 
+def _products(ang, poly):  # column a * _N_POLY + p is ang[:, a] * poly[:, p]
+    return (ang[:, :, None] * poly[:, None, :]).reshape(ang.shape[0], _N_ANG * _N_POLY)
+
+
 def _basis_values(x, theta):
-    poly = _poly_values(x)
-    ang = _angular_values(theta)
-    return (ang[:, :, None] * poly[:, None, :]).reshape(x.shape[0], _N_ANG * _N_POLY)
+    return _products(_angular_values(theta), _poly_values(x))
 
 
 def _advection_values(x, theta):
     gx, gy = _poly_gradients(x)
-    adv = np.cos(theta)[:, None] * gx + np.sin(theta)[:, None] * gy
-    ang = _angular_values(theta)
-    return (ang[:, :, None] * adv[:, None, :]).reshape(x.shape[0], _N_ANG * _N_POLY)
+    return _products(_angular_values(theta), np.cos(theta)[:, None] * gx + np.sin(theta)[:, None] * gy)
 
 
 @dataclass
@@ -81,7 +80,9 @@ class LinearTrialSpace:
 
     The interior Grams (``pde_gram``, ``mass``, ``advection_gram``) are
     summed over ``_GRAM_BLOCK``-row blocks of the 32^2 x 64 interior rule,
-    so the basis tables never exceed one block."""
+    so the basis tables never exceed one block.  The angular factors are
+    scattered once on the 64 angular nodes; the rows are spatial-major
+    blocks of 64, so row r sits at angular node r mod 64."""
 
     sigma_a: float
     sigma_t: float
@@ -96,14 +97,18 @@ class LinearTrialSpace:
 
     def __post_init__(self):
         domain = UNIT_SQUARE
-        interior = tensor_interior(domain, 32, 32, angular_rule(64))
-        scatter_scale = self.sigma_a + self.sigma_t * np.repeat(_ANG_SCATTER, _N_POLY)
+        angular = angular_rule(64)
+        interior = tensor_interior(domain, 32, 32, angular)
+        factors = _angular_values(angular.theta).T  # one slice of 64 node values per factor
+        scatter = scattering_apply(factors, angular, isotropic_kernel(), self.sigma_t).T
         self.pde_gram, self.mass, self.advection_gram = (np.zeros((self.n_basis,) * 2) for _ in range(3))
         for lo in range(0, interior.weight.shape[0], _GRAM_BLOCK):
             x, theta, w = (a[lo : lo + _GRAM_BLOCK] for a in (interior.x, interior.theta, interior.weight))
-            phi = _basis_values(x, theta)
+            node = np.arange(lo, lo + w.size) % len(angular)
+            poly = _poly_values(x)
+            phi = _products(_angular_values(theta), poly)
             adv = _advection_values(x, theta)
-            ts = adv + phi * scatter_scale[None, :]
+            ts = adv + self.sigma_a * phi + _products(scatter[node], poly)
             self.pde_gram += ts.T @ (w[:, None] * ts)
             self.mass += phi.T @ (w[:, None] * phi)
             self.advection_gram += adv.T @ (w[:, None] * adv)
@@ -142,11 +147,7 @@ def _solve_checked(mat, rhs, what):
 
 def exact_inner_solve(space, lambda_vec, gamma, g_values=None):
     """Minimizer of the discrete Lagrangian over the span: one linear solve."""
-    lambda_vec = np.asarray(lambda_vec, dtype=float)
-    if g_values is None:
-        g_values = np.zeros_like(lambda_vec)
-    system = space.pde_gram + gamma * space.boundary_mass
-    return _solve_checked(system, space.rhs(lambda_vec, gamma, g_values), "inner")
+    return QuadraticObjective.from_space(space, lambda_vec, gamma, g_values).minimizer
 
 
 def fixed_point_solve(space, gamma, g_values, lambda0=None):
@@ -257,7 +258,7 @@ class QuadraticObjective:
 
     @property
     def minimizer(self):
-        return _solve_checked(self.hessian, self.linear, "quadratic")
+        return _solve_checked(self.hessian, self.linear, "inner")
 
 
 # -- identity gaps ------------------------------------------------------------

@@ -94,16 +94,14 @@ class AngularNodes:
 class InteriorNodes:
     """Phase-space nodes approximating the product measure on D x S^1.
 
-    For tensor rules the flat arrays are the spatial grid crossed with the
-    angular rule in spatial-major order, and the spatial points are kept
-    so assembly can work in per-spatial-point blocks.
+    For tensor rules the rows are in spatial-major order: one block of K
+    rows per spatial point, x constant within the block and theta the
+    angular rule's K nodes in order.
     """
 
     x: np.ndarray
     theta: np.ndarray
     weight: np.ndarray
-    blocked: bool = False
-    spatial_x: np.ndarray | None = None
 
     def __len__(self):
         return self.weight.size
@@ -194,7 +192,7 @@ def tensor_interior(domain, nx, ny, angular):
     x = np.repeat(sx, na, axis=0)
     theta = np.tile(angular.theta, ns)
     weight = (sw[:, None] * angular.weight[None, :]).ravel()
-    return InteriorNodes(x, theta, weight, blocked=True, spatial_x=sx)
+    return InteriorNodes(x, theta, weight)
 
 
 def _edge_nodes(domain, edge, s, t, weight, side):
@@ -242,7 +240,7 @@ def mc_interior(domain, n_points, seed):
     )
     theta = rng.uniform(0.0, 2.0 * np.pi, n_points)
     weight = np.full(n_points, domain.area * 2.0 * np.pi / n_points)
-    return InteriorNodes(x, theta, weight, blocked=False)
+    return InteriorNodes(x, theta, weight)
 
 
 def mc_boundary(domain, n_points, seed, side=INFLOW):

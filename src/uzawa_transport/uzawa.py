@@ -176,7 +176,7 @@ def run(problem, quad, params0, config, lagr_cfg, seed=0):
         multiplier=constant_multiplier(b, config.lambda_init),
     )
     u0 = network.eval_batch(params0, b.x, b.theta)
-    state.initial_boundary_residual = boundary_residual(b, u0 - problem.data.frozen_inflow(b))
+    state.initial_boundary_residual = boundary_residual(b, u0 - problem.data.inflow(b))
     optimizer = make_optimizer(config)
     for k in range(config.n_outer):
         trace = inner_minimize(state, quad, problem, lagr_cfg, config, optimizer, k, seed)

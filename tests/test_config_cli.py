@@ -353,6 +353,9 @@ def test_cli_negative_radius_exit_code(key):
         ("uzawa.eps_adam", "-1"),
         ("outputs.grids", "angular-slice:nan"),
         ("outputs.grids", "angular-slice:inf"),
+        ("outputs.grids", "angular-slice:1e300"),
+        ("outputs.grids", "angular-slice:-0.5"),
+        ("problem.inflow.half_width", "-1"),
     ],
 )
 def test_cli_bad_float_exit_code(key, value):

@@ -282,11 +282,23 @@ def test_blocked_and_sample_terms_agree_on_grid_directions():
     ang = ps.angular_rule(8)
     problem = _zero_problem(sigma_a=0.7, sigma_t=1.3)
     spatial = np.array([[0.3, 0.4], [0.8, 0.2]])
-    blocked = ko.blocked_terms(params, spatial, ang, problem)
     x = np.repeat(spatial, 8, axis=0)
     theta = np.tile(ang.theta, 2)
+    blocked = ko.blocked_terms(params, x, theta, ang, problem)
     loose = ko.sample_terms(params, x, theta, ang, problem)
     np.testing.assert_allclose(blocked["residual"], loose["residual"], atol=1e-12)
+
+
+def test_interior_terms_on_a_tensor_set_is_blocked_terms_on_its_rows():
+    quad = ps.build_quadrature(n_spatial=3, n_angular=8, n_boundary=(3, 3))
+    params = net.init_params((4, 10, 1), seed=2)
+    problem = _zero_problem(sigma_a=0.7, sigma_t=1.3, kernel=ko.forward_peaked_kernel(0.5))
+    got = ko.interior_terms(params, quad, problem)
+    rows = quad.interior
+    want = ko.blocked_terms(params, rows.x, rows.theta, quad.angular, problem, quad.boundary)
+    assert got["kernel_rows"].shape == (8, 8)
+    for key in ("u", "du", "residual", "sigma", "kernel_rows", "u_boundary"):
+        assert np.array_equal(got[key], want[key])
 
 
 def test_coefficient_fields():

@@ -215,6 +215,24 @@ def test_subsample_deterministic_and_bounded():
         lg.subsample(quad, 17, step_seed=0)
 
 
+def test_tensor_subsample_keeps_whole_angular_blocks_in_order():
+    # the rows of a tensor batch are whole K-row blocks of the full interior,
+    # in the full interior's order: x constant in each, theta the angular rule
+    quad = _quad(n_spatial=4, n_angular=8)
+    full, k = quad.interior, len(quad.angular)
+    sub = lg.subsample(quad, 5, step_seed=7).interior
+    assert len(sub) == 5 * k
+    x = sub.x.reshape(5, k, 2)
+    assert np.array_equal(x, np.broadcast_to(x[:, :1], x.shape))
+    assert np.array_equal(sub.theta.reshape(5, k), np.tile(quad.angular.theta, (5, 1)))
+    starts = np.array([np.flatnonzero((full.x == p).all(axis=1))[0] for p in x[:, 0]])
+    assert np.all(starts % k == 0) and np.all(np.diff(starts) > 0)
+    for block, start in enumerate(starts):
+        mine, theirs = slice(block * k, (block + 1) * k), slice(start, start + k)
+        assert np.array_equal(sub.x[mine], full.x[theirs])
+        assert np.array_equal(sub.weight[mine], full.weight[theirs] * (16 / 5))
+
+
 def test_subsample_preserves_measure_and_boundary():
     # constant-weight interiors keep the total measure exactly; Gauss
     # interiors keep it in expectation (the rescale is the unbiased

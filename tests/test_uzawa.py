@@ -214,7 +214,7 @@ def test_metrics_history_shapes():
     # the outer record reads the full-set pass; inner traces keep no node arrays
     b = quad.boundary
     u_b = net.eval_batch(state.params, b.x, b.theta)
-    mismatch = u_b - problem.data.frozen_inflow(b)
+    mismatch = u_b - problem.data.inflow(b)
     assert state.outer_history[-1].boundary_residual == pytest.approx(
         np.sqrt(b.weight @ mismatch**2), rel=1e-12
     )
