@@ -117,13 +117,12 @@ def _emit_train_outputs(out_dir, config, state, quad, reference, wall_clock):
         phase_space.dump_quadrature_csv(quad, os.path.join(out_dir, "quadrature.csv"))
     n = config["outputs.grid_n"]
     for entry in config["outputs.grids"]:
-        if entry == "scalar-flux":
+        name, theta = diagnostics_io.grid_output(entry)
+        if theta is None:
             grid = diagnostics_io.scalar_flux(state.params, quad.angular, n, n, quad.domain)
-            diagnostics_io.emit_grid(os.path.join(out_dir, "flux.csv"), grid)
         else:
-            theta = float(entry.split(":", 1)[1])
             grid = diagnostics_io.angular_slice(state.params, theta, n, n, quad.domain)
-            diagnostics_io.emit_grid(os.path.join(out_dir, f"slice_{theta:.4f}.csv"), grid)
+        diagnostics_io.emit_grid(os.path.join(out_dir, name), grid)
     return final
 
 

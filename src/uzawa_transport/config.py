@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kinetic_ops, lagrangian, network, phase_space, uzawa
-from .errors import ConfigError
+from . import diagnostics_io, kinetic_ops, lagrangian, network, phase_space, uzawa
+from .errors import ConfigError, ContractViolation
 
 TRAIN = "train"
 ORACLE_VERIFY = "oracle-verify"
@@ -201,28 +201,24 @@ def _semantic_violations(values):
         full = values["quadrature.n_interior"]
     if batch > full:
         v.append(f"lagrangian.batch_interior: batch {batch} exceeds the interior size {full}")
-    widths = values["network.widths"]
-    if len(widths) < 3:
-        v.append("network.widths: need (d0, ..., 1) with at least one hidden layer")
-    elif widths[-1] != 1:
-        v.append("network.widths: output width must be 1")
-    elif any(w <= 0 for w in widths):
-        v.append("network.widths: all widths must be positive")
-    elif widths[0] != 4:
-        v.append("network.widths: input width must be 4, the embedding (x1, x2, cos theta, sin theta)")
+    try:
+        network.init_params(values["network.widths"])  # the network's own checks
+    except ContractViolation as err:
+        v.append(f"network.widths: {err}")
     for key in ("problem.sigma_a.center", "problem.source.center"):
         if len(values[key]) != 2:
             v.append(f"{key}: needs two coordinates")
+    files = {}
     for entry in values["outputs.grids"]:
         if entry != "scalar-flux" and not entry.startswith("angular-slice:"):
             v.append(f"outputs.grids: unknown grid kind {entry!r}")
-        elif entry.startswith("angular-slice:"):
-            try:
-                angle = float(entry.split(":", 1)[1])
-            except ValueError:
-                angle = math.nan
-            if not 0.0 <= angle < 2.0 * math.pi:  # NaN fails too
-                v.append(f"outputs.grids: slice angle must lie in [0, 2*pi) in {entry!r}")
+            continue
+        name, angle = diagnostics_io.grid_output(entry)
+        if angle is not None and not 0.0 <= angle < 2.0 * math.pi:  # NaN fails too
+            v.append(f"outputs.grids: slice angle must lie in [0, 2*pi) in {entry!r}")
+        elif name in files:
+            v.append(f"outputs.grids: {files[name]!r} and {entry!r} both write {name}")
+        files[name] = entry
     return v
 
 

@@ -31,7 +31,6 @@ class FieldGrid:
     ny: int
     values: np.ndarray
     extent: tuple
-    quantity: str
 
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
@@ -41,6 +40,18 @@ class FieldGrid:
             raise ContractViolation("grid values must have shape (nx, ny)")
         if not np.all(np.isfinite(self.values)):
             raise ContractViolation("grid values must be finite")
+
+
+def grid_output(entry):
+    """File name and slice angle (None for the flux) of an ``outputs.grids``
+    entry; a slice's name carries its angle to four decimals."""
+    if entry == "scalar-flux":
+        return "flux.csv", None
+    try:
+        angle = float(entry.split(":", 1)[1])
+    except ValueError:
+        angle = np.nan
+    return f"slice_{angle:.4f}.csv", angle
 
 
 def grid_points(nx, ny, domain):
@@ -74,7 +85,7 @@ def scalar_flux(params, angular, nx=101, ny=101, domain=None):
         flat[lo : lo + point.size] = u_block
     values = (u @ angular.weight).reshape(nx, ny)
     extent = (domain.lo[0], domain.hi[0], domain.lo[1], domain.hi[1])
-    return FieldGrid(nx, ny, values, extent, "scalar-flux")
+    return FieldGrid(nx, ny, values, extent)
 
 
 def angular_slice(params, theta, nx=101, ny=101, domain=None):
@@ -85,7 +96,7 @@ def angular_slice(params, theta, nx=101, ny=101, domain=None):
     pts = grid_points(nx, ny, domain)
     u = network.eval_batch(params, pts, np.full(pts.shape[0], float(theta)))
     extent = (domain.lo[0], domain.hi[0], domain.lo[1], domain.hi[1])
-    return FieldGrid(nx, ny, u.reshape(nx, ny), extent, f"angular-slice:{theta}")
+    return FieldGrid(nx, ny, u.reshape(nx, ny), extent)
 
 
 def discrete_norms(params, quad, problem, reference=None, outflow=None, want_triple=False):

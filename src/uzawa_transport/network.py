@@ -3,10 +3,12 @@
 A network maps the embedded phase point (x1, x2, cos(theta), sin(theta))
 to a scalar, so its input width is 4 and its output is 2*pi-periodic in
 the angle: the trial space lives on D x S^1.  Every function that takes
-phase points (x, theta) embeds them itself.  The activation is tanh,
-gelu or silu; gelu's normal CDF is ``scipy.special.erf``, imported at
-gelu's first call, so a tanh or silu network never loads scipy.  Two
-kinds of batched kernel evaluate it:
+phase points (x, theta) embeds them itself.  Its parameters are one
+float64 vector, ``MlpParams.flat``: per affine layer the weight matrix
+row-major, then the bias; the per-layer arrays are views of it.  The
+activation is tanh, gelu or silu; gelu's normal CDF is
+``scipy.special.erf``, imported at gelu's first call, so a tanh or silu
+network never loads scipy.  Two kinds of batched kernel evaluate it:
 
 - ``forward_jvp_batch`` evaluates n embedded rows plus a forward tangent
   rail (for omega-directional spatial derivatives) on the first n_t of
@@ -112,36 +114,35 @@ ACTIVATIONS = {"tanh": _act_tanh, "gelu": _act_gelu, "silu": _act_silu}
 
 @dataclass
 class MlpParams:
-    """Weights and biases of the trial network, one entry per affine layer."""
+    """The trial network as one float64 vector ``flat``: per affine layer the
+    weight matrix row-major, then the bias.  ``weights``/``biases`` are views
+    of it, so editing either edits ``flat``; a stepped vector is a network."""
 
-    weights: list
-    biases: list
+    flat: np.ndarray
+    widths: tuple
     activation: str = "tanh"
 
     def __post_init__(self):
+        self.flat, self.widths = np.asarray(self.flat, dtype=float), tuple(int(w) for w in self.widths)
         if self.activation not in ACTIVATIONS:
             raise ContractViolation(f"unknown activation '{self.activation}'")
-        if len(self.weights) < 2:
-            raise ContractViolation("network needs depth >= 2 (at least one hidden layer)")
-        if len(self.weights) != len(self.biases):
-            raise ContractViolation("weights and biases must pair up")
-        if self.weights[-1].shape[0] != 1:
-            raise ContractViolation("output layer must have width 1")
-        if self.weights[0].shape[1] != 4:
-            raise ContractViolation("input layer must have width 4: (x1, x2, cos theta, sin theta)")
-        for W, b in zip(self.weights, self.biases):
-            if W.shape[0] != b.shape[0]:
-                raise ContractViolation("bias length must match layer width")
-            if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
-                raise ContractViolation("parameters must be finite")
-
-    @property
-    def widths(self):
-        return tuple([self.weights[0].shape[1]] + [W.shape[0] for W in self.weights])
+        if len(self.widths) < 3:
+            raise ContractViolation("need (d0, ..., 1) with at least one hidden layer")
+        if self.widths[0] != 4:
+            raise ContractViolation("input width must be 4, the embedding (x1, x2, cos theta, sin theta)")
+        if self.widths[-1] != 1:
+            raise ContractViolation("output width must be 1")
+        if any(w <= 0 for w in self.widths):
+            raise ContractViolation("all widths must be positive")
+        if self.flat.shape != (param_count(self.widths),):
+            raise ContractViolation("flat vector length does not match widths")
+        if not np.all(np.isfinite(self.flat)):
+            raise ContractViolation("parameters must be finite")
+        self.weights, self.biases = map(list, zip(*_layer_views(self.flat, self.widths)))
 
     @property
     def n_params(self):
-        return sum(W.size + b.size for W, b in zip(self.weights, self.biases))
+        return self.flat.size
 
 
 def param_count(widths):
@@ -151,33 +152,23 @@ def param_count(widths):
 
 def init_params(widths, activation="tanh", seed=0):
     """Uniform weights scaled by 1/sqrt(fan-in), zero biases, seeded."""
-    widths = tuple(int(w) for w in widths)
-    if len(widths) < 3:
-        raise ContractViolation("need widths (d0, ..., 1) with depth >= 2")
-    if any(w <= 0 for w in widths):
-        raise ContractViolation("all widths must be positive")
-    if widths[-1] != 1:
-        raise ContractViolation("output width must be 1")
+    # checked as the zero network before any draw; max(): bad widths can count < 0
+    params = MlpParams(np.zeros(max(param_count(widths), 0)), widths, activation)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for din, dout in zip(widths[:-1], widths[1:]):
-        scale = 1.0 / np.sqrt(din)
-        weights.append(rng.uniform(-scale, scale, size=(dout, din)))
-        biases.append(np.zeros(dout))
-    return MlpParams(weights, biases, activation)
+    for W in params.weights:
+        scale = 1.0 / np.sqrt(W.shape[1])
+        W[...] = rng.uniform(-scale, scale, size=W.shape)
+    return params
 
 
 def flatten(params):
-    """Flat view: per layer, the weight matrix row-major, then the bias."""
-    parts = []
-    for W, b in zip(params.weights, params.biases):
-        parts.append(W.ravel())
-        parts.append(b)
-    return np.concatenate(parts)
+    """A copy of the flat parameter vector."""
+    return params.flat.copy()
 
 
 def _layer_views(vec, widths):
-    """Per-layer (weight, bias) views into a vector in ``flatten`` order."""
+    """Per-layer (weight, bias) views into a flat parameter vector: the one
+    place that knows the layout."""
     views, k = [], 0
     for din, dout in zip(widths[:-1], widths[1:]):
         views.append((vec[k : k + dout * din].reshape(dout, din), vec[k + dout * din : k + dout * din + dout]))
@@ -186,11 +177,8 @@ def _layer_views(vec, widths):
 
 
 def unflatten(vec, widths, activation="tanh"):
-    vec = np.asarray(vec, dtype=float)
-    if vec.size != param_count(widths):
-        raise ContractViolation("flat vector length does not match widths")
-    views = _layer_views(vec, widths)
-    return MlpParams([W.copy() for W, _ in views], [b.copy() for _, b in views], activation)
+    """The network of a flat vector; it owns a copy of ``vec``."""
+    return MlpParams(np.array(vec, dtype=float), widths, activation)
 
 
 # -- batched kernels --------------------------------------------------------
@@ -379,7 +367,7 @@ def save_params(params, path):
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC + b"\n")
         fh.write(json.dumps(header).encode() + b"\n")
-        fh.write(flatten(params).astype("<f8").tobytes())
+        fh.write(params.flat.astype("<f8").tobytes())
 
 
 def load_params(path):

@@ -106,7 +106,6 @@ class OuterRecord:
 class RunState:
     params: network.MlpParams
     multiplier: MultiplierField
-    outer_index: int = 0
     inner_history: list = field(default_factory=list)  # per outer: list of parts
     outer_history: list = field(default_factory=list)  # OuterRecord per outer
     initial_boundary_residual: float = float("nan")
@@ -147,24 +146,22 @@ def _step_quadrature(quad, lagr_cfg, seed, outer, inner):
 
 def inner_minimize(state, quad, problem, lagr_cfg, config, optimizer, outer, seed=0):
     """Exactly n_inner optimizer steps on the Lagrangian; returns the trace."""
-    theta = network.flatten(state.params)
-    widths = state.params.widths
-    activation = state.params.activation
+    params = state.params
     trace = []
     for m in range(config.n_inner):
         where = f"outer step {outer}, inner step {m}"
         batch = _step_quadrature(quad, lagr_cfg, seed, outer, m)
-        params = network.unflatten(theta, widths, activation)
         # an overflow here is reported once, as a named abort
         with np.errstate(over="ignore", invalid="ignore"):
             parts, grad = lagr.assemble_with_gradient(
                 params, state.multiplier, batch, problem, lagr_cfg
             )
             _check_finite(where, [*_part_values(parts), ("gradient", grad)])
-            theta = optimizer.step(theta, grad)
+            theta = optimizer.step(params.flat, grad)
         _check_finite(where, [("parameters after the optimizer step", theta)])
+        params = replace(params, flat=theta)
         trace.append(parts)
-    state.params = network.unflatten(theta, widths, activation)
+    state.params = params
     return trace
 
 
@@ -175,8 +172,9 @@ def run(problem, quad, params0, config, lagr_cfg, seed=0):
         params=params0,
         multiplier=constant_multiplier(b, config.lambda_init),
     )
-    u0 = network.eval_batch(params0, b.x, b.theta)
-    state.initial_boundary_residual = boundary_residual(b, u0 - problem.data.inflow(b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u0 = network.eval_batch(params0, b.x, b.theta)
+        state.initial_boundary_residual = boundary_residual(b, u0 - problem.data.inflow(b))
     optimizer = make_optimizer(config)
     for k in range(config.n_outer):
         trace = inner_minimize(state, quad, problem, lagr_cfg, config, optimizer, k, seed)
@@ -189,7 +187,6 @@ def run(problem, quad, params0, config, lagr_cfg, seed=0):
         _check_finite(f"outer step {k}", _part_values(full_parts) + named)
         state.inner_history.append(trace)
         state.outer_history.append(record)
-        state.outer_index = k + 1
     return state
 
 

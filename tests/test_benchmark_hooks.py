@@ -1,5 +1,7 @@
-"""The benchmark's tracer still finds every solver function it wraps."""
+"""The benchmark's hooks into the package: the names its tracer wraps and
+the API one measured run calls."""
 
+import json
 import os
 import subprocess
 import sys
@@ -21,3 +23,15 @@ def test_tracer_installs_on_the_package():
         [sys.executable, "-c", code, PERFBENCH], capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
+
+
+def test_benchmark_child_run_passes_its_gates(tmp_path):
+    # one untraced absorb-tensor run calls the package API the benchmark
+    # drives directly (flatten/unflatten, subsample, assemble and
+    # assemble_with_gradient in its finite-difference gate)
+    child = os.path.join(PERFBENCH, "child.py")
+    args = ["--workload", "absorb-tensor", "--seed", "0", "--out", tmp_path.as_posix()]
+    out = subprocess.run([sys.executable, child, *args], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    gates = json.loads(out.stdout.strip().splitlines()[-1])["gates"]
+    assert gates and all(gates.values()), gates

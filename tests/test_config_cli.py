@@ -356,6 +356,8 @@ def test_cli_negative_radius_exit_code(key):
         ("outputs.grids", "angular-slice:1e300"),
         ("outputs.grids", "angular-slice:-0.5"),
         ("problem.inflow.half_width", "-1"),
+        ("outputs.grids", "angular-slice:0.00001,angular-slice:0.00002"),
+        ("outputs.grids", "scalar-flux,scalar-flux"),
     ],
 )
 def test_cli_bad_float_exit_code(key, value):
@@ -405,13 +407,21 @@ def _run_aborting(tmp_path, overrides):
 
 
 @pytest.mark.parametrize(
-    "learning_rate, term",
-    [("1e308", "parameters after the optimizer step"), ("1e200", "loss part 'pde'")],
-    ids=["1e308", "1e200"],
+    "overrides, term",
+    [
+        ({"uzawa.learning_rate": "1e308"}, "parameters after the optimizer step"),
+        ({"uzawa.learning_rate": "1e200"}, "loss part 'pde'"),
+        (
+            {"problem.inflow.kind": "constant", "problem.inflow.value": "1e200"},
+            "loss part 'boundary_penalty' at outer step 0, inner step 0",
+        ),
+    ],
+    ids=["1e308", "1e200", "inflow-1e200"],
 )
-def test_cli_optimizer_overflow_exit_code(tmp_path, learning_rate, term):
-    # 1e308 overflows the optimizer update, 1e200 the next step's assembly
-    assert term in _run_aborting(tmp_path, {"uzawa.learning_rate": learning_rate})
+def test_cli_optimizer_overflow_exit_code(tmp_path, overrides, term):
+    # 1e308 overflows the optimizer update, 1e200 the next step's assembly;
+    # an inflow of 1e200 overflows the initial boundary residual first
+    assert term in _run_aborting(tmp_path, overrides)
 
 
 def test_cli_non_finite_outer_record_exit_code(tmp_path):

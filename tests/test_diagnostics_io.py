@@ -36,21 +36,15 @@ def test_scalar_flux_of_constant():
 
 def test_scalar_flux_of_pure_cosine_vanishes():
     # output = cos(theta): final layer reads the embedding's cos component
-    params = net.init_params((4, 8, 1), seed=0)
-    weights = [w.copy() for w in params.weights]
-    biases = [b.copy() for b in params.biases]
     # first hidden unit passes cos(theta)/2 through tanh ~ identity is not
     # exact, so build the angular dependence linearly instead: use one
     # hidden unit with tiny input scale and invert the tanh contraction on
     # the output weight
+    cosnet = net.init_params((4, 8, 1), seed=0)
     eps = 1e-6
-    weights[0][:] = 0.0
-    biases[0][:] = 0.0
-    weights[0][0, 2] = eps  # cos component
-    weights[1][:] = 0.0
-    weights[1][0, 0] = 1.0 / eps
-    biases[1][:] = 0.0
-    cosnet = net.MlpParams(weights, biases, "tanh")
+    cosnet.flat[:] = 0.0
+    cosnet.weights[0][0, 2] = eps  # cos component
+    cosnet.weights[1][0, 0] = 1.0 / eps
     ang = ps.angular_rule(32)
     grid = dio.scalar_flux(cosnet, ang, nx=7, ny=7)
     np.testing.assert_allclose(grid.values, 0.0, atol=1e-10)
@@ -58,12 +52,10 @@ def test_scalar_flux_of_pure_cosine_vanishes():
 
 def test_scalar_flux_of_x1_field():
     eps = 1e-6
-    params = net.init_params((4, 8, 1), seed=0)
-    weights = [np.zeros_like(w) for w in params.weights]
-    biases = [np.zeros_like(b) for b in params.biases]
-    weights[0][0, 0] = eps
-    weights[1][0, 0] = 1.0 / eps
-    x1net = net.MlpParams(weights, biases, "tanh")
+    x1net = net.init_params((4, 8, 1), seed=0)
+    x1net.flat[:] = 0.0
+    x1net.weights[0][0, 0] = eps
+    x1net.weights[1][0, 0] = 1.0 / eps
     ang = ps.angular_rule(16)
     grid = dio.scalar_flux(x1net, ang, nx=5, ny=5)
     xs = np.linspace(0, 1, 5)
@@ -220,7 +212,7 @@ def test_metrics_roundtrip(tmp_path):
 
 
 def test_grid_roundtrip_row_count(tmp_path):
-    grid = dio.FieldGrid(4, 3, np.arange(12.0).reshape(4, 3), (0, 1, 0, 1), "scalar-flux")
+    grid = dio.FieldGrid(4, 3, np.arange(12.0).reshape(4, 3), (0, 1, 0, 1))
     path = tmp_path / "grid.csv"
     dio.emit_grid(path, grid)
     lines = path.read_text().strip().splitlines()
@@ -231,9 +223,9 @@ def test_grid_roundtrip_row_count(tmp_path):
 
 def test_grid_validation():
     with pytest.raises(ContractViolation):
-        dio.FieldGrid(1, 3, np.zeros((1, 3)), (0, 1, 0, 1), "scalar-flux")
+        dio.FieldGrid(1, 3, np.zeros((1, 3)), (0, 1, 0, 1))
     with pytest.raises(ContractViolation):
-        dio.FieldGrid(2, 2, np.full((2, 2), np.nan), (0, 1, 0, 1), "scalar-flux")
+        dio.FieldGrid(2, 2, np.full((2, 2), np.nan), (0, 1, 0, 1))
 
 
 def test_manifest_roundtrip(tmp_path):

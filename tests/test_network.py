@@ -39,8 +39,11 @@ def test_param_counts():
 def test_no_hidden_layer_rejected():
     with pytest.raises(ContractViolation):
         net.init_params((4, 1))
+    # refused before any draw: no 1/sqrt(0) warning, no negative-size array
     with pytest.raises(ContractViolation):
         net.init_params((4, 0, 1))
+    with pytest.raises(ContractViolation):
+        net.init_params((4, -3, 1))
     with pytest.raises(ContractViolation):
         net.init_params((4, 8, 2))
 
@@ -101,6 +104,37 @@ def test_flatten_unflatten_roundtrip_preserves_eval():
     x, theta = np.array([[0.11, 0.93]]), [4.2]
     assert net.eval_batch(params, x, theta)[0] == net.eval_batch(again, x, theta)[0]
     assert np.array_equal(net.flatten(params), net.flatten(again))
+
+
+def test_layer_views_share_the_flat_vector():
+    params = net.init_params((4, 6, 5, 1), seed=2)
+    for view in (*params.weights, *params.biases):
+        assert np.shares_memory(view, params.flat)
+    params.biases[1][0] = 0.25
+    assert params.flat[6 * 4 + 6 + 5 * 6] == 0.25  # after W0, b0 and W1
+
+
+def test_unflatten_owns_its_vector():
+    params = net.init_params((4, 6, 5, 1), seed=2)
+    vec = net.flatten(params)
+    again = net.unflatten(vec, params.widths, params.activation)
+    assert again.flat.tobytes() == params.flat.tobytes()
+    assert not np.shares_memory(again.flat, vec)
+    assert not np.shares_memory(vec, params.flat)
+    vec[:] = 0.0
+    assert again.flat.tobytes() == params.flat.tobytes()
+
+
+def test_flat_vector_checked_on_construction():
+    params = net.init_params((4, 8, 1), seed=1)
+    with pytest.raises(ContractViolation):
+        net.MlpParams(params.flat[:-1], params.widths)
+    bad = params.flat.copy()
+    bad[3] = np.nan
+    with pytest.raises(ContractViolation):
+        net.MlpParams(bad, params.widths)
+    with pytest.raises(ContractViolation):
+        net.MlpParams(params.flat, params.widths, "relu")
 
 
 def test_batch_matches_single_point():
@@ -264,9 +298,8 @@ def test_input_width_other_than_four_rejected():
     # the trial space is on D x S^1 only through the (cos, sin) input
     with pytest.raises(ContractViolation):
         net.init_params((3, 8, 1), seed=1)
-    params = net.init_params((4, 8, 1), seed=1)
     with pytest.raises(ContractViolation):
-        net.MlpParams([params.weights[0][:, :3], params.weights[1]], params.biases)
+        net.MlpParams(np.zeros(net.param_count((3, 8, 1))), (3, 8, 1))
 
 
 def test_cos_sin_periodicity():
