@@ -2,10 +2,11 @@
 
 Subcommands: ``run <config>``, ``preset <name>``, ``list-presets``, and
 ``verify`` (shorthand for the oracle-verify preset).  Exit codes: 0
-success, 1 failed verification, 2 configuration error, 3 numerical abort,
-4 I/O error.  ``--threads N`` pins the BLAS pools right after argument
-parsing, before numpy loads (every heavy import is deferred past that
-point); ``--threads 1`` makes runs bit-for-bit reproducible.
+success, 1 failed verification, 2 configuration error or out of memory
+(numpy's message names the allocation), 3 numerical abort, 4 I/O error.
+``--threads N`` pins the BLAS pools right after argument parsing, before
+numpy loads (every heavy import is deferred past that point);
+``--threads 1`` makes runs bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -234,6 +235,10 @@ def main(argv=None):
         print("configuration error:", file=sys.stderr)
         for violation in err.violations:
             print(f"  - {violation}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print("configuration error:", file=sys.stderr)
+        print(f"  - out of memory: {str(err) or 'an allocation failed'}", file=sys.stderr)
         return 2
     except NumericalAbort as err:
         print(f"numerical abort: {err}", file=sys.stderr)

@@ -206,12 +206,11 @@ def parse_metrics(path):
 
 
 def emit_grid(path, grid):
-    xs = np.linspace(grid.extent[0], grid.extent[1], grid.nx)
-    ys = np.linspace(grid.extent[2], grid.extent[3], grid.ny)
+    xs = np.linspace(grid.extent[0], grid.extent[1], grid.nx).tolist()
+    ys = [repr(y) for y in np.linspace(grid.extent[2], grid.extent[3], grid.ny).tolist()]
     lines = ["x1,x2,value"]
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            lines.append(f"{float(xs[i])!r},{float(ys[j])!r},{float(grid.values[i, j])!r}")
+    for x, row in zip(xs, grid.values.tolist()):
+        lines.extend(f"{x!r},{y},{v!r}" for y, v in zip(ys, row))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -111,10 +111,10 @@ class ScatteringKernel:
         cannot underflow however small eps is against the node spacing.
         """
         theta_query = np.atleast_1d(np.asarray(theta_query, dtype=float))
-        cosang = np.cos(theta_query[:, None] - angular.theta[None, :])
         if self.kind == "isotropic":
-            raw = np.ones_like(cosang)
+            raw = np.ones((theta_query.shape[0], angular.theta.shape[0]))
         else:
+            cosang = np.cos(theta_query[:, None] - angular.theta[None, :])
             raw = np.exp((cosang - cosang.max(axis=1, keepdims=True)) / self.epsilon)
         row_avg = raw @ angular.weight / TWO_PI
         return raw / row_avg[:, None]

@@ -29,10 +29,11 @@ network never loads scipy.  Two kinds of batched kernel evaluate it:
   block-sized however many rows they cover.
 
 Only one workspace is live at a time: a pass of another shape drops it
-and builds its own, so a training step's buffers are freed while the
-outer bookkeeping and the output emission stream their blocks, and the
-run's peak memory is its largest phase, not their sum.  A cache keeps its
-own workspace alive until it is swept or dropped.  Workspace buffers are
+and builds its own.  ``uzawa.inner_minimize`` ends the training phase
+with ``release_workspace``, so the outer full-set ``lagrangian.assemble``
+and the output emission run without the training buffers, and a run's
+peak memory is its largest phase, not their sum.  A cache keeps its own
+workspace alive until it is swept or dropped.  Workspace buffers are
 anonymous memory mappings (``_mapped``), which ``tracemalloc`` does not
 see; each workspace records their total size in ``nbytes``.
 """
@@ -229,13 +230,19 @@ class _Workspace:
 _SLOTS = {}  # the one live workspace, under its key
 
 
+def release_workspace():
+    """Drop the live workspace; its pages go back to the system once no
+    cache holds it.  The next pass builds its own."""
+    _SLOTS.clear()
+
+
 def _workspace(params, n, n_t, order):
     """The live workspace for this network and shape.  A different key
     drops the live one before the new one is built, so two never coexist
     unless a cache still holds the old one."""
     key = (params.widths, params.activation, n, n_t, order)
     if key not in _SLOTS:
-        _SLOTS.clear()
+        release_workspace()
         _SLOTS[key] = _Workspace(params.widths, n, n_t, order)
     return _SLOTS[key]
 

@@ -145,7 +145,10 @@ def _step_quadrature(quad, lagr_cfg, seed, outer, inner):
 
 
 def inner_minimize(state, quad, problem, lagr_cfg, config, optimizer, outer, seed=0):
-    """Exactly n_inner optimizer steps on the Lagrangian; returns the trace."""
+    """Exactly n_inner optimizer steps on the Lagrangian; returns the trace.
+
+    Ends the training phase: the kernel workspace of the steps is released,
+    so the outer pass that follows builds its rows without it."""
     params = state.params
     trace = []
     for m in range(config.n_inner):
@@ -161,6 +164,7 @@ def inner_minimize(state, quad, problem, lagr_cfg, config, optimizer, outer, see
         _check_finite(where, [("parameters after the optimizer step", theta)])
         params = replace(params, flat=theta)
         trace.append(parts)
+    network.release_workspace()
     state.params = params
     return trace
 

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
 
@@ -25,12 +27,14 @@ def test_tracer_installs_on_the_package():
     assert out.returncode == 0, out.stderr
 
 
-def test_benchmark_child_run_passes_its_gates(tmp_path):
-    # one untraced absorb-tensor run calls the package API the benchmark
-    # drives directly (flatten/unflatten, subsample, assemble and
-    # assemble_with_gradient in its finite-difference gate)
+@pytest.mark.parametrize("workload", ["absorb-tensor", "mc-manufactured"])
+def test_benchmark_child_run_passes_its_gates(tmp_path, workload):
+    # one untraced run calls the package API the benchmark drives directly
+    # (flatten/unflatten, subsample, assemble and assemble_with_gradient in
+    # its finite-difference gate); mc-manufactured adds sample_terms, the
+    # per-step redraws and the costly full-set pass
     child = os.path.join(PERFBENCH, "child.py")
-    args = ["--workload", "absorb-tensor", "--seed", "0", "--out", tmp_path.as_posix()]
+    args = ["--workload", workload, "--seed", "0", "--out", tmp_path.as_posix()]
     out = subprocess.run([sys.executable, child, *args], capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     gates = json.loads(out.stdout.strip().splitlines()[-1])["gates"]

@@ -443,6 +443,24 @@ def test_cli_failed_verification_exit_code(tmp_path, monkeypatch, capsys):
     assert manifest["final_metrics"]["checks_passed"] is False
 
 
+def test_cli_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
+    # quadrature.n_angular=100000 asks the kernel matrix for 74.5 GiB; the
+    # builder is made to fail as numpy does, without the allocation
+    from uzawa_transport import kinetic_ops
+
+    message = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64"
+
+    def refuse(self, theta_query, angular):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(kinetic_ops.ScatteringKernel, "rows", refuse)
+    argv = ["preset", "example1", "--out", tmp_path.as_posix()]
+    for key, value in FAST_OVERRIDES.items():
+        argv += ["--override", f"{key}={value}"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"configuration error:\n  - out of memory: {message}\n"
+
+
 @pytest.mark.parametrize(
     "args, key",
     [

@@ -68,7 +68,7 @@ def test_scalar_flux_memory_stays_block_sized(peak_bytes):
     params = net.init_params((4, 64, 64, 64, 1), seed=0)
     ang = ps.angular_rule(32)
     grids = []
-    net._SLOTS.clear()
+    net.release_workspace()
     peak = peak_bytes(lambda: grids.append(dio.scalar_flux(params, ang, nx=101, ny=101)))
     assert grids[0].values.shape == (101, 101)
     assert peak < 64e6
@@ -219,6 +219,18 @@ def test_grid_roundtrip_row_count(tmp_path):
     assert len(lines) == 4 * 3 + 1
     vals = np.array([float(line.split(",")[2]) for line in lines[1:]])
     np.testing.assert_array_equal(vals, grid.values.ravel())
+
+
+def test_grid_file_lines_are_float_reprs(tmp_path):
+    rng = np.random.default_rng(3)
+    grid = dio.FieldGrid(5, 4, rng.standard_normal((5, 4)) * 1e-7, (-0.3, 1.7, 0.1, 2.9))
+    path = tmp_path / "grid.csv"
+    dio.emit_grid(path, grid)
+    xs, ys = np.linspace(-0.3, 1.7, 5), np.linspace(0.1, 2.9, 4)
+    want = [
+        f"{float(xs[i])!r},{float(ys[j])!r},{float(grid.values[i, j])!r}" for i in range(5) for j in range(4)
+    ]
+    assert path.read_text() == "\n".join(["x1,x2,value", *want]) + "\n"
 
 
 def test_grid_validation():

@@ -378,7 +378,7 @@ def test_stacked_pass_keeps_only_tangent_pre_activations(peak_bytes):
         _, _, cache = net.forward_jvp_batch(params, emb, tan)
         net.vjp_jvp_batch(params, cache, *seeds)
 
-    net._SLOTS.clear()
+    net.release_workspace()
     assert peak_bytes(step) < 16e6
 
 
@@ -387,7 +387,7 @@ def test_streamed_jvp_working_set_is_block_sized(peak_bytes):
     params = net.init_params((4, 64, 64, 64, 1), seed=0)
     rng = np.random.default_rng(4)
     x, theta = rng.uniform(0, 1, (9728, 2)), rng.uniform(0, 2 * np.pi, 9728)
-    net._SLOTS.clear()
+    net.release_workspace()
     assert peak_bytes(lambda: net.eval_jvp_batch(params, x, theta, 9216)) < 5e6
 
 
@@ -402,7 +402,7 @@ def test_stacked_pass_caches_one_product_per_tangent_row(peak_bytes):
         _, _, cache = net.forward_jvp_batch(params, emb, tan)
         net.vjp_jvp_batch(params, cache, *seeds)
 
-    net._SLOTS.clear()
+    net.release_workspace()
     assert peak_bytes(step) < 11.5e6
 
 
@@ -413,7 +413,7 @@ def test_streamed_pass_frees_the_training_workspace():
     rng = np.random.default_rng(6)
     emb, tan = rng.uniform(-1.0, 1.0, (1792, 4)), rng.uniform(-1.0, 1.0, (1536, 4))
     x, theta = rng.uniform(0, 1, (100, 2)), rng.uniform(0, 2 * np.pi, 100)
-    net._SLOTS.clear()
+    net.release_workspace()
     tracemalloc.start()
     try:
         _, _, cache = net.forward_jvp_batch(params, emb, tan)

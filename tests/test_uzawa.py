@@ -124,6 +124,26 @@ def test_run_monte_carlo_resampling_path():
     assert len(s1.inner_history[0]) == 10
 
 
+def test_outer_pass_runs_without_the_training_workspace(monkeypatch):
+    # the full-set pass builds its rows after the inner loop has released
+    # its cached workspace (the one with d2 buffers), so the two never add up
+    quad, problem, params = _tiny_setup(
+        g=lambda x, t: np.full(np.atleast_2d(x).shape[0], 0.2), scheme=ps.MONTE_CARLO
+    )
+    cfg = uzawa.UzawaConfig(rho=0.5, n_outer=2, n_inner=3)
+    lcfg = lg.LagrangianConfig(gamma=1.0, batch_interior=32, resample=True)
+    assemble, live = lg.assemble, []
+
+    def recording(*args, **kwargs):
+        live.append(list(net._SLOTS.values()))
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(lg, "assemble", recording)
+    uzawa.run(problem, quad, params, cfg, lcfg, seed=7)
+    assert len(live) == 2
+    assert all(ws.d2 is None for entered in live for ws in entered)
+
+
 def test_warm_start_across_outer_steps():
     # parameters carry over; a second outer step starts from the first's end
     quad, problem, params = _tiny_setup(g=lambda x, t: np.full(np.atleast_2d(x).shape[0], 0.3))
