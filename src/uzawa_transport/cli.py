@@ -2,8 +2,9 @@
 
 Subcommands: ``run <config>``, ``preset <name>``, ``list-presets``, and
 ``verify`` (shorthand for the oracle-verify preset).  Exit codes: 0
-success, 1 failed verification, 2 configuration error or out of memory
-(numpy's message names the allocation), 3 numerical abort, 4 I/O error.
+success, 1 failed verification, 2 configuration error, ``ContractViolation``
+or out of memory (numpy's message names the allocation), 3 numerical abort
+or ``IllConditionedSystem`` (with its condition estimate), 4 I/O error.
 ``--threads N`` pins the BLAS pools right after argument parsing, before
 numpy loads (every heavy import is deferred past that point);
 ``--threads 1`` makes runs bit-for-bit reproducible.
@@ -202,7 +203,7 @@ def main(argv=None):
         for var in _THREAD_VARS:
             os.environ[var] = str(args.threads)
 
-    from .errors import ConfigError, NumericalAbort
+    from .errors import ConfigError, ContractViolation, IllConditionedSystem, NumericalAbort
 
     try:
         if args.command == "list-presets":
@@ -236,11 +237,14 @@ def main(argv=None):
         for violation in err.violations:
             print(f"  - {violation}", file=sys.stderr)
         return 2
+    except ContractViolation as err:
+        print(f"configuration error:\n  - {err}", file=sys.stderr)
+        return 2
     except MemoryError as err:
         print("configuration error:", file=sys.stderr)
         print(f"  - out of memory: {str(err) or 'an allocation failed'}", file=sys.stderr)
         return 2
-    except NumericalAbort as err:
+    except (NumericalAbort, IllConditionedSystem) as err:
         print(f"numerical abort: {err}", file=sys.stderr)
         return 3
     except OSError as err:

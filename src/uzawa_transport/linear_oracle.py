@@ -13,10 +13,15 @@ discrete inner products, the residual identity, the multiplier distance
 recursion, and the telescoping bound hold to solver precision at every
 iterate; this is what the acceptance identity suite checks.
 
-The multiplier lives on the boundary quadrature nodes.  Its component
-orthogonal to the trace image of the basis is never touched by the
-updates, so the reference multiplier is the unique fixed point inside
-(initial multiplier + trace image), computed by one boundary-mass solve.
+The multiplier lives on the frozen inflow nodes and is stepped by the
+solver's own ``uzawa.multiplier_update``.  Its component orthogonal to the
+trace image of the basis is never touched by the updates, so the reference
+multiplier is the unique fixed point inside (initial multiplier + trace
+image), computed by one boundary-mass solve.  A run keeps three records per
+iterate, never the multiplier: c_k, ||lambda_k - lambda*||_w and the moment
+trace' W (lambda_k - lambda*).  With e_k = c_k - c*, each identity is an
+array expression in them: <dlam, trace e>_w = moment . e, and
+||trace e||_w^2 = e' boundary_mass e.
 """
 
 from __future__ import annotations
@@ -25,11 +30,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import uzawa
 from .errors import ContractViolation, IllConditionedSystem
 from .kinetic_ops import isotropic_kernel, scattering_apply
+from .lagrangian import MultiplierField
 from .phase_space import (
     INFLOW,
     OUTFLOW,
+    BoundaryNodes,
     UNIT_SQUARE,
     angular_rule,
     tensor_boundary,
@@ -92,8 +100,8 @@ class LinearTrialSpace:
     advection_gram: np.ndarray = field(init=False, repr=False)
     boundary_mass: np.ndarray = field(init=False, repr=False)
     outflow_mass: np.ndarray = field(init=False, repr=False)
-    trace: np.ndarray = field(init=False, repr=False)  # basis at boundary nodes
-    boundary_w: np.ndarray = field(init=False, repr=False)
+    inflow: BoundaryNodes = field(init=False, repr=False)  # the multiplier's frozen nodes
+    trace: np.ndarray = field(init=False, repr=False)  # basis at the inflow nodes
 
     def __post_init__(self):
         domain = UNIT_SQUARE
@@ -113,10 +121,9 @@ class LinearTrialSpace:
             self.mass += phi.T @ (w[:, None] * phi)
             self.advection_gram += adv.T @ (w[:, None] * adv)
 
-        inflow = tensor_boundary(domain, 32, 32, side=INFLOW)
+        self.inflow = inflow = tensor_boundary(domain, 32, 32, side=INFLOW)
         self.trace = _basis_values(inflow.x, inflow.theta)
-        self.boundary_w = inflow.weight
-        self.boundary_mass = self.trace.T @ (self.boundary_w[:, None] * self.trace)
+        self.boundary_mass = self.trace.T @ (inflow.weight[:, None] * self.trace)
 
         outflow = tensor_boundary(domain, 32, 32, side=OUTFLOW)
         phi_out = _basis_values(outflow.x, outflow.theta)
@@ -134,18 +141,18 @@ class LinearTrialSpace:
         return self.trace @ c
 
     def rhs(self, lambda_vec, gamma, g_values):
-        wl = self.boundary_w * (gamma * g_values + lambda_vec)
-        return self.trace.T @ wl
+        return self.trace.T @ (self.inflow.weight * (gamma * g_values + lambda_vec))
 
 
-def _solve_checked(mat, rhs, what):
+def _checked(mat, what):
+    """``mat`` itself, once its condition estimate is finite and at most COND_LIMIT."""
     cond = np.linalg.cond(mat)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditionedSystem(f"refusing {what} solve", cond)
-    return np.linalg.solve(mat, rhs)
+    return mat
 
 
-def exact_inner_solve(space, lambda_vec, gamma, g_values=None):
+def exact_inner_solve(space, lambda_vec, gamma, g_values=0.0):
     """Minimizer of the discrete Lagrangian over the span: one linear solve."""
     return QuadraticObjective.from_space(space, lambda_vec, gamma, g_values).minimizer
 
@@ -158,70 +165,68 @@ def fixed_point_solve(space, gamma, g_values, lambda0=None):
     near zero for data constructed inside it.
     """
     g_values = np.asarray(g_values, dtype=float)
-    sqw = np.sqrt(space.boundary_w)
+    sqw = np.sqrt(space.inflow.weight)
     c_star, *_ = np.linalg.lstsq(sqw[:, None] * space.trace, sqw * g_values, rcond=None)
-    mismatch = float(
-        np.sqrt(space.boundary_w @ (space.boundary_values(c_star) - g_values) ** 2)
-    )
-    if lambda0 is None:
-        lambda0 = np.zeros(len(space.boundary_w))
-    else:
-        lambda0 = np.broadcast_to(np.asarray(lambda0, dtype=float), space.boundary_w.shape).copy()
-    target = space.pde_gram @ c_star - space.trace.T @ (space.boundary_w * lambda0)
-    d = _solve_checked(space.boundary_mass, target, "saddle")
+    mismatch = uzawa.boundary_residual(space.inflow, space.boundary_values(c_star) - g_values)
+    lambda0 = 0.0 if lambda0 is None else np.asarray(lambda0, dtype=float)
+    lambda0 = np.broadcast_to(lambda0, len(space.trace))
+    target = space.pde_gram @ c_star - space.trace.T @ (space.inflow.weight * lambda0)
+    d = np.linalg.solve(_checked(space.boundary_mass, "saddle"), target)
     lambda_star = lambda0 + space.trace @ d
     return c_star, lambda_star, mismatch
 
 
 @dataclass
 class OracleRun:
-    coefficients: list
-    multipliers: list
+    """Records of one run, one row per iterate k: c_k, ||lambda_k - lambda*||_w,
+    the 18-number moment trace' W (lambda_k - lambda*) and the energy norms
+    of e_k = c_k - c*.  The multiplier iterates themselves are not kept."""
+
+    coefficients: np.ndarray
     c_star: np.ndarray
     lambda_star: np.ndarray
     dist_lambda: np.ndarray
+    moments: np.ndarray
     err_pde: np.ndarray
     err_boundary: np.ndarray
     err_triple: np.ndarray
 
 
+def _energy(errors, mat):
+    """e' mat e for every row e of ``errors``."""
+    return np.einsum("ki,ij,kj->k", errors, mat, errors)
+
+
 def run_uzawa_oracle(space, gamma, rho, n_iter, lambda0=0.0, g_values=None):
-    """Iterate with exact inner solves; series lengths are n_iter + 1."""
+    """Iterate with exact inner solves; records hold n_iter + 1 iterates.
+
+    H is built and condition-checked once per run; each iterate is one LU
+    solve with it, not an inverse, whose small residual the identities need.
+    The multiplier is stepped by ``uzawa.multiplier_update`` and measured by
+    ``uzawa.boundary_residual``, looked up at call time, so the identities
+    certify the solver's own step.  The moment is rhs_k - rhs*: no extra pass."""
     if rho <= 0:
         raise ContractViolation("multiplier step rho must be positive")
-    n_b = len(space.boundary_w)
-    if g_values is None:
-        g_values = np.zeros(n_b)
-    g_values = np.asarray(g_values, dtype=float)
-    lam = np.broadcast_to(np.asarray(lambda0, dtype=float), (n_b,)).copy()
-    c_star, lambda_star, _ = fixed_point_solve(space, gamma, g_values, lambda0=lam)
+    nodes = space.inflow
+    g_values = np.zeros(len(nodes)) if g_values is None else np.asarray(g_values, dtype=float)
+    lam = MultiplierField(np.broadcast_to(np.asarray(lambda0, dtype=float), (len(nodes),)), nodes)
+    c_star, lambda_star, _ = fixed_point_solve(space, gamma, g_values, lambda0=lam.values)
 
-    w = space.boundary_w
-    triple = space.triple_gram()
-    coeffs, lams = [], []
-    dist, epde, ebnd, etri = [], [], [], []
+    star = QuadraticObjective.from_space(space, lambda_star, gamma, g_values)
+    hessian = _checked(star.hessian, "inner")
+    coeffs, dist, moments = [], [], []
     for k in range(n_iter + 1):
-        c = exact_inner_solve(space, lam, gamma, g_values)
+        rhs = space.rhs(lam.values, gamma, g_values)
+        c = np.linalg.solve(hessian, rhs)
         coeffs.append(c)
-        lams.append(lam.copy())
-        e = c - c_star
-        dlam = lam - lambda_star
-        dist.append(np.sqrt(w @ dlam**2))
-        epde.append(np.sqrt(e @ space.pde_gram @ e))
-        ebnd.append(np.sqrt(e @ space.boundary_mass @ e))
-        etri.append(np.sqrt(e @ triple @ e))
+        moments.append(rhs - star.linear)
+        dist.append(uzawa.boundary_residual(nodes, lam.values - lambda_star))
         if k < n_iter:
-            lam = lam - rho * (space.boundary_values(c) - g_values)
-    return OracleRun(
-        coeffs,
-        lams,
-        c_star,
-        lambda_star,
-        np.array(dist),
-        np.array(epde),
-        np.array(ebnd),
-        np.array(etri),
-    )
+            lam = uzawa.multiplier_update(lam, space.boundary_values(c) - g_values, rho)
+    coeffs = np.array(coeffs)
+    grams = (space.pde_gram, space.boundary_mass, space.triple_gram())
+    errs = (np.sqrt(_energy(coeffs - c_star, gram)) for gram in grams)
+    return OracleRun(coeffs, c_star, lambda_star, np.array(dist), np.array(moments), *errs)
 
 
 @dataclass
@@ -237,14 +242,8 @@ class QuadraticObjective:
     linear: np.ndarray
 
     @classmethod
-    def from_space(cls, space, lambda_vec, gamma, g_values=None):
-        lambda_vec = np.asarray(lambda_vec, dtype=float)
-        if g_values is None:
-            g_values = np.zeros_like(lambda_vec)
-        return cls(
-            space.pde_gram + gamma * space.boundary_mass,
-            space.rhs(lambda_vec, gamma, g_values),
-        )
+    def from_space(cls, space, lambda_vec, gamma, g_values=0.0):
+        return cls(space.pde_gram + gamma * space.boundary_mass, space.rhs(lambda_vec, gamma, g_values))
 
     def value(self, c):
         return 0.5 * c @ self.hessian @ c - self.linear @ c
@@ -258,7 +257,7 @@ class QuadraticObjective:
 
     @property
     def minimizer(self):
-        return _solve_checked(self.hessian, self.linear, "inner")
+        return np.linalg.solve(_checked(self.hessian, "inner"), self.linear)
 
 
 # -- identity gaps ------------------------------------------------------------
@@ -272,40 +271,29 @@ def default_trace_datum(space, seed=12345, scale=0.5):
 
 
 def residual_identity_gap(space, run, gamma):
-    """Worst deviation of <(T+S)e,(T+S)e> + gamma<e,e>_b = <dlam, e>_b."""
-    w = space.boundary_w
-    worst = 0.0
-    for c, lam in zip(run.coefficients, run.multipliers):
-        e = c - run.c_star
-        lhs = e @ space.pde_gram @ e + gamma * (e @ space.boundary_mass @ e)
-        rhs = (lam - run.lambda_star) @ (w * space.boundary_values(e))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    """Worst deviation of <(T+S)e,(T+S)e> + gamma<e,e>_b = <dlam, e>_b,
+    the right side being the stored moment dotted with e."""
+    e = run.coefficients - run.c_star
+    lhs = _energy(e, space.pde_gram) + gamma * _energy(e, space.boundary_mass)
+    return float(np.abs(lhs - np.sum(run.moments * e, axis=1)).max())
 
 
 def recursion_identity_gap(space, run, rho):
-    """Worst deviation of the multiplier distance recursion."""
-    w = space.boundary_w
-    worst = 0.0
-    for k in range(len(run.multipliers) - 1):
-        e_b = space.boundary_values(run.coefficients[k] - run.c_star)
-        dl = run.multipliers[k] - run.lambda_star
-        dl_next = run.multipliers[k + 1] - run.lambda_star
-        lhs = w @ dl_next**2
-        rhs = w @ dl**2 - 2.0 * rho * (dl @ (w * e_b)) + rho**2 * (w @ e_b**2)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    """Worst deviation of the multiplier distance recursion
+    |dlam_{k+1}|^2 = |dlam_k|^2 - 2 rho <dlam_k, e_k>_b + rho^2 |e_k|_b^2."""
+    e = (run.coefficients - run.c_star)[:-1]
+    d2 = run.dist_lambda**2
+    cross = np.sum(run.moments[:-1] * e, axis=1)
+    rhs = d2[:-1] - 2.0 * rho * cross + rho**2 * _energy(e, space.boundary_mass)
+    return float(np.abs(d2[1:] - rhs).max(initial=0.0))
 
 
 def telescoping_check(space, run, gamma, rho):
     """(gap to the exact telescoped drop, partial sum, initial distance^2)."""
-    total = 0.0
-    n = len(run.multipliers) - 1
-    for k in range(n):
-        e = run.coefficients[k] - run.c_star
-        total += 2.0 * rho * (e @ space.pde_gram @ e)
-        total += rho * (2.0 * gamma - rho) * (e @ space.boundary_mass @ e)
-    drop = run.dist_lambda[0] ** 2 - run.dist_lambda[n] ** 2
+    e = (run.coefficients - run.c_star)[:-1]
+    pde, bnd = _energy(e, space.pde_gram), _energy(e, space.boundary_mass)
+    total = float(np.sum(2.0 * rho * pde + rho * (2.0 * gamma - rho) * bnd))
+    drop = run.dist_lambda[0] ** 2 - run.dist_lambda[-1] ** 2
     return abs(total - drop), total, run.dist_lambda[0] ** 2
 
 
@@ -330,6 +318,10 @@ def verification_suite(n_iter=200, pairs=((1.0, 0.5), (1.0, 1.5), (2.0, 3.5))):
     Identity tolerances 1e-10, telescoping 1e-8, matching the acceptance
     gate.  Every case runs on one trial space (absorption 1, scattering
     0.1) and one seeded datum; the strong-regime case uses gamma 2, rho 1.
+    Each run keeps, per iterate, only c_k, ||lambda_k - lambda*||_w and the
+    moment trace' W (lambda_k - lambda*); the residual identity and the
+    recursion are read from those records, the telescoping bound and the
+    monotone and strong-regime checks from the distance and error series.
     """
     checks = []
     sigma_a, sigma_t = 1.0, 0.1

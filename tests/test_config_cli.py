@@ -13,7 +13,7 @@ import pytest
 from uzawa_transport import cli
 from uzawa_transport import config as cm
 from uzawa_transport import lagrangian, presets, uzawa
-from uzawa_transport.errors import ConfigError
+from uzawa_transport.errors import ConfigError, ContractViolation, IllConditionedSystem
 
 CLI = [sys.executable, "-m", "uzawa_transport"]
 
@@ -441,6 +441,42 @@ def test_cli_failed_verification_exit_code(tmp_path, monkeypatch, capsys):
     assert "[FAIL] identity that fails (residual 1.0e+00)" in out
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["final_metrics"]["checks_passed"] is False
+
+
+@pytest.mark.parametrize(
+    "error, code, stderr",
+    [
+        (
+            IllConditionedSystem("refusing inner solve", 3.5e16),
+            3,
+            "numerical abort: refusing inner solve (condition estimate 3.500e+16)\n",
+        ),
+        (
+            ContractViolation("multiplier step rho must be positive"),
+            2,
+            "configuration error:\n  - multiplier step rho must be positive\n",
+        ),
+    ],
+    ids=["ill-conditioned", "contract"],
+)
+@pytest.mark.parametrize("command", ["verify", "preset"])
+def test_cli_solver_exception_exit_code(tmp_path, monkeypatch, capsys, error, code, stderr, command):
+    # either exception used to end in a traceback and exit 1, "failed verification"
+    from uzawa_transport import linear_oracle
+
+    def refuse(*_, **__):
+        raise error
+
+    argv = [command, "--out", tmp_path.as_posix()]
+    if command == "verify":
+        monkeypatch.setattr(linear_oracle, "verification_suite", refuse)
+    else:
+        monkeypatch.setattr(cm, "build_network", refuse)
+        argv[1:1] = ["example1"]
+        for key, value in FAST_OVERRIDES.items():
+            argv += ["--override", f"{key}={value}"]
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err == stderr
 
 
 def test_cli_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from uzawa_transport import linear_oracle as lo
 from uzawa_transport import uzawa
-from uzawa_transport.errors import ContractViolation
+from uzawa_transport.errors import ContractViolation, IllConditionedSystem
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +51,13 @@ def test_trial_space_memory_stays_block_sized():
 
 
 def test_exact_inner_solve_zero_case(space):
-    c = lo.exact_inner_solve(space, np.zeros(len(space.boundary_w)), gamma=1.0)
+    c = lo.exact_inner_solve(space, np.zeros(len(space.inflow)), gamma=1.0)
     assert np.abs(c).max() <= 1e-14
 
 
 def test_exact_inner_solve_first_order_optimality(space):
     rng = np.random.default_rng(3)
-    lam = rng.normal(size=len(space.boundary_w))
+    lam = rng.normal(size=len(space.inflow))
     gamma = 1.3
     c = lo.exact_inner_solve(space, lam, gamma)
     obj = lo.QuadraticObjective.from_space(space, lam, gamma)
@@ -69,11 +69,11 @@ def test_one_basis_closed_form():
     # the scalar formula c = rhs / (A + gamma B)
     space = lo.LinearTrialSpace(sigma_a=1.0, sigma_t=0.0)
     rng = np.random.default_rng(0)
-    lam = rng.normal(size=len(space.boundary_w))
+    lam = rng.normal(size=len(space.inflow))
     gamma = 0.7
     a11 = space.pde_gram[0, 0]
     b11 = space.boundary_mass[0, 0]
-    rhs1 = space.trace[:, 0] @ (space.boundary_w * (gamma * 0.0 + lam))
+    rhs1 = space.trace[:, 0] @ (space.inflow.weight * (gamma * 0.0 + lam))
     expected = rhs1 / (a11 + gamma * b11)
     # solve the full system with lambda projected onto the first function only
     # by zeroing every other rhs entry
@@ -92,7 +92,7 @@ def test_fixed_point_trace_fit_and_gamma_independence(space, datum):
         solves.append((c_star, lambda_star))
         # optimality identity: (A + gamma B) c* = Phi' W (gamma g + lambda*)
         lhs = (space.pde_gram + gamma * space.boundary_mass) @ c_star
-        rhs = space.trace.T @ (space.boundary_w * (gamma * g_values + lambda_star))
+        rhs = space.trace.T @ (space.inflow.weight * (gamma * g_values + lambda_star))
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
     for c_star, lambda_star in solves[1:]:
         np.testing.assert_allclose(c_star, solves[0][0], atol=1e-10)
@@ -165,7 +165,51 @@ def test_run_series_lengths(space, datum):
     run = lo.run_uzawa_oracle(space, 1.0, 0.5, 17, g_values=g_values)
     for series in (run.dist_lambda, run.err_pde, run.err_boundary, run.err_triple):
         assert len(series) == 18
-    assert len(run.coefficients) == 18
+    assert run.coefficients.shape == run.moments.shape == (18, space.n_basis)
+
+
+def test_records_match_a_node_space_iteration(space, datum):
+    # lambda_k iterated by hand on the inflow nodes, without the production step
+    _, g_values = datum
+    gamma, rho = 1.0, 0.5
+    run = lo.run_uzawa_oracle(space, gamma, rho, 10, g_values=g_values)
+    w, hessian = space.inflow.weight, space.pde_gram + gamma * space.boundary_mass
+    lam = np.zeros(len(space.inflow))
+    for k in range(11):
+        dlam = lam - run.lambda_star
+        moment = space.trace.T @ (w * dlam)
+        assert abs(run.dist_lambda[k] - np.sqrt(w @ dlam**2)) <= 1e-10 * run.dist_lambda[k]
+        assert np.linalg.norm(run.moments[k] - moment) <= 1e-10 * np.linalg.norm(moment)
+        c = np.linalg.solve(hessian, space.trace.T @ (w * (gamma * g_values + lam)))
+        lam = lam - rho * (space.trace @ c - g_values)
+
+
+def test_run_memory_is_its_records(space, datum):
+    # keeping every 4,096-node multiplier of a 200-step run took 6.8 MB
+    _, g_values = datum
+    tracemalloc.start()
+    try:
+        lo.run_uzawa_oracle(space, 1.0, 0.5, 200, g_values=g_values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def test_recursion_gap_certifies_the_production_step(space, datum, monkeypatch):
+    _, g_values = datum
+    # a step of rho * (1 + 1e-6) in the solver's update must break the identity
+    step = uzawa.multiplier_update
+    monkeypatch.setattr(uzawa, "multiplier_update", lambda m, r, rho: step(m, r, rho * (1 + 1e-6)))
+    run = lo.run_uzawa_oracle(space, 1.0, 0.5, 50, g_values=g_values)
+    assert lo.recursion_identity_gap(space, run, rho=0.5) > 1e-10
+
+
+def test_singular_inner_system_refused():
+    # without absorption and scattering the constants have zero advection
+    space = lo.LinearTrialSpace(sigma_a=0.0, sigma_t=0.0)
+    with pytest.raises(IllConditionedSystem):
+        lo.run_uzawa_oracle(space, gamma=0.0, rho=1.0, n_iter=5)
 
 
 def test_rho_contract(space):

@@ -180,7 +180,7 @@ def test_gd_suboptimality_bound_on_quadratic():
     # gap(T) <= ||theta0 - theta*||^2 / (2 eta T)
     space = lo.LinearTrialSpace(sigma_a=1.0, sigma_t=0.1)
     rng = np.random.default_rng(8)
-    lam = rng.normal(size=len(space.boundary_w))
+    lam = rng.normal(size=len(space.inflow))
     objective = lo.QuadraticObjective.from_space(space, lam, gamma=1.0)
     eta = 1.0 / objective.lipschitz
     c_star = objective.minimizer
