@@ -294,7 +294,7 @@ def _terms(field, points, slices, kernel_rows, angular, problem, boundary, need_
     return {"u": u, "du": du, "residual": resid, "sigma": sig, "kernel_rows": kernel_rows, **extra}
 
 
-def blocked_terms(field, x, theta, angular, problem, boundary=None, need_grad=False):
+def blocked_terms(field, x, theta, angular, problem, boundary=None, need_grad=False, kernel_rows=None):
     """Residual data on tensor rows: spatial-major blocks of K rows, one per
     spatial point, x constant in each block and theta the angular rule.
 
@@ -306,34 +306,37 @@ def blocked_terms(field, x, theta, angular, problem, boundary=None, need_grad=Fa
     per row), and "kernel_rows" (the shared K x K matrix); frozen
     ``boundary`` nodes ride along in the same pass ("u_boundary"), and
     ``need_grad`` keeps the pass's cache for one reverse sweep ("cache").
+    ``kernel_rows``, when given, is that matrix, computed already.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    mat = problem.kernel.matrix(angular)
+    mat = problem.kernel.matrix(angular) if kernel_rows is None else kernel_rows
     return _terms(field, (x, theta), None, mat, angular, problem, boundary, need_grad)
 
 
-def sample_terms(field, x, theta, angular, problem, boundary=None, need_grad=False):
+def sample_terms(field, x, theta, angular, problem, boundary=None, need_grad=False, kernel_rows=None):
     """Residual data at loose phase samples (directions off the angular grid).
 
     Each sample needs the full angular slice at its position for the
     scattering average, so this path costs K extra value-only rows per
     sample, evaluated in the same pass after the samples; the kernel row is
-    renormalized at the sample's own direction.  Returns the entries of
+    renormalized at the sample's own direction (``kernel_rows``, when given,
+    are the samples' ``ScatteringKernel.rows``).  Returns the entries of
     ``blocked_terms``, with "kernel_rows" one row per sample, (n, 1, K).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     k = len(angular)
     slices = (np.repeat(x, k, axis=0), np.tile(angular.theta, x.shape[0]))
-    rows = problem.kernel.rows(theta, angular)[:, None, :]
-    return _terms(field, (x, theta), slices, rows, angular, problem, boundary, need_grad)
+    rows = problem.kernel.rows(theta, angular) if kernel_rows is None else kernel_rows
+    return _terms(field, (x, theta), slices, rows[:, None, :], angular, problem, boundary, need_grad)
 
 
-def interior_terms(field, quad, problem, need_grad=False):
+def interior_terms(field, quad, problem, need_grad=False, kernel_rows=None):
     """Residual data of ``field`` on the interior of ``quad``, with its
     inflow-boundary nodes in the same pass: ``blocked_terms`` for tensor
-    interiors, ``sample_terms`` for loose Monte Carlo samples."""
+    interiors, ``sample_terms`` for loose Monte Carlo samples, either given
+    ``kernel_rows`` when they are computed already."""
     terms = blocked_terms if quad.scheme == TENSOR_GAUSS else sample_terms
     rows = quad.interior
-    return terms(field, rows.x, rows.theta, quad.angular, problem, quad.boundary, need_grad)
+    return terms(field, rows.x, rows.theta, quad.angular, problem, quad.boundary, need_grad, kernel_rows)

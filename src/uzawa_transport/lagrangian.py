@@ -5,23 +5,31 @@ The objective is
 assembled on a quadrature set.  The multiplier lives on a frozen copy of
 the inflow-boundary nodes; interior nodes may be subsampled (tensor rules
 subsample whole spatial blocks so the angular coupling stays intact) or,
-for Monte Carlo rules, redrawn per step by the caller.  One network pass
-covers the interior points with their tangent rail, the Monte Carlo
-scattering slices and the boundary nodes, and one reverse sweep over its
-cache produces the flat parameter gradient from a value seed per row and
-a tangent seed per interior point, with the angular cross-terms of the
-scattering sum (``kinetic_ops.scattering_adjoint``) in the value seeds.
+for Monte Carlo rules, redrawn per step by the caller.  The rows are
+walked in tiles of at most ``TILE_ROWS`` value rows: runs of whole blocks
+or samples, which the scattering sum never couples, then of boundary
+nodes.  Each tile gets one network pass (points with their tangent rail
+and Monte Carlo slices, or boundary nodes) and, for a gradient, one
+reverse sweep at once, from a value seed per row and a tangent seed per
+point, with the scattering cross-terms (``kinetic_ops.scattering_adjoint``)
+in the value seeds.  Residuals and mismatches fill full-length arrays and
+each part is reduced once, so only the gradient's summation order depends
+on the tiling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import kinetic_ops, network
 from .errors import ContractViolation
 from .phase_space import TENSOR_GAUSS, InteriorNodes
+
+# Value rows per tile of ``_evaluate``: its 64-wide layer arrays fit a 2 MB L2
+# cache, and 256 or 1,024 were slower per step (CHANGES.md).
+TILE_ROWS = 512
 
 
 @dataclass
@@ -92,37 +100,53 @@ def _problem_for(problem, config):
     return replace(problem, data=replace(problem.data, f=None))
 
 
+def _rows(nodes, index):
+    """The nodes at ``index`` (a slice), as a node set of the same kind."""
+    return type(nodes)(*(getattr(nodes, f.name)[index] for f in fields(nodes)))
+
+
+def _tiles(quad):
+    """(interior rows, boundary nodes) slices of each tile in pass order: runs
+    of whole units (a K-row tensor block, or a Monte Carlo sample and its K
+    slice rows), then of boundary nodes; at most ``TILE_ROWS`` value rows or one unit each."""
+    k, n, n_b = len(quad.angular), len(quad.interior), len(quad.boundary)
+    rows, unit = (k, k) if quad.scheme == TENSOR_GAUSS else (1, k + 1)
+    per = rows * max(1, TILE_ROWS // unit)
+    return [(slice(lo, min(lo + per, n)), slice(0, 0)) for lo in range(0, n, per)] + [
+        (slice(n, n), slice(lo, min(lo + TILE_ROWS, n_b))) for lo in range(0, n_b, TILE_ROWS)
+    ]
+
+
 def _evaluate(params, multiplier, quad, problem, config, need_grad):
     _check_registry(multiplier, quad)
     problem = _problem_for(problem, config)
-    b = quad.boundary
-    terms = kinetic_ops.interior_terms(params, quad, problem, need_grad)
-    w = quad.interior.weight
-    r = terms["residual"]
+    b, w = quad.boundary, quad.interior.weight
+    g = problem.data.inflow(b)  # on the full frozen set: its cache and noise draw are per set
+    # kernel rows once for all tiles too: a sample's normalisation rounds by its batch
+    blocked, rule = quad.scheme == TENSOR_GAUSS, quad.angular
+    kernel = problem.kernel.matrix(rule) if blocked else problem.kernel.rows(quad.interior.theta, rule)
+    r, mismatch = np.empty(len(w)), np.empty(len(b))
+    grad = np.zeros(params.n_params) if need_grad else None
+    for rows, nodes in _tiles(quad):
+        tile = replace(quad, interior=_rows(quad.interior, rows), boundary=_rows(b, nodes))
+        tile_kernel = kernel if blocked else kernel[rows]
+        terms = kinetic_ops.interior_terms(params, tile, problem, grad is not None, tile_kernel)
+        r[rows], mismatch[nodes] = terms["residual"], terms["u_boundary"] - g[nodes]
+        if grad is None or not (np.isfinite(r[rows]).all() and np.isfinite(mismatch[nodes]).all()):
+            grad = None  # a reverse sweep would only spread the non-finite part
+            continue
+        # value seeds in pass order: interior, Monte Carlo slices, boundary rows
+        wr, krows = w[rows] * r[rows], terms["kernel_rows"]
+        scat = kinetic_ops.scattering_adjoint(wr.reshape(-1, krows.shape[-2]), krows, quad.angular.weight)
+        seeds = [wr * (terms["sigma"] + problem.sigma_t), -problem.sigma_t * scat.ravel()]
+        if blocked:  # the slices are the interior rows themselves
+            seeds = [seeds[0] + seeds[1]]
+        seeds.append(b.weight[nodes] * (config.gamma * mismatch[nodes] - multiplier.values[nodes]))
+        grad += network.vjp_jvp_batch(params, terms["cache"], np.concatenate(seeds), wr)
     pde = 0.5 * float(w @ r**2)
-    mismatch = terms["u_boundary"] - problem.data.inflow(b)
     penalty = 0.5 * config.gamma * float(b.weight @ mismatch**2)
     mult_term = -float((b.weight * multiplier.values) @ mismatch)
-    if not need_grad:
-        return LagrangianParts(pde, penalty, mult_term, mismatch), None
-    parts = LagrangianParts(pde, penalty, mult_term)
-    if not np.isfinite([pde, penalty, mult_term]).all():
-        return parts, None  # a reverse sweep would only spread the non-finite part
-
-    # value seeds in pass order: interior, Monte Carlo slices, boundary rows
-    wr = w * r
-    rows = terms["kernel_rows"]
-    scat_seed = -problem.sigma_t * kinetic_ops.scattering_adjoint(
-        wr.reshape(-1, rows.shape[-2]), rows, quad.angular.weight
-    ).ravel()
-    seeds = [wr * (terms["sigma"] + problem.sigma_t)]
-    if quad.scheme == TENSOR_GAUSS:  # the slices are the interior rows themselves
-        seeds[0] += scat_seed
-    else:
-        seeds.append(scat_seed)
-    seeds.append(b.weight * (config.gamma * mismatch - multiplier.values))
-    grad = network.vjp_jvp_batch(params, terms["cache"], np.concatenate(seeds), wr)
-    return parts, grad
+    return LagrangianParts(pde, penalty, mult_term, None if need_grad else mismatch), grad
 
 
 def assemble(params, multiplier, quad, problem, config):
@@ -132,8 +156,9 @@ def assemble(params, multiplier, quad, problem, config):
 
 
 def assemble_with_gradient(params, multiplier, quad, problem, config):
-    """Value parts and gradient from one shared forward pass; the gradient
-    is None, and the reverse sweep skipped, when a part is not finite."""
+    """Value parts and gradient, each tile swept right after its own pass.
+    Once a tile's residuals or boundary mismatch are not finite, no further
+    sweep runs and the gradient is None; the parts are still assembled."""
     return _evaluate(params, multiplier, quad, problem, config, need_grad=True)
 
 

@@ -20,19 +20,21 @@ network never loads scipy.  Two kinds of batched kernel evaluate it:
   rows only, the second derivative times the tangent pre-activation (the
   one product the sweep reads).  Each GEMM writes into the next layer's
   input, where the activation runs in place, so no full-height
-  pre-activation is kept.  The buffers are reused while (widths,
-  activation, n, n_t) stays the same, so a training step allocates no
-  layer temporaries; ``forward_batch``/``vjp_value_batch`` are n_t = 0.
+  pre-activation is kept.  Every pass that fits reuses the buffers, so a
+  training step allocates no layer temporaries, however many passes it
+  makes; ``forward_batch``/``vjp_value_batch`` are n_t = 0.
 - ``eval_jvp_batch`` and ``eval_batch`` (values only) keep no cache and
   stream ``ROW_BLOCK`` rows at a time through two alternating input
   buffers and one derivative buffer, so forward-only passes stay
   block-sized however many rows they cover.
 
-Only one workspace is live at a time: a pass of another shape drops it
-and builds its own.  ``uzawa.inner_minimize`` ends the training phase
-with ``release_workspace``, so the outer full-set ``lagrangian.assemble``
-and the output emission run without the training buffers, and a run's
-peak memory is its largest phase, not their sum.  A cache keeps its own
+Only one workspace is live, sized to the largest (n, n_t) it has served:
+a pass that does not fit grows it, and one of another (widths,
+activation, derivative order) drops it and builds its own.
+``uzawa.inner_minimize`` ends the training phase with
+``release_workspace``, so the outer full-set ``lagrangian.assemble`` and
+the output emission run without the training buffers, and a run's peak
+memory is its largest phase, not their sum.  A cache keeps its own
 workspace alive until it is swept or dropped.  Workspace buffers are
 anonymous memory mappings (``_mapped``), which ``tracemalloc`` does not
 see; each workspace records their total size in ``nbytes``.
@@ -53,6 +55,10 @@ CHECKPOINT_MAGIC = b"UZMLP1"
 # Rows per block in ``eval_jvp_batch``/``eval_batch``: a 64-wide layer array
 # of one block is 1,024 x 64 x 8 B = 512 KB, inside a 2 MB L2 cache.
 ROW_BLOCK = 1024
+
+# Passes are padded with zero rows to a multiple of ``ROW_ALIGN``: BLAS rounds a
+# product's ragged tail rows, and all rows of a small one, by other kernels.
+ROW_ALIGN = 64
 
 
 def _embed(x, theta):
@@ -195,9 +201,10 @@ def _mapped(size):
 
 
 class _Workspace:
-    """Flat layer buffers, viewed by ``layout`` for n rows whose first n_t
-    carry tangents.  ``h[l]`` is layer l's input: n value rows stacked over
-    n_t tangent rows, so a layer is one GEMM, which writes straight into
+    """Flat layer buffers for up to ``capacity`` = (n, n_t) rows, viewed by
+    ``layout`` for any pass of n rows whose first n_t carry tangents.
+    ``h[l]`` is layer l's input: n value rows over n_t tangent rows over
+    zero rows (``ROW_ALIGN``), so a layer is one GEMM, which writes into
     ``h[l + 1]``; the activation then runs in place on the value rows.
     ``d1`` holds the activation's derivative at the value rows.  Order 2 (a
     reverse sweep follows) gives each layer its own buffers plus ``d2``:
@@ -210,21 +217,25 @@ class _Workspace:
             count = len(ws) if order == 2 else count
             return [_mapped(rows * max(ws[i::count])) for i in range(count)]
 
-        self.widths, self.generation, hidden = widths, 0, widths[1:-1]
-        self._h, self._d1 = flat(2, n + n_t, widths[:-1]), flat(1, n, hidden)
+        self.widths, self.generation, self.capacity, hidden = widths, 0, (n, n_t), widths[1:-1]
+        self._h, self._d1 = flat(2, _aligned(n + n_t), widths[:-1]), flat(1, n, hidden)
         self._d2 = flat(1, n_t, hidden) if order == 2 else None
-        self._out = _mapped(n + n_t)
+        self._out = _mapped(_aligned(n + n_t))
         self.nbytes = sum(b.nbytes for b in (*self._h, *self._d1, *(self._d2 or ()), self._out))
-        self.layout(n, n_t)
 
     def layout(self, n, n_t):
         def views(bufs, rows, ws):
             return [bufs[i % len(bufs)][: rows * w].reshape(rows, w) for i, w in enumerate(ws)]
 
         self.n, self.n_t, hidden = n, n_t, self.widths[1:-1]
-        self.h, self.d1 = views(self._h, n + n_t, self.widths[:-1]), views(self._d1, n, hidden)
+        self.h, self.d1 = views(self._h, _aligned(n + n_t), self.widths[:-1]), views(self._d1, n, hidden)
+        self.h[0][n + n_t :] = 0.0  # zero rows stay zero through every layer and sweep
         self.d2 = views(self._d2, n_t, hidden) if self._d2 else None
-        self.out = self._out[: n + n_t].reshape(-1, 1)
+        self.out = self._out[: _aligned(n + n_t)].reshape(-1, 1)
+
+
+def _aligned(rows):
+    return -(-rows // ROW_ALIGN) * ROW_ALIGN
 
 
 _SLOTS = {}  # the one live workspace, under its key
@@ -237,14 +248,17 @@ def release_workspace():
 
 
 def _workspace(params, n, n_t, order):
-    """The live workspace for this network and shape.  A different key
-    drops the live one before the new one is built, so two never coexist
-    unless a cache still holds the old one."""
-    key = (params.widths, params.activation, n, n_t, order)
-    if key not in _SLOTS:
+    """The live workspace for this network and order, laid out for (n, n_t).
+    Growing it, or a different key, drops the live one before the new one
+    is built, so two never coexist unless a cache still holds the old one."""
+    key = (params.widths, params.activation, order)
+    ws = _SLOTS.get(key)
+    if ws is None or n > ws.capacity[0] or n_t > ws.capacity[1]:
+        cap = (max(n, ws.capacity[0]), max(n_t, ws.capacity[1])) if ws else (n, n_t)
         release_workspace()
-        _SLOTS[key] = _Workspace(params.widths, n, n_t, order)
-    return _SLOTS[key]
+        ws = _SLOTS[key] = _Workspace(params.widths, *cap, order)
+    ws.layout(n, n_t)
+    return ws
 
 
 def _forward(params, ws):
@@ -254,7 +268,7 @@ def _forward(params, ws):
     order = 2 if ws.d2 else 1
     for layer, (W, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
         a = np.matmul(ws.h[layer], W.T, out=ws.h[layer + 1])
-        z, tangent = a[:n], a[n:]
+        z, tangent = a[:n], a[n : n + n_t]
         z += b
         bufs = (z, ws.d1[layer], ws.d2[layer]) if ws.d2 else (z, ws.d1[layer])
         # tangent rows need one derivative order more than value rows
@@ -273,16 +287,16 @@ def forward_jvp_batch(params, emb, emb_tangent):
     at the first n_t <= n rows, whose tangents ``emb_tangent`` holds.
 
     Returns fresh (u, du) and a cache for one ``vjp_jvp_batch`` sweep, made
-    stale by the next pass of the same (widths, activation, n, n_t)."""
+    stale by the next pass that reuses its workspace."""
     emb, tangent = np.asarray(emb, dtype=float), np.asarray(emb_tangent, dtype=float)
     n, n_t = emb.shape[0], tangent.shape[0]
     if n_t > n:
         raise ContractViolation("more tangent rows than rows")
     ws = _workspace(params, n, n_t, 2)
     ws.generation += 1
-    ws.h[0][:n], ws.h[0][n:] = emb, tangent
+    ws.h[0][:n], ws.h[0][n : n + n_t] = emb, tangent
     out = _forward(params, ws)[:, 0]
-    return out[:n] + params.biases[-1], out[n:].copy(), (ws, ws.generation)
+    return out[:n] + params.biases[-1], out[n : n + n_t].copy(), (ws, ws.generation)
 
 
 def forward_batch(params, emb):
@@ -307,13 +321,13 @@ def vjp_jvp_batch(params, cache, seed_value, seed_tangent):
     ws.generation += 1
     n, n_t = ws.n, ws.n_t
     adj = ws.out
-    adj[:n, 0], adj[n:, 0] = seed_value, seed_tangent
+    adj[:n, 0], adj[n : n + n_t, 0], adj[n + n_t :] = seed_value, seed_tangent, 0.0
     grad = np.empty(params.n_params)
     views = _layer_views(grad, params.widths)
     last = len(params.weights) - 1
     for layer in range(last, -1, -1):
         if layer < last:
-            zbar, tbar, d2 = adj[:n], adj[n:], ws.d2[layer]
+            zbar, tbar, d2 = adj[:n], adj[n : n + n_t], ws.d2[layer]
             d2 *= tbar
             zbar *= ws.d1[layer]
             zbar[:n_t] += d2
@@ -346,17 +360,16 @@ def eval_jvp_batch(params, x, theta, n_t):
     no cache, so its working set stays block-sized; every value is the same
     arithmetic as in ``forward_jvp_batch``."""
     x, theta = np.atleast_2d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(theta, dtype=float))
-    ws = _workspace(params, ROW_BLOCK, ROW_BLOCK, 1)
     u, du = np.empty(theta.shape[0]), np.empty(n_t)
     for lo in range(0, u.shape[0], ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, u.shape[0])
         t_hi = min(max(n_t, lo), hi)
-        ws.layout(hi - lo, t_hi - lo)
+        ws = _workspace(params, hi - lo, t_hi - lo, 1)
         ws.h[0][: hi - lo] = _embed(x[lo:hi], theta[lo:hi])
-        ws.h[0][hi - lo :] = _transport_tangent(theta[lo:t_hi])
+        ws.h[0][hi - lo : hi + t_hi - 2 * lo] = _transport_tangent(theta[lo:t_hi])
         out = _forward(params, ws)[:, 0]
         np.add(out[: hi - lo], params.biases[-1], out=u[lo:hi])
-        du[lo:t_hi] = out[hi - lo :]
+        du[lo:t_hi] = out[hi - lo : hi + t_hi - 2 * lo]
     return u, du
 
 

@@ -298,6 +298,97 @@ def test_training_step_allocates_no_layer_buffers(peak_bytes):
     assert max(peaks[1:]) < 2e6
 
 
+def test_step_memory_does_not_grow_with_the_batch(peak_bytes):
+    # the full 400-block interior (12,800 rows with tangents) is swept one
+    # tile at a time, in the workspace a 48-block batch uses
+    problem, quad, params, cfg = _example3_forward()
+    mult = lg.constant_multiplier(quad.boundary, 0.5)
+    net.release_workspace()
+    assert peak_bytes(lambda: lg.assemble_with_gradient(params, mult, quad, problem, cfg)) < 8e6
+    held = []
+    for rule in (lg.subsample(quad, cfg.batch_interior, [0, 0, 0]), quad):
+        net.release_workspace()
+        lg.assemble_with_gradient(params, mult, rule, problem, cfg)
+        held.append([ws.nbytes for ws in net._SLOTS.values()])
+    assert len(held[0]) == 1 and held[0] == held[1]
+
+
+_MC_MANUFACTURED = {
+    "quadrature.scheme": "monte-carlo",
+    "quadrature.n_interior": 4096,
+    "quadrature.n_boundary": 1024,
+    "lagrangian.batch_interior": 256,
+    "problem.sigma_t": 1.0,
+}
+
+
+@pytest.mark.parametrize(
+    "preset, overrides",
+    [("example3-forward", None), ("example2", None), ("manufactured", _MC_MANUFACTURED)],
+    ids=["example3-forward", "example2", "monte-carlo"],
+)
+def test_tiling_changes_only_the_gradient_rounding(monkeypatch, preset, overrides):
+    # every residual row, and so the parts and the mismatch, are those of one
+    # pass over the whole batch, bitwise, however it is tiled: 10**9 value
+    # rows make one interior and one boundary tile, 250 make several with a
+    # ragged last interior tile, and 17 a tile per block or sample (each
+    # over the budget)
+    cfg = presets.expand_preset(preset, overrides)
+    problem, _ = cf.build_problem(cfg)
+    quad, params, lcfg = cf.build_quadrature_set(cfg), cf.build_network(cfg), cf.build_lagrangian_config(cfg)
+    batch = lg.subsample(quad, lcfg.batch_interior, [0, 0, 0])
+    mult = lg.MultiplierField(np.random.default_rng(3).normal(0, 0.5, len(quad.boundary)), quad.boundary)
+    whole = ko.interior_terms(params, batch, problem)
+    mismatch = whole["u_boundary"] - problem.data.inflow(batch.boundary)
+    bw = batch.boundary.weight
+    want = (
+        0.5 * float(batch.interior.weight @ whole["residual"] ** 2),
+        0.5 * lcfg.gamma * float(bw @ mismatch**2),
+        -float((bw * mult.values) @ mismatch),
+    )
+    seen, terms_of = [], ko.interior_terms
+    monkeypatch.setattr(ko, "interior_terms", lambda *args: seen.append(terms_of(*args)) or seen[-1])
+    tiles, grads = {}, []
+    for budget in (10**9, 250, 17):
+        monkeypatch.setattr(lg, "TILE_ROWS", budget)
+        tiles[budget] = [rows.stop - rows.start for rows, _ in lg._tiles(batch) if rows.stop > rows.start]
+        value = lg.assemble(params, mult, batch, problem, lcfg)
+        parts, grad = lg.assemble_with_gradient(params, mult, batch, problem, lcfg)
+        residuals, seen[:] = np.concatenate([terms["residual"] for terms in seen]), []
+        assert np.array_equal(residuals, np.tile(whole["residual"], 2))
+        for p in (value, parts):
+            assert (p.pde, p.boundary_penalty, p.multiplier_term) == want
+        assert np.array_equal(value.mismatch, mismatch)
+        grads.append(grad)
+    assert tiles[10**9] == [len(batch.interior)] and len(tiles[250]) > 2 and len(set(tiles[250])) == 2
+    for grad in grads[1:]:
+        assert np.linalg.norm(grad - grads[0]) <= 1e-13 * np.linalg.norm(grads[0])
+
+
+def test_no_sweep_after_a_non_finite_tile(monkeypatch):
+    # the source overflows on the spatial blocks at x1 = 0.38, which fall in
+    # the third and fourth of the tiles; the first two are swept, no later one
+    quad = _quad(n_spatial=6, n_angular=8, n_boundary=(3, 3))
+    band = lambda x: (x[:, 0] > 0.3) & (x[:, 0] < 0.5)  # noqa: E731
+    problem = _problem(sigma_t=1.0, f=lambda x, t: np.where(band(x), 1e300, 1.0) * 1e10)
+    params = net.init_params((4, 8, 1), seed=3)
+    mult = lg.constant_multiplier(quad.boundary, 0.5)
+    cfg = lg.LagrangianConfig(gamma=1.0)
+    monkeypatch.setattr(lg, "TILE_ROWS", 40)
+    sweeps, sweep = [], net.vjp_jvp_batch
+    monkeypatch.setattr(net, "vjp_jvp_batch", lambda *args: sweeps.append(1) or sweep(*args))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in uzawa.inner_minimize
+        parts, grad = lg.assemble_with_gradient(params, mult, quad, problem, cfg)
+        value = lg.assemble(params, mult, quad, problem, cfg)
+    tiles = [rows for rows, _ in lg._tiles(quad)]
+    first = next(i for i, rows in enumerate(tiles) if band(quad.interior.x[rows]).any())
+    assert grad is None
+    assert first == 2 and len(sweeps) == first and len(tiles) > first + 2
+    assert parts.pde == value.pde == np.inf
+    assert np.isfinite([parts.boundary_penalty, parts.multiplier_term]).all()
+    assert (parts.boundary_penalty, parts.multiplier_term) == (value.boundary_penalty, value.multiplier_term)
+
+
 def test_full_set_value_pass_stays_block_sized(peak_bytes):
     # 400 blocks x 32 directions: 12,800 interior rows with tangents
     problem, quad, params, cfg = _example3_forward()
