@@ -14,13 +14,14 @@ to angular quadrature error.
 The discrete operator lives here once.  ``scattering_mean`` is the
 kernel-weighted angular mean and ``scattering_adjoint`` its exact adjoint
 (the gradient seeds of ``lagrangian``); both take the kernel rows either
-as one K x K matrix shared by every slice or as one row per slice.  Every
-residual goes through one assembly body, reached through
-``blocked_terms`` (tensor interiors) or ``sample_terms`` (loose Monte
-Carlo samples), which ``interior_terms`` picks by the quadrature scheme.
-Both take the interior rows as they are; a tensor interior's rows come in
-spatial-major blocks of K, one per spatial point, theta the angular rule
-in each.  The assembly evaluates a network or a ``ReferenceSolution``.
+as one K x K matrix shared by every slice or as one row per slice.  The
+rows are built here, once per evaluation: a ``PhaseRows`` holds the
+network rows, tangents, coefficients and kernel rows of its points, and
+its ``terms``, the one assembly body of every residual, runs on any tile
+of them (``lagrangian``) or on all (``blocked_terms`` for tensor rows,
+in spatial-major blocks of K with theta the angular rule in each;
+``sample_terms`` for loose Monte Carlo samples; ``interior_terms`` picks
+by the scheme).  It evaluates a network or a ``ReferenceSolution``.
 """
 
 from __future__ import annotations
@@ -215,10 +216,18 @@ class ProblemSpec:
     sigma_t: float
     kernel: ScatteringKernel
     data: SourceAndInflow
+    _rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sigma_t < 0:
             raise ContractViolation("scattering strength must be nonnegative")
+
+    def boundary_rows(self, boundary):
+        """Network rows of a frozen boundary node set, cached by identity as ``SourceAndInflow.inflow``."""
+        hit = self._rows.get(id(boundary))
+        if hit is None or hit[0] is not boundary:
+            hit = self._rows[id(boundary)] = (boundary, network._embed(boundary.x, boundary.theta))
+        return hit[1]
 
 
 # -- operators ----------------------------------------------------------------
@@ -263,38 +272,57 @@ def scattering_apply(u_slice, angular, kernel, sigma_t):
 # -- residual assembly --------------------------------------------------------
 
 
-def _terms(field, points, slices, kernel_rows, angular, problem, boundary, need_grad):
-    """Residual (T + S)u - f of ``field`` at ``points`` = (x, theta).
+class PhaseRows:
+    """The rows of one evaluation, built once; ``terms`` takes a tile of them:
+    per point (x, theta) its network row (x1, x2, cos theta, sin theta),
+    transport tangent (cos theta, sin theta, 0, 0), sigma_a, f and kernel
+    rows (the K x K matrix shared by tensor blocks, or a (1, K) row per
+    ``loose`` sample, whose K slice rows a tile appends from cos/sin of the
+    rule), and the boundary's rows, cached by ``ProblemSpec.boundary_rows``."""
 
-    One pass covers the points with their omega-tangent rail, then the
-    scattering slices (extra rows; None when the points are the slices),
-    then the frozen ``boundary`` nodes; ``need_grad`` keeps the network
-    pass's cache.  A ReferenceSolution ``field`` stands in for the pass."""
-    x, theta = points
-    groups = [points] if slices is None else [points, slices]
-    if boundary is not None:
-        groups.append((boundary.x, boundary.theta))
-    rows_x = np.concatenate([g[0] for g in groups])
-    rows_theta = np.concatenate([g[1] for g in groups])
-    extra = {}
-    if isinstance(field, ReferenceSolution):
-        u_rows, du = field.value(rows_x, rows_theta), field.directional(x, theta)
-    elif need_grad:
-        u_rows, du, extra["cache"] = network.forward_jvp_phase(field, rows_x, rows_theta, len(theta))
-    else:
-        u_rows, du = network.eval_jvp_batch(field, rows_x, rows_theta, len(theta))
-    values = np.split(u_rows, np.cumsum([len(g[1]) for g in groups])[:-1])
-    if boundary is not None:
-        extra["u_boundary"] = values.pop()
-    u = values[0]
-    mean = scattering_mean(values[-1].reshape(-1, len(angular)), kernel_rows, angular.weight)
-    sig = problem.sigma_a(x)
-    resid = du + (sig + problem.sigma_t) * u - problem.sigma_t * mean.ravel()
-    resid = resid - problem.data.source(x, theta)
-    return {"u": u, "du": du, "residual": resid, "sigma": sig, "kernel_rows": kernel_rows, **extra}
+    def __init__(self, x, theta, angular, problem, boundary, loose):
+        x, theta = np.atleast_2d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(theta, dtype=float))
+        self.x, self.theta, self.angular, self.problem, self.boundary = x, theta, angular, problem, boundary
+        self.emb, self.tangent = network._embed(x, theta), network._transport_tangent(theta)
+        self.sigma, self.source, kernel = problem.sigma_a(x), problem.data.source(x, theta), problem.kernel
+        self.kernel_rows = kernel.rows(theta, angular)[:, None] if loose else kernel.matrix(angular)
+        self.dirs = np.column_stack([np.cos(angular.theta), np.sin(angular.theta)]) if loose else None
+        self.boundary_emb = np.empty((0, 4)) if boundary is None else problem.boundary_rows(boundary)
+
+    def terms(self, field, points=slice(None), nodes=slice(None), need_grad=False):
+        """Residual (T + S)u - f of ``field`` at the points ``points`` (a slice).
+
+        One pass covers the points with their omega-tangent rail, then each
+        loose sample's K slice rows (tensor points are their own slices),
+        then the boundary nodes ``nodes`` (a slice); ``need_grad`` keeps the
+        pass's cache.  A ReferenceSolution ``field`` stands in for the pass."""
+        x, theta, k, b = self.x[points], self.theta[points], len(self.angular), self.boundary
+        m, loose = theta.shape[0], self.dirs is not None
+        n_s, n_b, extra = m * k if loose else 0, self.boundary_emb[nodes].shape[0], {}
+        if isinstance(field, ReferenceSolution):
+            groups = [(x, theta)]
+            groups += [(np.repeat(x, k, axis=0), np.tile(self.angular.theta, m))] if loose else []
+            groups += [(b.x[nodes], b.theta[nodes])] if b is not None else []
+            u_rows, du = field.value(*map(np.concatenate, zip(*groups))), field.directional(x, theta)
+        else:
+            rows = np.empty((m + n_s + n_b, 4))
+            rows[:m], rows[m + n_s :] = self.emb[points], self.boundary_emb[nodes]
+            if loose:  # each sample's slice rows: its position, the rule's directions
+                slices = rows[m : m + n_s].reshape(m, k, 4)
+                slices[..., :2], slices[..., 2:] = x[:, None], self.dirs
+            run = network.forward_jvp_batch if need_grad else network.eval_jvp_batch
+            u_rows, du, *cache = run(field, rows, self.tangent[points])
+            extra = {"cache": cache[0]} if need_grad else {}
+        u, kernel_rows = u_rows[:m], self.kernel_rows[points] if loose else self.kernel_rows
+        slices = (u_rows[m : m + n_s] if loose else u).reshape(-1, k)
+        mean = scattering_mean(slices, kernel_rows, self.angular.weight)
+        sig, sigma_t = self.sigma[points], self.problem.sigma_t
+        resid = du + (sig + sigma_t) * u - sigma_t * mean.ravel() - self.source[points]
+        extra["u_boundary"] = u_rows[m + n_s :]  # empty without boundary nodes
+        return {"u": u, "du": du, "residual": resid, "sigma": sig, "kernel_rows": kernel_rows, **extra}
 
 
-def blocked_terms(field, x, theta, angular, problem, boundary=None, need_grad=False, kernel_rows=None):
+def blocked_terms(field, x, theta, angular, problem, boundary=None, need_grad=False):
     """Residual data on tensor rows: spatial-major blocks of K rows, one per
     spatial point, x constant in each block and theta the angular rule.
 
@@ -306,37 +334,30 @@ def blocked_terms(field, x, theta, angular, problem, boundary=None, need_grad=Fa
     per row), and "kernel_rows" (the shared K x K matrix); frozen
     ``boundary`` nodes ride along in the same pass ("u_boundary"), and
     ``need_grad`` keeps the pass's cache for one reverse sweep ("cache").
-    ``kernel_rows``, when given, is that matrix, computed already.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    mat = problem.kernel.matrix(angular) if kernel_rows is None else kernel_rows
-    return _terms(field, (x, theta), None, mat, angular, problem, boundary, need_grad)
+    return PhaseRows(x, theta, angular, problem, boundary, False).terms(field, need_grad=need_grad)
 
 
-def sample_terms(field, x, theta, angular, problem, boundary=None, need_grad=False, kernel_rows=None):
+def sample_terms(field, x, theta, angular, problem, boundary=None, need_grad=False):
     """Residual data at loose phase samples (directions off the angular grid).
 
     Each sample needs the full angular slice at its position for the
     scattering average, so this path costs K extra value-only rows per
     sample, evaluated in the same pass after the samples; the kernel row is
-    renormalized at the sample's own direction (``kernel_rows``, when given,
-    are the samples' ``ScatteringKernel.rows``).  Returns the entries of
+    renormalized at the sample's own direction.  Returns the entries of
     ``blocked_terms``, with "kernel_rows" one row per sample, (n, 1, K).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    k = len(angular)
-    slices = (np.repeat(x, k, axis=0), np.tile(angular.theta, x.shape[0]))
-    rows = problem.kernel.rows(theta, angular) if kernel_rows is None else kernel_rows
-    return _terms(field, (x, theta), slices, rows[:, None, :], angular, problem, boundary, need_grad)
+    return PhaseRows(x, theta, angular, problem, boundary, True).terms(field, need_grad=need_grad)
 
 
-def interior_terms(field, quad, problem, need_grad=False, kernel_rows=None):
+def interior_rows(quad, problem):
+    """The ``PhaseRows`` of the interior of ``quad`` and its inflow boundary."""
+    loose = quad.scheme != TENSOR_GAUSS
+    return PhaseRows(quad.interior.x, quad.interior.theta, quad.angular, problem, quad.boundary, loose)
+
+
+def interior_terms(field, quad, problem, need_grad=False):
     """Residual data of ``field`` on the interior of ``quad``, with its
-    inflow-boundary nodes in the same pass: ``blocked_terms`` for tensor
-    interiors, ``sample_terms`` for loose Monte Carlo samples, either given
-    ``kernel_rows`` when they are computed already."""
-    terms = blocked_terms if quad.scheme == TENSOR_GAUSS else sample_terms
-    rows = quad.interior
-    return terms(field, rows.x, rows.theta, quad.angular, problem, quad.boundary, need_grad, kernel_rows)
+    inflow-boundary nodes in the same pass: that of ``blocked_terms`` on
+    tensor interiors, of ``sample_terms`` on loose Monte Carlo samples."""
+    return interior_rows(quad, problem).terms(field, need_grad=need_grad)

@@ -5,21 +5,21 @@ The objective is
 assembled on a quadrature set.  The multiplier lives on a frozen copy of
 the inflow-boundary nodes; interior nodes may be subsampled (tensor rules
 subsample whole spatial blocks so the angular coupling stays intact) or,
-for Monte Carlo rules, redrawn per step by the caller.  The rows are
-walked in tiles of at most ``TILE_ROWS`` value rows: runs of whole blocks
-or samples, which the scattering sum never couples, then of boundary
-nodes.  Each tile gets one network pass (points with their tangent rail
-and Monte Carlo slices, or boundary nodes) and, for a gradient, one
-reverse sweep at once, from a value seed per row and a tangent seed per
-point, with the scattering cross-terms (``kinetic_ops.scattering_adjoint``)
-in the value seeds.  Residuals and mismatches fill full-length arrays and
-each part is reduced once, so only the gradient's summation order depends
-on the tiling.
+for Monte Carlo rules, redrawn per step by the caller.  The rows of an
+evaluation are built once (``kinetic_ops.interior_rows``), then walked in
+tiles, row ranges of at most ``TILE_ROWS`` stacked network rows (value
+and tangent rows): runs of whole blocks or samples, which the scattering
+sum never couples, then of boundary nodes.  Each tile gets one network
+pass and, for a gradient, one reverse sweep at once, from a value seed
+per row and a tangent seed per point, with the scattering cross-terms
+(``kinetic_ops.scattering_adjoint``) in the value seeds.  Residuals and
+mismatches fill full-length arrays and each part is reduced once, so
+only the gradient's summation order depends on the tiling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,9 +27,9 @@ from . import kinetic_ops, network
 from .errors import ContractViolation
 from .phase_space import TENSOR_GAUSS, InteriorNodes
 
-# Value rows per tile of ``_evaluate``: its 64-wide layer arrays fit a 2 MB L2
-# cache, and 256 or 1,024 were slower per step (CHANGES.md).
-TILE_ROWS = 512
+# Stacked network rows (value + tangent) per tile of ``_evaluate``: a 64-wide
+# layer array of 1,024 rows is 512 KB, inside a 2 MB L2 cache (CHANGES.md).
+TILE_ROWS = 1024
 
 
 @dataclass
@@ -100,17 +100,13 @@ def _problem_for(problem, config):
     return replace(problem, data=replace(problem.data, f=None))
 
 
-def _rows(nodes, index):
-    """The nodes at ``index`` (a slice), as a node set of the same kind."""
-    return type(nodes)(*(getattr(nodes, f.name)[index] for f in fields(nodes)))
-
-
 def _tiles(quad):
     """(interior rows, boundary nodes) slices of each tile in pass order: runs
-    of whole units (a K-row tensor block, or a Monte Carlo sample and its K
-    slice rows), then of boundary nodes; at most ``TILE_ROWS`` value rows or one unit each."""
+    of whole units, then of boundary nodes; at most ``TILE_ROWS`` stacked
+    network rows or one unit each.  A unit is a tensor block, K rows and K
+    tangent rows, or a Monte Carlo sample with K slice rows and a tangent row."""
     k, n, n_b = len(quad.angular), len(quad.interior), len(quad.boundary)
-    rows, unit = (k, k) if quad.scheme == TENSOR_GAUSS else (1, k + 1)
+    rows, unit = (k, 2 * k) if quad.scheme == TENSOR_GAUSS else (1, k + 2)
     per = rows * max(1, TILE_ROWS // unit)
     return [(slice(lo, min(lo + per, n)), slice(0, 0)) for lo in range(0, n, per)] + [
         (slice(n, n), slice(lo, min(lo + TILE_ROWS, n_b))) for lo in range(0, n_b, TILE_ROWS)
@@ -122,27 +118,25 @@ def _evaluate(params, multiplier, quad, problem, config, need_grad):
     problem = _problem_for(problem, config)
     b, w = quad.boundary, quad.interior.weight
     g = problem.data.inflow(b)  # on the full frozen set: its cache and noise draw are per set
-    # kernel rows once for all tiles too: a sample's normalisation rounds by its batch
-    blocked, rule = quad.scheme == TENSOR_GAUSS, quad.angular
-    kernel = problem.kernel.matrix(rule) if blocked else problem.kernel.rows(quad.interior.theta, rule)
+    # the rows once for all tiles: a sample's kernel row rounds by its batch
+    rows, blocked = kinetic_ops.interior_rows(quad, problem), quad.scheme == TENSOR_GAUSS
     r, mismatch = np.empty(len(w)), np.empty(len(b))
     grad = np.zeros(params.n_params) if need_grad else None
-    for rows, nodes in _tiles(quad):
-        tile = replace(quad, interior=_rows(quad.interior, rows), boundary=_rows(b, nodes))
-        tile_kernel = kernel if blocked else kernel[rows]
-        terms = kinetic_ops.interior_terms(params, tile, problem, grad is not None, tile_kernel)
-        r[rows], mismatch[nodes] = terms["residual"], terms["u_boundary"] - g[nodes]
-        if grad is None or not (np.isfinite(r[rows]).all() and np.isfinite(mismatch[nodes]).all()):
+    for points, nodes in _tiles(quad):
+        terms = rows.terms(params, points, nodes, grad is not None)
+        r[points], mismatch[nodes] = terms["residual"], terms["u_boundary"] - g[nodes]
+        if grad is None or not (np.isfinite(r[points]).all() and np.isfinite(mismatch[nodes]).all()):
             grad = None  # a reverse sweep would only spread the non-finite part
             continue
         # value seeds in pass order: interior, Monte Carlo slices, boundary rows
-        wr, krows = w[rows] * r[rows], terms["kernel_rows"]
+        wr, krows = w[points] * r[points], terms["kernel_rows"]
         scat = kinetic_ops.scattering_adjoint(wr.reshape(-1, krows.shape[-2]), krows, quad.angular.weight)
         seeds = [wr * (terms["sigma"] + problem.sigma_t), -problem.sigma_t * scat.ravel()]
         if blocked:  # the slices are the interior rows themselves
             seeds = [seeds[0] + seeds[1]]
         seeds.append(b.weight[nodes] * (config.gamma * mismatch[nodes] - multiplier.values[nodes]))
-        grad += network.vjp_jvp_batch(params, terms["cache"], np.concatenate(seeds), wr)
+        # popped, so a pass that grows the workspace does not keep this one alive
+        grad += network.vjp_jvp_batch(params, terms.pop("cache"), np.concatenate(seeds), wr)
     pde = 0.5 * float(w @ r**2)
     penalty = 0.5 * config.gamma * float(b.weight @ mismatch**2)
     mult_term = -float((b.weight * multiplier.values) @ mismatch)

@@ -12,9 +12,8 @@ network never loads scipy.  Two kinds of batched kernel evaluate it:
 
 - ``forward_jvp_batch`` evaluates n embedded rows plus a forward tangent
   rail (for omega-directional spatial derivatives) on the first n_t of
-  them (``forward_jvp_phase`` at phase points), both
-  rails stacked so each layer is one GEMM, and caches what one reverse
-  sweep, ``vjp_jvp_batch``, needs for exact gradients of
+  them, both rails stacked so each layer is one GEMM, and caches what one
+  reverse sweep, ``vjp_jvp_batch``, needs for exact gradients of
   derivative-containing losses: each layer's stacked input, the
   activation's derivative at the n value rows, and, at the n_t tangent
   rows only, the second derivative times the tangent pre-activation (the
@@ -23,10 +22,11 @@ network never loads scipy.  Two kinds of batched kernel evaluate it:
   pre-activation is kept.  Every pass that fits reuses the buffers, so a
   training step allocates no layer temporaries, however many passes it
   makes; ``forward_batch``/``vjp_value_batch`` are n_t = 0.
-- ``eval_jvp_batch`` and ``eval_batch`` (values only) keep no cache and
-  stream ``ROW_BLOCK`` rows at a time through two alternating input
-  buffers and one derivative buffer, so forward-only passes stay
-  block-sized however many rows they cover.
+- ``eval_jvp_batch`` (embedded rows, as ``forward_jvp_batch``) and
+  ``eval_batch`` (values only, at phase points) keep no cache and stream
+  ``ROW_BLOCK`` rows at a time through two alternating input buffers and
+  one derivative buffer, so forward-only passes stay block-sized however
+  many rows they cover.
 
 Only one workspace is live, sized to the largest (n, n_t) it has served:
 a pass that does not fit grows it, and one of another (widths,
@@ -52,8 +52,8 @@ from .errors import ContractViolation
 
 CHECKPOINT_MAGIC = b"UZMLP1"
 
-# Rows per block in ``eval_jvp_batch``/``eval_batch``: a 64-wide layer array
-# of one block is 1,024 x 64 x 8 B = 512 KB, inside a 2 MB L2 cache.
+# Rows per block in ``eval_jvp_batch``: a 64-wide layer array of one block is
+# 1,024 x 64 x 8 B = 512 KB, inside a 2 MB L2 cache.
 ROW_BLOCK = 1024
 
 # Passes are padded with zero rows to a multiple of ``ROW_ALIGN``: BLAS rounds a
@@ -322,7 +322,7 @@ def vjp_jvp_batch(params, cache, seed_value, seed_tangent):
     n, n_t = ws.n, ws.n_t
     adj = ws.out
     adj[:n, 0], adj[n : n + n_t, 0], adj[n + n_t :] = seed_value, seed_tangent, 0.0
-    grad = np.empty(params.n_params)
+    grad, ones = np.empty(params.n_params), np.ones(n)
     views = _layer_views(grad, params.widths)
     last = len(params.weights) - 1
     for layer in range(last, -1, -1):
@@ -333,7 +333,7 @@ def vjp_jvp_batch(params, cache, seed_value, seed_tangent):
             zbar[:n_t] += d2
             tbar *= ws.d1[layer][:n_t]
         np.matmul(adj.T, ws.h[layer], out=views[layer][0])
-        np.sum(adj[:n], axis=0, out=views[layer][1])
+        np.matmul(ones, adj[:n], out=views[layer][1])  # one GEMV: a third of np.sum(axis=0)
         if layer:
             # the output layer's adjoint is an outer product with its one weight row
             mix = np.multiply if layer == last else np.matmul
@@ -346,27 +346,22 @@ def vjp_value_batch(params, cache, seed_value):
     return vjp_jvp_batch(params, cache, seed_value, ())
 
 
-def forward_jvp_phase(params, x, theta, n_t):
-    """``forward_jvp_batch`` at the phase points (x, theta), the first n_t
-    differentiated along their own direction omega = (cos theta, sin theta)."""
-    return forward_jvp_batch(params, _embed(x, theta), _transport_tangent(theta[:n_t]))
+def eval_jvp_batch(params, emb, emb_tangent):
+    """``forward_jvp_batch`` without a cache: values at every embedded row
+    and tangent-rail derivatives at the first n_t, whose tangents
+    ``emb_tangent`` holds.
 
-
-def eval_jvp_batch(params, x, theta, n_t):
-    """Values at the phase points (x, theta) and, at the first n_t of them,
-    derivatives along their own direction omega = (cos theta, sin theta).
-
-    Streams ``ROW_BLOCK`` rows at a time through reused block buffers with
-    no cache, so its working set stays block-sized; every value is the same
-    arithmetic as in ``forward_jvp_batch``."""
-    x, theta = np.atleast_2d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(theta, dtype=float))
-    u, du = np.empty(theta.shape[0]), np.empty(n_t)
-    for lo in range(0, u.shape[0], ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, u.shape[0])
+    Streams ``ROW_BLOCK`` rows at a time through reused block buffers, so
+    its working set stays block-sized; every value is the same arithmetic
+    as in ``forward_jvp_batch``."""
+    n, n_t = emb.shape[0], emb_tangent.shape[0]
+    u, du = np.empty(n), np.empty(n_t)
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
         t_hi = min(max(n_t, lo), hi)
         ws = _workspace(params, hi - lo, t_hi - lo, 1)
-        ws.h[0][: hi - lo] = _embed(x[lo:hi], theta[lo:hi])
-        ws.h[0][hi - lo : hi + t_hi - 2 * lo] = _transport_tangent(theta[lo:t_hi])
+        ws.h[0][: hi - lo] = emb[lo:hi]
+        ws.h[0][hi - lo : hi + t_hi - 2 * lo] = emb_tangent[lo:t_hi]
         out = _forward(params, ws)[:, 0]
         np.add(out[: hi - lo], params.biases[-1], out=u[lo:hi])
         du[lo:t_hi] = out[hi - lo : hi + t_hi - 2 * lo]
@@ -374,8 +369,13 @@ def eval_jvp_batch(params, x, theta, n_t):
 
 
 def eval_batch(params, x, theta):
-    """Network values at the phase points (x, theta): ``eval_jvp_batch`` without tangents."""
-    return eval_jvp_batch(params, x, theta, 0)[0]
+    """Network values at phase points (x, theta), embedded and evaluated a ``ROW_BLOCK`` at a time."""
+    x, theta = np.atleast_2d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(theta, dtype=float))
+    u = np.empty(theta.shape[0])
+    for lo in range(0, u.shape[0], ROW_BLOCK):
+        emb = _embed(x[lo : lo + ROW_BLOCK], theta[lo : lo + ROW_BLOCK])
+        u[lo : lo + ROW_BLOCK] = eval_jvp_batch(params, emb, emb[:0])[0]
+    return u
 
 
 # -- checkpoint io ------------------------------------------------------------

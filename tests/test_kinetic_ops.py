@@ -301,6 +301,27 @@ def test_interior_terms_on_a_tensor_set_is_blocked_terms_on_its_rows():
         assert np.array_equal(got[key], want[key])
 
 
+def test_each_boundary_node_set_gets_its_own_rows():
+    # two Monte Carlo sets of one size: the second gets its own rows, and an
+    # entry filed under its id for another node set is not returned
+    problem = _zero_problem(sigma_a=0.7, sigma_t=1.3)
+    one, two = (
+        ps.build_quadrature(scheme=ps.MONTE_CARLO, n_spatial=16, n_boundary=32, seed=s) for s in (1, 2)
+    )
+    rows_one = problem.boundary_rows(one.boundary)
+    rows_two = problem.boundary_rows(two.boundary)
+    assert np.array_equal(rows_two, net._embed(two.boundary.x, two.boundary.theta))
+    assert not np.array_equal(rows_one, rows_two)
+    assert problem.boundary_rows(one.boundary) is rows_one
+    problem._rows[id(two.boundary)] = (one.boundary, rows_one)
+    assert np.array_equal(problem.boundary_rows(two.boundary), rows_two)
+    params = net.init_params((4, 10, 1), seed=2)
+    fresh = _zero_problem(sigma_a=0.7, sigma_t=1.3)
+    for quad in (one, two):
+        got, want = ko.interior_terms(params, quad, problem), ko.interior_terms(params, quad, fresh)
+        assert np.array_equal(got["u_boundary"], want["u_boundary"])
+
+
 def test_coefficient_fields():
     ball = ko.ball_obstacle((0.5, 0.5), 0.15, 50.0, 1.0)
     assert ball(np.array([[0.5, 0.5], [0.5, 0.64], [0.9, 0.9]])) == pytest.approx([50, 50, 1])

@@ -1,5 +1,7 @@
 """Objective assembly, gradients, multiplier field, subsampling."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -329,10 +331,10 @@ _MC_MANUFACTURED = {
 )
 def test_tiling_changes_only_the_gradient_rounding(monkeypatch, preset, overrides):
     # every residual row, and so the parts and the mismatch, are those of one
-    # pass over the whole batch, bitwise, however it is tiled: 10**9 value
-    # rows make one interior and one boundary tile, 250 make several with a
-    # ragged last interior tile, and 17 a tile per block or sample (each
-    # over the budget)
+    # pass over the whole batch, bitwise, however it is tiled: 10**9 stacked
+    # rows make one interior and one boundary tile, 500 make several with a
+    # ragged last interior tile, and 17 a tile per block or sample (a tensor
+    # block is over the budget)
     cfg = presets.expand_preset(preset, overrides)
     problem, _ = cf.build_problem(cfg)
     quad, params, lcfg = cf.build_quadrature_set(cfg), cf.build_network(cfg), cf.build_lagrangian_config(cfg)
@@ -346,10 +348,10 @@ def test_tiling_changes_only_the_gradient_rounding(monkeypatch, preset, override
         0.5 * lcfg.gamma * float(bw @ mismatch**2),
         -float((bw * mult.values) @ mismatch),
     )
-    seen, terms_of = [], ko.interior_terms
-    monkeypatch.setattr(ko, "interior_terms", lambda *args: seen.append(terms_of(*args)) or seen[-1])
+    seen, terms_of = [], ko.PhaseRows.terms
+    monkeypatch.setattr(ko.PhaseRows, "terms", lambda *args: seen.append(terms_of(*args)) or seen[-1])
     tiles, grads = {}, []
-    for budget in (10**9, 250, 17):
+    for budget in (10**9, 500, 17):
         monkeypatch.setattr(lg, "TILE_ROWS", budget)
         tiles[budget] = [rows.stop - rows.start for rows, _ in lg._tiles(batch) if rows.stop > rows.start]
         value = lg.assemble(params, mult, batch, problem, lcfg)
@@ -360,21 +362,22 @@ def test_tiling_changes_only_the_gradient_rounding(monkeypatch, preset, override
             assert (p.pde, p.boundary_penalty, p.multiplier_term) == want
         assert np.array_equal(value.mismatch, mismatch)
         grads.append(grad)
-    assert tiles[10**9] == [len(batch.interior)] and len(tiles[250]) > 2 and len(set(tiles[250])) == 2
+    assert tiles[10**9] == [len(batch.interior)] and len(tiles[500]) > 2 and len(set(tiles[500])) == 2
     for grad in grads[1:]:
         assert np.linalg.norm(grad - grads[0]) <= 1e-13 * np.linalg.norm(grads[0])
 
 
 def test_no_sweep_after_a_non_finite_tile(monkeypatch):
     # the source overflows on the spatial blocks at x1 = 0.38, which fall in
-    # the third and fourth of the tiles; the first two are swept, no later one
+    # the third and fourth of the tiles of five 8-row blocks and their 8
+    # tangent rows each; the first two are swept, no later one
     quad = _quad(n_spatial=6, n_angular=8, n_boundary=(3, 3))
     band = lambda x: (x[:, 0] > 0.3) & (x[:, 0] < 0.5)  # noqa: E731
     problem = _problem(sigma_t=1.0, f=lambda x, t: np.where(band(x), 1e300, 1.0) * 1e10)
     params = net.init_params((4, 8, 1), seed=3)
     mult = lg.constant_multiplier(quad.boundary, 0.5)
     cfg = lg.LagrangianConfig(gamma=1.0)
-    monkeypatch.setattr(lg, "TILE_ROWS", 40)
+    monkeypatch.setattr(lg, "TILE_ROWS", 80)
     sweeps, sweep = [], net.vjp_jvp_batch
     monkeypatch.setattr(net, "vjp_jvp_batch", lambda *args: sweeps.append(1) or sweep(*args))
     with np.errstate(over="ignore", invalid="ignore"):  # as in uzawa.inner_minimize
@@ -387,6 +390,107 @@ def test_no_sweep_after_a_non_finite_tile(monkeypatch):
     assert parts.pde == value.pde == np.inf
     assert np.isfinite([parts.boundary_penalty, parts.multiplier_term]).all()
     assert (parts.boundary_penalty, parts.multiplier_term) == (value.boundary_penalty, value.multiplier_term)
+
+
+def _preset_batch(preset, overrides=None):
+    cfg = presets.expand_preset(preset, overrides)
+    quad, lcfg = cf.build_quadrature_set(cfg), cf.build_lagrangian_config(cfg)
+    return quad, lg.subsample(quad, lcfg.batch_interior, [0, 0, 0])
+
+
+def _stacked_rows(quad, points, nodes):
+    """Network rows of one tile: value and tangent rows, Monte Carlo slices included."""
+    per_point = 2 if quad.scheme == ps.TENSOR_GAUSS else len(quad.angular) + 2
+    return per_point * (points.stop - points.start) + (nodes.stop - nodes.start)
+
+
+@pytest.mark.parametrize("budget", [lg.TILE_ROWS, 100, 17])
+def test_every_tile_fits_the_stacked_budget_or_is_one_unit(monkeypatch, budget):
+    monkeypatch.setattr(lg, "TILE_ROWS", budget)
+    for quad in (
+        _preset_batch("example2")[1],
+        _preset_batch("example3-forward")[1],
+        _preset_batch("manufactured", _MC_MANUFACTURED)[1],
+        _quad(scheme=ps.MONTE_CARLO),
+    ):
+        unit = len(quad.angular) if quad.scheme == ps.TENSOR_GAUSS else 1
+        tiles = lg._tiles(quad)
+        for points, nodes in tiles:
+            one_unit = points.stop - points.start == unit and nodes.start == nodes.stop
+            assert _stacked_rows(quad, points, nodes) <= budget or one_unit
+        # the tiles cover every row and node once, in order
+        for part, size in ((0, len(quad.interior)), (1, len(quad.boundary))):
+            assert [t[part].start for t in tiles[1:]] == [t[part].stop for t in tiles[:-1]]
+            assert tiles[0][part].start == 0 and tiles[-1][part].stop == size
+
+
+def test_tensor_batches_keep_their_tiles():
+    # a tensor tile is 32 blocks x 16 or 16 blocks x 32 value rows, as under
+    # a budget of 512 value rows, now 1,024 rows with their tangents
+    def tiles(starts, boundary):
+        interior = [slice(lo, hi) for lo, hi in zip(starts, starts[1:])]
+        return [(rows, slice(0, 0)) for rows in interior] + [(slice(starts[-1], starts[-1]), boundary)]
+
+    assert lg._tiles(_preset_batch("example2")[1]) == tiles([0, 512, 1024], slice(0, 512))
+    assert lg._tiles(_preset_batch("example3-forward")[1]) == tiles([0, 512, 1024, 1536], slice(0, 256))
+
+
+def test_monte_carlo_batch_makes_four_interior_tiles_and_one_boundary_tile():
+    # 256 samples with K = 12 slice rows and a tangent row each: 73 samples
+    # (1,022 rows) per tile; the 1,024 boundary nodes make one tile
+    quad, batch = _preset_batch("manufactured", _MC_MANUFACTURED)
+    sizes = [(p.stop - p.start, n.stop - n.start) for p, n in lg._tiles(batch)]
+    assert len(quad.angular) == 12 and len(batch.interior) == 256
+    assert sizes == [(73, 0), (73, 0), (73, 0), (37, 0), (0, 1024)]
+
+
+def test_full_set_assemble_makes_one_pass_per_tile(monkeypatch):
+    # the value-only pass streams each tile through the network at once:
+    # 4,096 samples at 73 per tile and 1,024 boundary nodes make 57 + 1 passes
+    cfg = presets.expand_preset("manufactured", _MC_MANUFACTURED)
+    problem, _ = cf.build_problem(cfg)
+    quad, params, lcfg = cf.build_quadrature_set(cfg), cf.build_network(cfg), cf.build_lagrangian_config(cfg)
+    mult = lg.constant_multiplier(quad.boundary, 0.5)
+    passes, forward = [], net._forward
+    monkeypatch.setattr(net, "_forward", lambda *args: passes.append(1) or forward(*args))
+    lg.assemble(params, mult, quad, problem, lcfg)
+    per_tile = lg.TILE_ROWS // (len(quad.angular) + 2)
+    n, n_b = len(quad.interior), len(quad.boundary)
+    assert len(passes) == -(-n // per_tile) - (-n_b // lg.TILE_ROWS) == 58
+
+
+def test_rows_are_built_once_per_evaluation(monkeypatch):
+    # one embedding of the interior rows however many tiles walk them; the
+    # frozen boundary's rows come from the problem's cache after the first
+    cfg = presets.expand_preset("manufactured", _MC_MANUFACTURED)
+    problem, _ = cf.build_problem(cfg)
+    quad, params, lcfg = cf.build_quadrature_set(cfg), cf.build_network(cfg), cf.build_lagrangian_config(cfg)
+    batch = lg.subsample(quad, lcfg.batch_interior, [0, 0, 0])
+    mult = lg.constant_multiplier(quad.boundary, 0.5)
+    embedded, embed = [], net._embed
+    monkeypatch.setattr(net, "_embed", lambda x, theta: embedded.append(len(theta)) or embed(x, theta))
+    lg.assemble_with_gradient(params, mult, batch, problem, lcfg)
+    assert embedded == [256, 1024]
+    embedded.clear()
+    lg.assemble_with_gradient(params, mult, batch, problem, lcfg)
+    lg.assemble(params, mult, quad, problem, lcfg)
+    assert embedded == [256, 4096]
+
+
+def test_a_growing_pass_frees_the_last_tiles_workspace(monkeypatch):
+    # the 1,024-node boundary tile outgrows the (949, 73) rows of the Monte
+    # Carlo tiles; the workspace it replaces must be gone when its pass
+    # writes the new one, or a step's peak memory holds both
+    cfg = presets.expand_preset("manufactured", _MC_MANUFACTURED)
+    problem, _ = cf.build_problem(cfg)
+    quad, params, lcfg = cf.build_quadrature_set(cfg), cf.build_network(cfg), cf.build_lagrangian_config(cfg)
+    batch = lg.subsample(quad, lcfg.batch_interior, [0, 0, 0])
+    alive, live, init, forward = weakref.WeakSet(), [], net._Workspace.__init__, net._forward
+    monkeypatch.setattr(net._Workspace, "__init__", lambda ws, *args: init(ws, *args) or alive.add(ws))
+    monkeypatch.setattr(net, "_forward", lambda *args: live.append(len(alive)) or forward(*args))
+    net.release_workspace()
+    lg.assemble_with_gradient(params, lg.constant_multiplier(quad.boundary, 0.5), batch, problem, lcfg)
+    assert live == [1] * 5 and len({id(ws) for ws in alive}) == 1
 
 
 def test_full_set_value_pass_stays_block_sized(peak_bytes):

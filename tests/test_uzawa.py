@@ -124,6 +124,32 @@ def test_run_monte_carlo_resampling_path():
     assert len(s1.inner_history[0]) == 10
 
 
+def test_monte_carlo_run_replays_bitwise_from_warm_caches():
+    # back to back on one quadrature set and problem: the second run meets
+    # the boundary rows the first one cached and a live kernel workspace
+    quad, problem, params = _tiny_setup(
+        g=lambda x, t: np.full(np.atleast_2d(x).shape[0], 0.2), scheme=ps.MONTE_CARLO
+    )
+    cfg = uzawa.UzawaConfig(rho=0.5, n_outer=2, n_inner=10)
+    lcfg = lg.LagrangianConfig(gamma=1.0, batch_interior=24, resample=True)
+    first = uzawa.run(problem, quad, params, cfg, lcfg, seed=11)
+    cached, live = problem.boundary_rows(quad.boundary), list(net._SLOTS.values())
+    assert live
+    second = uzawa.run(problem, quad, params, cfg, lcfg, seed=11)
+    assert problem.boundary_rows(quad.boundary) is cached
+
+    def parts(p):
+        return (p.pde, p.boundary_penalty, p.multiplier_term)
+
+    assert net.flatten(first.params).tobytes() == net.flatten(second.params).tobytes()
+    for a, b in zip(first.inner_history, second.inner_history, strict=True):
+        assert [parts(p) for p in a] == [parts(p) for p in b]
+    for a, b in zip(first.outer_history, second.outer_history, strict=True):
+        assert parts(a.loss_parts) == parts(b.loss_parts)
+        assert a.loss_parts.mismatch.tobytes() == b.loss_parts.mismatch.tobytes()
+        assert (a.boundary_residual, a.lambda_norm) == (b.boundary_residual, b.lambda_norm)
+
+
 def test_outer_pass_runs_without_the_training_workspace(monkeypatch):
     # the full-set pass builds its rows after the inner loop has released
     # its cached workspace (the one with d2 buffers), so the two never add up
