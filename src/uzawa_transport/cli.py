@@ -143,11 +143,9 @@ def run_experiment(config, out_dir=None):
     if config.mode == configmod.ORACLE_VERIFY:
         checks = linear_oracle.verification_suite(n_iter=config["oracle.n_iter"])
         all_ok = True
-        details = {}
         for name, ok, detail in checks:
             ok = bool(ok)  # JSON cannot serialise numpy.bool_
             print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))
-            details[name] = {"ok": ok, "detail": detail}
             all_ok &= ok
         manifest = diagnostics_io.RunManifest(
             config=config.to_flat(),

@@ -75,14 +75,12 @@ SCHEMA = {
     "network.activation": ("str", "tanh", tuple(network.ACTIVATIONS)),
     "network.seed": ("int", 0, ">= 0"),
     "lagrangian.gamma": ("float", 1.0, ">= 0"),
-    "lagrangian.include_source": ("bool", True, None),
     "lagrangian.batch_interior": ("int", 0, ">= 0"),  # 0 means the full set
     "lagrangian.resample": ("bool", True, None),
     "uzawa.rho": ("float", 1.0, "> 0"),
     "uzawa.n_outer": ("int", 10, ">= 1"),
     "uzawa.n_inner": ("int", 200, ">= 1"),
     "uzawa.learning_rate": ("float", 1e-3, "> 0"),
-    "uzawa.optimizer": ("str", "adam", ("adam", "sgd")),
     "uzawa.beta1": ("float", 0.9, "in [0, 1)"),
     "uzawa.beta2": ("float", 0.999, "in [0, 1)"),
     "uzawa.eps_adam": ("float", 1e-8, "> 0"),
@@ -94,6 +92,10 @@ SCHEMA = {
     "outputs.checkpoint": ("bool", True, None),
     "oracle.n_iter": ("int", 200, ">= 1"),
 }
+
+# keys retired from SCHEMA that manifests written before still hold, each
+# with the one value every run used; from_flat ignores them at that value
+_RETIRED = {"uzawa.optimizer": ("str", "adam"), "lagrangian.include_source": ("bool", True)}
 
 _BOUNDS = {
     "> 0": lambda v: v > 0,
@@ -225,13 +227,22 @@ def _semantic_violations(values):
 def from_flat(mapping):
     """Validate a flat key/value mapping into an ExperimentConfig.
 
-    Raises ConfigError listing every violation (unknown keys, parse
-    failures, bounds, coupled rules), not just the first.
+    Raises ConfigError listing every violation (unknown keys, retired keys
+    at another value, parse failures, bounds, coupled rules), not just the
+    first.
     """
     violations = []
     values = {key: default for key, (_, default, _) in SCHEMA.items()}
     for key, raw in mapping.items():
-        if key not in SCHEMA:
+        if key in _RETIRED:
+            tag, kept = _RETIRED[key]
+            try:
+                if _SCALARS[tag](raw) == kept:
+                    continue
+            except ValueError:
+                pass
+            violations.append(f"{key}: retired; only {kept!r} is accepted, got {raw!r}")
+        elif key not in SCHEMA:
             violations.append(f"{key}: unknown configuration key")
         else:
             values[key] = _convert(key, raw, violations)

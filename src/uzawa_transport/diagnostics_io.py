@@ -99,7 +99,7 @@ def angular_slice(params, theta, nx=101, ny=101, domain=None):
     return FieldGrid(nx, ny, u.reshape(nx, ny), extent)
 
 
-def discrete_norms(params, quad, problem, reference=None, outflow=None, want_triple=False):
+def discrete_norms(params, quad, problem, reference=None):
     """Discrete solution-space norms on the given quadrature.
 
     Without a reference: residual norms of the network against the problem
@@ -107,42 +107,27 @@ def discrete_norms(params, quad, problem, reference=None, outflow=None, want_tri
     from the residual assembly.  With a reference: the same norms of the
     difference u - reference; the reference goes through the same assembly,
     and since T+S is linear, (T+S)(u - reference) is the difference of the
-    two residuals.  The triple norm needs outflow nodes (mirror of the
-    inflow sampler).
+    two residuals.
     """
-    if want_triple and outflow is None:
-        raise ContractViolation("triple norm requested without outflow nodes")
     w, b = quad.interior.weight, quad.boundary
     terms = kinetic_ops.interior_terms(params, quad, problem)
     if reference is None:
-        resid, diff, ddir = terms["residual"], terms["u"], terms["du"]
+        resid, diff = terms["residual"], terms["u"]
         bnd = terms["u_boundary"] - problem.data.inflow(b)
     else:
         ref = kinetic_ops.interior_terms(reference, quad, problem)
         resid = terms["residual"] - ref["residual"]
-        diff, ddir = terms["u"] - ref["u"], terms["du"] - ref["du"]
+        diff = terms["u"] - ref["u"]
         bnd = terms["u_boundary"] - ref["u_boundary"]
     pde_sq = float(w @ resid**2)
     l2_sq = float(w @ diff**2)
     bnd_sq = float(b.weight @ bnd**2)
-    result = {
+    return {
         "l2_interior": np.sqrt(l2_sq),
         "pde_residual_norm": np.sqrt(pde_sq),
         "boundary_residual_norm": np.sqrt(bnd_sq),
         "v_norm": np.sqrt(pde_sq + bnd_sq),
-        "triple_norm": None,
     }
-    if want_triple:
-        grad_sq = float(w @ ddir**2)
-        out = network.eval_batch(params, outflow.x, outflow.theta)
-        if reference is None:
-            in_sq = float(b.weight @ terms["u_boundary"] ** 2)
-        else:
-            out = out - np.asarray(reference.value(outflow.x, outflow.theta))
-            in_sq = bnd_sq
-        out_sq = float(outflow.weight @ out**2)
-        result["triple_norm"] = np.sqrt(l2_sq + grad_sq + out_sq + in_sq)
-    return result
 
 
 # -- file emission ------------------------------------------------------------

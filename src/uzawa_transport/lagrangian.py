@@ -35,7 +35,6 @@ TILE_ROWS = 1024
 @dataclass
 class LagrangianConfig:
     gamma: float = 1.0
-    include_source: bool = True
     batch_interior: int | None = None
     resample: bool = True
 
@@ -94,12 +93,6 @@ def _check_registry(multiplier, quad):
         raise ContractViolation("multiplier registry does not match the boundary nodes")
 
 
-def _problem_for(problem, config):
-    if config.include_source:
-        return problem
-    return replace(problem, data=replace(problem.data, f=None))
-
-
 def _tiles(quad):
     """(interior rows, boundary nodes) slices of each tile in pass order: runs
     of whole units, then of boundary nodes; at most ``TILE_ROWS`` stacked
@@ -115,7 +108,6 @@ def _tiles(quad):
 
 def _evaluate(params, multiplier, quad, problem, config, need_grad):
     _check_registry(multiplier, quad)
-    problem = _problem_for(problem, config)
     b, w = quad.boundary, quad.interior.weight
     g = problem.data.inflow(b)  # on the full frozen set: its cache and noise draw are per set
     # the rows once for all tiles: a sample's kernel row rounds by its batch

@@ -255,6 +255,7 @@ def _workspace(params, n, n_t, order):
     ws = _SLOTS.get(key)
     if ws is None or n > ws.capacity[0] or n_t > ws.capacity[1]:
         cap = (max(n, ws.capacity[0]), max(n_t, ws.capacity[1])) if ws else (n, n_t)
+        ws = None
         release_workspace()
         ws = _SLOTS[key] = _Workspace(params.widths, *cap, order)
     ws.layout(n, n_t)

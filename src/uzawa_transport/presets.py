@@ -22,17 +22,8 @@ class Preset:
     flat: tuple  # (key, value) overrides on top of the schema defaults
 
 
-_COMMON_TRAIN = {
-    "network.widths": (4, 64, 64, 64, 1),
-    "uzawa.optimizer": "adam",
-    "uzawa.learning_rate": 1e-3,
-    "lagrangian.gamma": 1.0,
-    "uzawa.rho": 1.0,
-}
-
-
 def _preset(name, description, source, **flat):
-    merged = {"preset": name, **_COMMON_TRAIN, **flat}
+    merged = {"preset": name, **flat}
     return Preset(name, description, source, tuple(sorted(merged.items())))
 
 

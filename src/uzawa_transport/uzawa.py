@@ -33,7 +33,6 @@ class UzawaConfig:
     n_outer: int = 10
     n_inner: int = 200
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     beta1: float = 0.9
     beta2: float = 0.999
     eps_adam: float = 1e-8
@@ -54,16 +53,6 @@ class UzawaConfig:
             raise ContractViolation("Adam decay rates must satisfy 0 <= beta1, beta2 < 1")
         if not self.eps_adam > 0:
             raise ContractViolation("eps_adam must be positive")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ContractViolation(f"unknown optimizer '{self.optimizer}'")
-
-
-class Sgd:
-    def __init__(self, lr):
-        self.lr = lr
-
-    def step(self, theta, grad):
-        return theta - self.lr * grad
 
 
 class Adam:
@@ -86,12 +75,6 @@ class Adam:
         m_hat = self.m / (1.0 - self.beta1**self.t)
         v_hat = self.v / (1.0 - self.beta2**self.t)
         return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def make_optimizer(config):
-    if config.optimizer == "sgd":
-        return Sgd(config.learning_rate)
-    return Adam(config.learning_rate, config.beta1, config.beta2, config.eps_adam)
 
 
 @dataclass
@@ -179,7 +162,7 @@ def run(problem, quad, params0, config, lagr_cfg, seed=0):
     with np.errstate(over="ignore", invalid="ignore"):
         u0 = network.eval_batch(params0, b.x, b.theta)
         state.initial_boundary_residual = boundary_residual(b, u0 - problem.data.inflow(b))
-    optimizer = make_optimizer(config)
+    optimizer = Adam(config.learning_rate, config.beta1, config.beta2, config.eps_adam)
     for k in range(config.n_outer):
         trace = inner_minimize(state, quad, problem, lagr_cfg, config, optimizer, k, seed)
         with np.errstate(over="ignore", invalid="ignore"):

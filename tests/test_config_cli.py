@@ -1,5 +1,6 @@
 """Config parsing/validation, preset expansion, CLI behavior."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -289,6 +290,53 @@ def test_cli_manifest_rerun_reproduces_metrics(tmp_path):
     )
     assert second.returncode == 0, second.stderr
     assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
+    # a manifest written while the retired keys were in SCHEMA holds them
+    manifest = json.loads((out_a / "manifest.json").read_text())
+    manifest["config"].update({"uzawa.optimizer": "adam", "lagrangian.include_source": True})
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(manifest))
+    third = _run_cli(["run", older.as_posix(), "--out", (tmp_path / "c").as_posix(), "--threads", "1"])
+    assert third.returncode == 0, third.stderr
+    assert (out_a / "metrics.csv").read_bytes() == (tmp_path / "c" / "metrics.csv").read_bytes()
+
+
+def test_retired_keys_are_ignored_at_their_one_value():
+    default = cm.from_flat({})
+    assert cm.from_flat({"uzawa.optimizer": "adam", "lagrangian.include_source": True}) == default
+    assert cm.from_flat({"lagrangian.include_source": "true"}) == default
+    assert "uzawa.optimizer" not in default.to_flat()
+
+
+@pytest.mark.parametrize("key, value", [("uzawa.optimizer", "sgd"), ("lagrangian.include_source", "false")])
+def test_cli_retired_key_at_another_value_exit_code(tmp_path, key, value):
+    out = _run_cli(["preset", "example1", "--override", f"{key}={value}", "--out", tmp_path.as_posix()])
+    assert out.returncode == 2
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 2 and lines[0] == "configuration error:"
+    assert lines[1].startswith(f"  - {key}: ")
+
+
+def test_cli_emit_quadrature_writes_the_run_nodes(tmp_path):
+    overrides = {**FAST_OVERRIDES, "outputs.emit_quadrature": "true"}
+    args = ["preset", "example1", "--out", tmp_path.as_posix(), "--threads", "1"]
+    for key, value in overrides.items():
+        args += ["--override", f"{key}={value}"]
+    out = _run_cli(args)
+    assert out.returncode == 0, out.stderr
+    quad = cm.build_quadrature_set(presets.expand_preset("example1", overrides))
+    with open(tmp_path / "quadrature.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    kinds = ("interior", "angular", "boundary")
+    assert [r["kind"] for r in rows] == [k for k in kinds for _ in range(len(getattr(quad, k)))]
+    for kind in kinds:
+        nodes, mine = getattr(quad, kind), [r for r in rows if r["kind"] == kind]
+        columns = {"omega_angle": nodes.theta, "weight": nodes.weight}
+        if kind == "angular":
+            assert all(r["x1"] == r["x2"] == "" for r in mine)
+        else:
+            columns.update(x1=nodes.x[:, 0], x2=nodes.x[:, 1])
+        for column, want in columns.items():
+            assert np.array_equal([float(r[column]) for r in mine], want)  # lossless re-parse
 
 
 def test_cli_env_var_output_dir(tmp_path):

@@ -168,18 +168,6 @@ def test_reference_mode_constant_difference(scheme):
     assert norms["pde_residual_norm"] ** 2 == pytest.approx(expected, rel=1e-12)
 
 
-def test_triple_norm_contract_and_value():
-    quad = ps.build_quadrature(n_spatial=6, n_angular=8, n_boundary=(4, 4))
-    with pytest.raises(ContractViolation):
-        dio.discrete_norms(_const_net(1.0), quad, _problem(), want_triple=True)
-    outflow = ps.tensor_boundary(ps.UNIT_SQUARE, 4, 4, side=ps.OUTFLOW)
-    norms = dio.discrete_norms(
-        _const_net(1.0), quad, _problem(), outflow=outflow, want_triple=True
-    )
-    # u = 1: ||u||^2 = 2 pi, grad term 0, both traces 8
-    assert norms["triple_norm"] ** 2 == pytest.approx(TWO_PI + 16.0, abs=1e-9)
-
-
 def test_norms_finite_for_random_networks():
     quad = ps.build_quadrature(n_spatial=5, n_angular=8, n_boundary=(3, 3))
     for seed in range(3):

@@ -186,16 +186,12 @@ def test_registry_mismatch_rejected():
         lg.assemble(_zero_net(), mult, quad, _problem(), lg.LagrangianConfig())
 
 
-def test_include_source_flag():
+def test_source_enters_the_pde_part():
     quad = _quad()
     problem = _problem(f=lambda x, t: np.ones(np.atleast_2d(x).shape[0]))
     mult = lg.constant_multiplier(quad.boundary, 0.0)
-    with_f = lg.assemble(_zero_net(), mult, quad, problem, lg.LagrangianConfig(include_source=True))
-    without_f = lg.assemble(
-        _zero_net(), mult, quad, problem, lg.LagrangianConfig(include_source=False)
-    )
-    assert with_f.pde == pytest.approx(0.5 * 2 * np.pi, abs=1e-10)  # 1/2 int 1 over W
-    assert without_f.pde == 0.0
+    parts = lg.assemble(_zero_net(), mult, quad, problem, lg.LagrangianConfig())
+    assert parts.pde == pytest.approx(0.5 * 2 * np.pi, abs=1e-10)  # 1/2 int 1 over W
 
 
 # -- subsampling ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Trial network: init, evaluation, directional derivatives, checkpoints."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -446,3 +447,22 @@ def test_cache_outlives_a_workspace_switch(activation):
     net.eval_batch(params, x, theta)
     assert cache[0] not in net._SLOTS.values()
     assert np.array_equal(net.vjp_jvp_batch(params, cache, *seeds), want)
+
+
+def test_a_growing_workspace_is_built_after_the_old_one_is_gone(monkeypatch):
+    # no cache holds the 64-row workspace, so it must be gone before the
+    # 128-row one is built, or the two coexist
+    params = net.init_params((4, 8, 1), seed=0)
+    rng = np.random.default_rng(9)
+    alive, at_build, init = weakref.WeakSet(), [], net._Workspace.__init__
+
+    def counted_init(ws, *args):
+        at_build.append(len(alive))
+        init(ws, *args)
+        alive.add(ws)
+
+    monkeypatch.setattr(net._Workspace, "__init__", counted_init)
+    net.release_workspace()
+    for n in (64, 128):
+        net.forward_jvp_batch(params, rng.uniform(-1.0, 1.0, (n, 4)), rng.uniform(-1.0, 1.0, (n, 4)))
+    assert at_build == [0, 0]
