@@ -102,17 +102,21 @@ def _final_metrics(state, quad, reference):
     return metrics
 
 
+def _write_manifest(out_dir, config, wall_clock, final):
+    from . import __version__, diagnostics_io
+
+    manifest = diagnostics_io.RunManifest(config.to_flat(), __version__, wall_clock, final)
+    diagnostics_io.emit_manifest(os.path.join(out_dir, "manifest.json"), manifest)
+
+
 def _emit_train_outputs(out_dir, config, state, quad, reference, wall_clock):
-    from . import __version__, diagnostics_io, network, phase_space
+    from . import diagnostics_io, network, phase_space
 
     diagnostics_io.emit_metrics(
         os.path.join(out_dir, "metrics.csv"), diagnostics_io.metrics_rows(state)
     )
     final = _final_metrics(state, quad, reference)
-    manifest = diagnostics_io.RunManifest(
-        config=config.to_flat(), version=__version__, wall_clock=wall_clock, final_metrics=final
-    )
-    diagnostics_io.emit_manifest(os.path.join(out_dir, "manifest.json"), manifest)
+    _write_manifest(out_dir, config, wall_clock, final)
     if config["outputs.checkpoint"]:
         network.save_params(state.params, os.path.join(out_dir, "params.uzmlp"))
     if config["outputs.emit_quadrature"]:
@@ -131,8 +135,7 @@ def _emit_train_outputs(out_dir, config, state, quad, reference, wall_clock):
 def run_experiment(config, out_dir=None):
     """Execute one experiment; returns (exit_code, output_dir)."""
     from . import config as configmod
-    from . import diagnostics_io, linear_oracle, uzawa
-    from . import __version__
+    from . import linear_oracle, uzawa
     from .errors import NumericalAbort
 
     out_dir = _resolve_out_dir(out_dir, config)
@@ -147,13 +150,7 @@ def run_experiment(config, out_dir=None):
             ok = bool(ok)  # JSON cannot serialise numpy.bool_
             print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))
             all_ok &= ok
-        manifest = diagnostics_io.RunManifest(
-            config=config.to_flat(),
-            version=__version__,
-            wall_clock=time.perf_counter() - start,
-            final_metrics={"checks_passed": all_ok},
-        )
-        diagnostics_io.emit_manifest(os.path.join(out_dir, "manifest.json"), manifest)
+        _write_manifest(out_dir, config, time.perf_counter() - start, {"checks_passed": all_ok})
         return (0 if all_ok else 1), out_dir
 
     problem, reference = configmod.build_problem(config)
@@ -165,13 +162,7 @@ def run_experiment(config, out_dir=None):
         state = uzawa.run(problem, quad, params0, uz_cfg, lg_cfg, seed=config["seed"])
     except NumericalAbort:
         # flush a manifest naming the abort so the run is diagnosable
-        manifest = diagnostics_io.RunManifest(
-            config=config.to_flat(),
-            version=__version__,
-            wall_clock=time.perf_counter() - start,
-            final_metrics={"aborted": str(sys.exc_info()[1])},
-        )
-        diagnostics_io.emit_manifest(os.path.join(out_dir, "manifest.json"), manifest)
+        _write_manifest(out_dir, config, time.perf_counter() - start, {"aborted": str(sys.exc_info()[1])})
         raise
 
     final = _emit_train_outputs(out_dir, config, state, quad, reference, time.perf_counter() - start)

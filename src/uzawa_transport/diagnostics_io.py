@@ -107,15 +107,16 @@ def discrete_norms(params, quad, problem, reference=None):
     from the residual assembly.  With a reference: the same norms of the
     difference u - reference; the reference goes through the same assembly,
     and since T+S is linear, (T+S)(u - reference) is the difference of the
-    two residuals.
+    two residuals.  The rows are built once for both walks.
     """
     w, b = quad.interior.weight, quad.boundary
-    terms = kinetic_ops.interior_terms(params, quad, problem)
+    rows = kinetic_ops.interior_rows(quad, problem)
+    terms = rows.whole(params)
     if reference is None:
         resid, diff = terms["residual"], terms["u"]
         bnd = terms["u_boundary"] - problem.data.inflow(b)
     else:
-        ref = kinetic_ops.interior_terms(reference, quad, problem)
+        ref = rows.whole(reference)
         resid = terms["residual"] - ref["residual"]
         diff = terms["u"] - ref["u"]
         bnd = terms["u_boundary"] - ref["u_boundary"]

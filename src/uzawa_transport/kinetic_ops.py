@@ -12,16 +12,14 @@ Fourier modes it acts with the eigenvalues of ``angular_eigenvalue`` up
 to angular quadrature error.
 
 The discrete operator lives here once.  ``scattering_mean`` is the
-kernel-weighted angular mean and ``scattering_adjoint`` its exact adjoint
-(the gradient seeds of ``lagrangian``); both take the kernel rows either
-as one K x K matrix shared by every slice or as one row per slice.  The
-rows are built here, once per evaluation: a ``PhaseRows`` holds the
-network rows, tangents, coefficients and kernel rows of its points, and
-its ``terms``, the one assembly body of every residual, runs on any tile
-of them (``lagrangian``) or on all (``blocked_terms`` for tensor rows,
-in spatial-major blocks of K with theta the angular rule in each;
-``sample_terms`` for loose Monte Carlo samples; ``interior_terms`` picks
-by the scheme).  It evaluates a network or a ``ReferenceSolution``.
+kernel-weighted angular mean and ``scattering_adjoint`` its exact adjoint;
+both take the kernel rows either as one K x K matrix shared by every slice
+or as one row per slice.  The layout of the stacked network passes lives
+here too: a ``PhaseRows`` builds an evaluation's rows once and cuts them
+into tiles of at most ``network.ROW_BLOCK`` rows; its ``terms``, the one
+assembly body of every residual, runs one tile's pass, ``sweep`` seeds
+that pass's reverse sweep, and ``whole`` walks every tile for whole-set
+callers (``blocked_terms``, ``sample_terms``, ``discrete_norms``).
 """
 
 from __future__ import annotations
@@ -35,6 +33,15 @@ from .errors import ContractViolation
 from .phase_space import TENSOR_GAUSS
 
 TWO_PI = 2.0 * np.pi
+
+
+def _per_node_set(cache, nodes, build):
+    """``build(nodes)``, computed once per node set: ``cache`` files it with
+    the set itself under ``id(nodes)``, so a recycled id is rebuilt."""
+    hit = cache.get(id(nodes))
+    if hit is None or hit[0] is not nodes:
+        hit = cache[id(nodes)] = (nodes, build(nodes))
+    return hit[1]
 
 
 # -- coefficients -------------------------------------------------------------
@@ -122,13 +129,7 @@ class ScatteringKernel:
 
     def matrix(self, angular):
         """Node-to-node renormalized kernel matrix, cached per quadrature."""
-        key = id(angular)
-        hit = self._cache.get(key)
-        if hit is not None and hit[0] is angular:
-            return hit[1]
-        mat = self.rows(angular.theta, angular)
-        self._cache[key] = (angular, mat)
-        return mat
+        return _per_node_set(self._cache, angular, lambda nodes: self.rows(nodes.theta, nodes))
 
 
 def isotropic_kernel():
@@ -195,17 +196,17 @@ class SourceAndInflow:
     def inflow(self, boundary):
         """g on a frozen boundary node set, noise included; computed once
         per node set and then returned from the cache."""
-        hit = self._cache.get(id(boundary))
-        if hit is None or hit[0] is not boundary:
-            base = np.zeros(len(boundary))
-            if self.g is not None:
-                base = np.asarray(self.g(boundary.x, boundary.theta), dtype=float)
-            if self.noise is not None:
-                rng = np.random.default_rng(self.noise.seed)
-                delta = rng.normal(0.0, self.noise.std, len(boundary))
-                base = base + delta * (base != 0.0)
-            hit = self._cache[id(boundary)] = (boundary, base)
-        return hit[1]
+        return _per_node_set(self._cache, boundary, self._inflow)
+
+    def _inflow(self, boundary):
+        base = np.zeros(len(boundary))
+        if self.g is not None:
+            base = np.asarray(self.g(boundary.x, boundary.theta), dtype=float)
+        if self.noise is not None:
+            rng = np.random.default_rng(self.noise.seed)
+            delta = rng.normal(0.0, self.noise.std, len(boundary))
+            base = base + delta * (base != 0.0)
+        return base
 
 
 @dataclass
@@ -223,11 +224,8 @@ class ProblemSpec:
             raise ContractViolation("scattering strength must be nonnegative")
 
     def boundary_rows(self, boundary):
-        """Network rows of a frozen boundary node set, cached by identity as ``SourceAndInflow.inflow``."""
-        hit = self._rows.get(id(boundary))
-        if hit is None or hit[0] is not boundary:
-            hit = self._rows[id(boundary)] = (boundary, network._embed(boundary.x, boundary.theta))
-        return hit[1]
+        """Network rows of a frozen boundary node set, computed once per node set."""
+        return _per_node_set(self._rows, boundary, lambda nodes: network._embed(nodes.x, nodes.theta))
 
 
 # -- operators ----------------------------------------------------------------
@@ -273,7 +271,7 @@ def scattering_apply(u_slice, angular, kernel, sigma_t):
 
 
 class PhaseRows:
-    """The rows of one evaluation, built once; ``terms`` takes a tile of them:
+    """The rows of one evaluation, built once, and the layout of its passes:
     per point (x, theta) its network row (x1, x2, cos theta, sin theta),
     transport tangent (cos theta, sin theta, 0, 0), sigma_a, f and kernel
     rows (the K x K matrix shared by tensor blocks, or a (1, K) row per
@@ -288,6 +286,19 @@ class PhaseRows:
         self.kernel_rows = kernel.rows(theta, angular)[:, None] if loose else kernel.matrix(angular)
         self.dirs = np.column_stack([np.cos(angular.theta), np.sin(angular.theta)]) if loose else None
         self.boundary_emb = np.empty((0, 4)) if boundary is None else problem.boundary_rows(boundary)
+
+    def tiles(self):
+        """(points, boundary nodes) slices of each tile in pass order: runs of
+        whole units, which the scattering sum never couples, then of boundary
+        nodes; at most ``network.ROW_BLOCK`` stacked network rows (read at
+        each call) or one unit each.  A unit is a tensor block, K rows and K
+        tangent rows, or a loose sample with K slice rows and a tangent row."""
+        k, n, n_b, budget = len(self.angular), len(self.theta), len(self.boundary_emb), network.ROW_BLOCK
+        rows, unit = (1, k + 2) if self.dirs is not None else (k, 2 * k)
+        per = rows * max(1, budget // unit)
+        return [(slice(lo, min(lo + per, n)), slice(0, 0)) for lo in range(0, n, per)] + [
+            (slice(n, n), slice(lo, min(lo + budget, n_b))) for lo in range(0, n_b, budget)
+        ]
 
     def terms(self, field, points=slice(None), nodes=slice(None), need_grad=False):
         """Residual (T + S)u - f of ``field`` at the points ``points`` (a slice).
@@ -321,43 +332,44 @@ class PhaseRows:
         extra["u_boundary"] = u_rows[m + n_s :]  # empty without boundary nodes
         return {"u": u, "du": du, "residual": resid, "sigma": sig, "kernel_rows": kernel_rows, **extra}
 
+    def sweep(self, params, terms, weighted_residual, boundary_seed):
+        """Gradient from the reverse sweep of a tile's pass, whose ``terms``
+        kept its cache (popped, so a pass that grows the workspace does not
+        keep this one alive).  Tangent seeds are w r; value seeds are w r
+        (sigma_a + sigma_t), the scattering cross-terms (added in place on
+        tensor points, their own slices), then ``boundary_seed``."""
+        wr, kernel_rows, sigma_t = weighted_residual, terms["kernel_rows"], self.problem.sigma_t
+        scat = scattering_adjoint(wr.reshape(-1, kernel_rows.shape[-2]), kernel_rows, self.angular.weight)
+        seeds = [wr * (terms["sigma"] + sigma_t), -sigma_t * scat.ravel()]
+        if self.dirs is None:
+            seeds = [seeds[0] + seeds[1]]
+        seeds.append(boundary_seed)
+        return network.vjp_jvp_batch(params, terms.pop("cache"), np.concatenate(seeds), wr)
 
-def blocked_terms(field, x, theta, angular, problem, boundary=None, need_grad=False):
-    """Residual data on tensor rows: spatial-major blocks of K rows, one per
-    spatial point, x constant in each block and theta the angular rule.
-
-    ``field`` is network parameters or a ReferenceSolution.  Each row is
-    evaluated once and serves both the residual and the scattering sums
-    (the rows are the slices), so the angular coupling costs one K x K
-    product per block.  Returns a dict of flat arrays in row order: "u",
-    "du" (along each row's own direction), "residual", "sigma" (absorption
-    per row), and "kernel_rows" (the shared K x K matrix); frozen
-    ``boundary`` nodes ride along in the same pass ("u_boundary"), and
-    ``need_grad`` keeps the pass's cache for one reverse sweep ("cache").
-    """
-    return PhaseRows(x, theta, angular, problem, boundary, False).terms(field, need_grad=need_grad)
+    def whole(self, field):
+        """The "u", "du", "residual" and "u_boundary" of ``terms`` at every
+        point and boundary node, in row order, walked one tile at a time."""
+        walked = [self.terms(field, *tile) for tile in self.tiles()]
+        return {key: np.concatenate([t[key] for t in walked]) for key in ("u", "du", "residual", "u_boundary")}
 
 
-def sample_terms(field, x, theta, angular, problem, boundary=None, need_grad=False):
-    """Residual data at loose phase samples (directions off the angular grid).
+def blocked_terms(field, x, theta, angular, problem, boundary=None):
+    """``PhaseRows.whole`` of ``field`` (network parameters or a
+    ReferenceSolution) on tensor rows: spatial-major blocks of K rows, x
+    constant in each block and theta the angular rule, so the rows are the
+    scattering slices; frozen ``boundary`` nodes ride along."""
+    return PhaseRows(x, theta, angular, problem, boundary, False).whole(field)
 
-    Each sample needs the full angular slice at its position for the
-    scattering average, so this path costs K extra value-only rows per
-    sample, evaluated in the same pass after the samples; the kernel row is
-    renormalized at the sample's own direction.  Returns the entries of
-    ``blocked_terms``, with "kernel_rows" one row per sample, (n, 1, K).
-    """
-    return PhaseRows(x, theta, angular, problem, boundary, True).terms(field, need_grad=need_grad)
+
+def sample_terms(field, x, theta, angular, problem, boundary=None):
+    """``blocked_terms`` at loose phase samples, directions off the angular
+    grid: a sample's pass adds its slice, K value-only rows, and its kernel
+    row is renormalized at its own direction."""
+    return PhaseRows(x, theta, angular, problem, boundary, True).whole(field)
 
 
 def interior_rows(quad, problem):
-    """The ``PhaseRows`` of the interior of ``quad`` and its inflow boundary."""
+    """The ``PhaseRows`` of the interior of ``quad`` and its inflow boundary:
+    blocked on tensor interiors, loose on Monte Carlo samples."""
     loose = quad.scheme != TENSOR_GAUSS
     return PhaseRows(quad.interior.x, quad.interior.theta, quad.angular, problem, quad.boundary, loose)
-
-
-def interior_terms(field, quad, problem, need_grad=False):
-    """Residual data of ``field`` on the interior of ``quad``, with its
-    inflow-boundary nodes in the same pass: that of ``blocked_terms`` on
-    tensor interiors, of ``sample_terms`` on loose Monte Carlo samples."""
-    return interior_rows(quad, problem).terms(field, need_grad=need_grad)

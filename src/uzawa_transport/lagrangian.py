@@ -5,16 +5,11 @@ The objective is
 assembled on a quadrature set.  The multiplier lives on a frozen copy of
 the inflow-boundary nodes; interior nodes may be subsampled (tensor rules
 subsample whole spatial blocks so the angular coupling stays intact) or,
-for Monte Carlo rules, redrawn per step by the caller.  The rows of an
-evaluation are built once (``kinetic_ops.interior_rows``), then walked in
-tiles, row ranges of at most ``TILE_ROWS`` stacked network rows (value
-and tangent rows): runs of whole blocks or samples, which the scattering
-sum never couples, then of boundary nodes.  Each tile gets one network
-pass and, for a gradient, one reverse sweep at once, from a value seed
-per row and a tangent seed per point, with the scattering cross-terms
-(``kinetic_ops.scattering_adjoint``) in the value seeds.  Residuals and
-mismatches fill full-length arrays and each part is reduced once, so
-only the gradient's summation order depends on the tiling.
+for Monte Carlo rules, redrawn per step by the caller.  An evaluation
+walks the tiles of its ``kinetic_ops.PhaseRows``, which lay out each pass
+and its reverse-sweep seeds, and fills full-length residual and mismatch
+arrays; each part is reduced once over them, so only the gradient's
+summation order depends on the tiling.
 """
 
 from __future__ import annotations
@@ -23,13 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kinetic_ops, network
+from . import kinetic_ops
 from .errors import ContractViolation
 from .phase_space import TENSOR_GAUSS, InteriorNodes
-
-# Stacked network rows (value + tangent) per tile of ``_evaluate``: a 64-wide
-# layer array of 1,024 rows is 512 KB, inside a 2 MB L2 cache (CHANGES.md).
-TILE_ROWS = 1024
 
 
 @dataclass
@@ -93,42 +84,22 @@ def _check_registry(multiplier, quad):
         raise ContractViolation("multiplier registry does not match the boundary nodes")
 
 
-def _tiles(quad):
-    """(interior rows, boundary nodes) slices of each tile in pass order: runs
-    of whole units, then of boundary nodes; at most ``TILE_ROWS`` stacked
-    network rows or one unit each.  A unit is a tensor block, K rows and K
-    tangent rows, or a Monte Carlo sample with K slice rows and a tangent row."""
-    k, n, n_b = len(quad.angular), len(quad.interior), len(quad.boundary)
-    rows, unit = (k, 2 * k) if quad.scheme == TENSOR_GAUSS else (1, k + 2)
-    per = rows * max(1, TILE_ROWS // unit)
-    return [(slice(lo, min(lo + per, n)), slice(0, 0)) for lo in range(0, n, per)] + [
-        (slice(n, n), slice(lo, min(lo + TILE_ROWS, n_b))) for lo in range(0, n_b, TILE_ROWS)
-    ]
-
-
 def _evaluate(params, multiplier, quad, problem, config, need_grad):
     _check_registry(multiplier, quad)
     b, w = quad.boundary, quad.interior.weight
     g = problem.data.inflow(b)  # on the full frozen set: its cache and noise draw are per set
     # the rows once for all tiles: a sample's kernel row rounds by its batch
-    rows, blocked = kinetic_ops.interior_rows(quad, problem), quad.scheme == TENSOR_GAUSS
+    rows = kinetic_ops.interior_rows(quad, problem)
     r, mismatch = np.empty(len(w)), np.empty(len(b))
     grad = np.zeros(params.n_params) if need_grad else None
-    for points, nodes in _tiles(quad):
+    for points, nodes in rows.tiles():
         terms = rows.terms(params, points, nodes, grad is not None)
         r[points], mismatch[nodes] = terms["residual"], terms["u_boundary"] - g[nodes]
         if grad is None or not (np.isfinite(r[points]).all() and np.isfinite(mismatch[nodes]).all()):
             grad = None  # a reverse sweep would only spread the non-finite part
             continue
-        # value seeds in pass order: interior, Monte Carlo slices, boundary rows
-        wr, krows = w[points] * r[points], terms["kernel_rows"]
-        scat = kinetic_ops.scattering_adjoint(wr.reshape(-1, krows.shape[-2]), krows, quad.angular.weight)
-        seeds = [wr * (terms["sigma"] + problem.sigma_t), -problem.sigma_t * scat.ravel()]
-        if blocked:  # the slices are the interior rows themselves
-            seeds = [seeds[0] + seeds[1]]
-        seeds.append(b.weight[nodes] * (config.gamma * mismatch[nodes] - multiplier.values[nodes]))
-        # popped, so a pass that grows the workspace does not keep this one alive
-        grad += network.vjp_jvp_batch(params, terms.pop("cache"), np.concatenate(seeds), wr)
+        boundary_seed = b.weight[nodes] * (config.gamma * mismatch[nodes] - multiplier.values[nodes])
+        grad += rows.sweep(params, terms, w[points] * r[points], boundary_seed)
     pde = 0.5 * float(w @ r**2)
     penalty = 0.5 * config.gamma * float(b.weight @ mismatch**2)
     mult_term = -float((b.weight * multiplier.values) @ mismatch)

@@ -40,15 +40,14 @@ from .phase_space import (
     BoundaryNodes,
     UNIT_SQUARE,
     angular_rule,
+    gauss_interval,
     tensor_boundary,
-    tensor_interior,
 )
 
 COND_LIMIT = 1e12
 
 _N_POLY = 6
 _N_ANG = 3
-_GRAM_BLOCK = 4096
 
 
 def _poly_values(x):
@@ -69,28 +68,32 @@ def _angular_values(theta):
     return np.column_stack([np.ones(theta.size), np.cos(theta), np.sin(theta)])
 
 
-def _products(ang, poly):  # column a * _N_POLY + p is ang[:, a] * poly[:, p]
+def _basis_values(x, theta):  # column a * _N_POLY + p is angular factor a times polynomial p
+    ang, poly = _angular_values(theta), _poly_values(x)
     return (ang[:, :, None] * poly[:, None, :]).reshape(ang.shape[0], _N_ANG * _N_POLY)
 
 
-def _basis_values(x, theta):
-    return _products(_angular_values(theta), _poly_values(x))
-
-
-def _advection_values(x, theta):
-    gx, gy = _poly_gradients(x)
-    return _products(_angular_values(theta), np.cos(theta)[:, None] * gx + np.sin(theta)[:, None] * gy)
+def _tensor_gram(ang, ang_weight, poly, poly_weight):
+    """Gram over a product rule of the functions sum_j ang[:, j, a] poly[:, j, p]
+    (column a * _N_POLY + p): sum over j, k of the Kronecker product of the
+    angular factor Gram of (j, k) with the spatial one."""
+    a = np.einsum("t,tja,tkb->jkab", ang_weight, ang, ang)
+    p = np.einsum("s,sjp,skq->jkpq", poly_weight, poly, poly)
+    return np.einsum("jkab,jkpq->apbq", a, p).reshape(_N_ANG * _N_POLY, _N_ANG * _N_POLY)
 
 
 @dataclass
 class LinearTrialSpace:
     """Frozen Gram-type matrices of the 18-function trial space.
 
-    The interior Grams (``pde_gram``, ``mass``, ``advection_gram``) are
-    summed over ``_GRAM_BLOCK``-row blocks of the 32^2 x 64 interior rule,
-    so the basis tables never exceed one block.  The angular factors are
-    scattered once on the 64 angular nodes; the rows are spatial-major
-    blocks of 64, so row r sits at angular node r mod 64."""
+    The interior rule, 32^2 Gauss points times 64 angles, is a product
+    rule, and (T+S) of a basis function is a sum of products of an angular
+    factor (omega_1, omega_2, or absorption plus ``scattering_apply`` of
+    the angular basis function) and a spatial one (d/dx1, d/dx2 or the
+    polynomial itself).  So the interior Grams (``pde_gram``, ``mass``,
+    ``advection_gram``) are sums of Kronecker products of 3x3 angular and
+    6x6 spatial factor Grams (``_tensor_gram``), and no table over the
+    rule's 65,536 rows is formed."""
 
     sigma_a: float
     sigma_t: float
@@ -105,21 +108,17 @@ class LinearTrialSpace:
 
     def __post_init__(self):
         domain = UNIT_SQUARE
-        angular = angular_rule(64)
-        interior = tensor_interior(domain, 32, 32, angular)
-        factors = _angular_values(angular.theta).T  # one slice of 64 node values per factor
-        scatter = scattering_apply(factors, angular, isotropic_kernel(), self.sigma_t).T
-        self.pde_gram, self.mass, self.advection_gram = (np.zeros((self.n_basis,) * 2) for _ in range(3))
-        for lo in range(0, interior.weight.shape[0], _GRAM_BLOCK):
-            x, theta, w = (a[lo : lo + _GRAM_BLOCK] for a in (interior.x, interior.theta, interior.weight))
-            node = np.arange(lo, lo + w.size) % len(angular)
-            poly = _poly_values(x)
-            phi = _products(_angular_values(theta), poly)
-            adv = _advection_values(x, theta)
-            ts = adv + self.sigma_a * phi + _products(scatter[node], poly)
-            self.pde_gram += ts.T @ (w[:, None] * ts)
-            self.mass += phi.T @ (w[:, None] * phi)
-            self.advection_gram += adv.T @ (w[:, None] * adv)
+        angular, (nodes, weights) = angular_rule(64), gauss_interval(32)
+        x = np.column_stack([np.repeat(nodes, 32), np.tile(nodes, 32)])  # spatial part of tensor_interior
+        ang_w, poly_w = angular.weight, np.outer(weights, weights).ravel()
+        ang, poly, grads = _angular_values(angular.theta), _poly_values(x), np.stack(_poly_gradients(x), 1)
+        scatter = scattering_apply(ang.T, angular, isotropic_kernel(), self.sigma_t).T
+        omega = np.column_stack([np.cos(angular.theta), np.sin(angular.theta)])[:, :, None] * ang[:, None]
+        self.mass = _tensor_gram(ang[:, None], ang_w, poly[:, None], poly_w)
+        self.advection_gram = _tensor_gram(omega, ang_w, grads, poly_w)
+        react = (self.sigma_a * ang + scatter)[:, None]
+        ts_ang, ts_poly = np.concatenate([omega, react], 1), np.concatenate([grads, poly[:, None]], 1)
+        self.pde_gram = _tensor_gram(ts_ang, ang_w, ts_poly, poly_w)
 
         self.inflow = inflow = tensor_boundary(domain, 32, 32, side=INFLOW)
         self.trace = _basis_values(inflow.x, inflow.theta)

@@ -22,11 +22,15 @@ network never loads scipy.  Two kinds of batched kernel evaluate it:
   pre-activation is kept.  Every pass that fits reuses the buffers, so a
   training step allocates no layer temporaries, however many passes it
   makes; ``forward_batch``/``vjp_value_batch`` are n_t = 0.
-- ``eval_jvp_batch`` (embedded rows, as ``forward_jvp_batch``) and
-  ``eval_batch`` (values only, at phase points) keep no cache and stream
-  ``ROW_BLOCK`` rows at a time through two alternating input buffers and
-  one derivative buffer, so forward-only passes stay block-sized however
-  many rows they cover.
+- ``eval_jvp_batch`` (embedded rows, as ``forward_jvp_batch``, whose
+  pass body it shares) and ``eval_batch`` (values only, at phase points)
+  keep no cache: their workspace alternates two input buffers and shares
+  one derivative buffer.  ``eval_jvp_batch`` is one pass of the rows it
+  is handed; ``eval_batch`` cuts its points into ``ROW_BLOCK``-row passes.
+
+``ROW_BLOCK`` is the one per-pass row budget.  Callers keep to it: the
+residual assembly walks ``kinetic_ops.PhaseRows.tiles``, which reads it,
+and ``diagnostics_io.scalar_flux`` streams ``eval_batch`` blocks.
 
 Only one workspace is live, sized to the largest (n, n_t) it has served:
 a pass that does not fit grows it, and one of another (widths,
@@ -52,8 +56,8 @@ from .errors import ContractViolation
 
 CHECKPOINT_MAGIC = b"UZMLP1"
 
-# Rows per block in ``eval_jvp_batch``: a 64-wide layer array of one block is
-# 1,024 x 64 x 8 B = 512 KB, inside a 2 MB L2 cache.
+# Stacked rows (value + tangent) per pass: a 64-wide layer array of one pass
+# is 1,024 x 64 x 8 B = 512 KB, inside a 2 MB L2 cache.
 ROW_BLOCK = 1024
 
 # Passes are padded with zero rows to a multiple of ``ROW_ALIGN``: BLAS rounds a
@@ -283,21 +287,28 @@ def _forward(params, ws):
     return np.matmul(ws.h[-1], params.weights[-1].T, out=ws.out)
 
 
+def _pass(params, emb, emb_tangent, order):
+    """One stacked pass in the workspace of ``order``: fresh values at every
+    embedded row, fresh tangent derivatives at the first n_t, the workspace."""
+    emb, tangent = np.asarray(emb, dtype=float), np.asarray(emb_tangent, dtype=float)
+    n, n_t = emb.shape[0], tangent.shape[0]
+    if n_t > n:
+        raise ContractViolation("more tangent rows than rows")
+    ws = _workspace(params, n, n_t, order)
+    ws.h[0][:n], ws.h[0][n : n + n_t] = emb, tangent
+    out = _forward(params, ws)[:, 0]
+    return out[:n] + params.biases[-1], out[n : n + n_t].copy(), ws
+
+
 def forward_jvp_batch(params, emb, emb_tangent):
     """Values at every embedded row and tangent-rail directional derivatives
     at the first n_t <= n rows, whose tangents ``emb_tangent`` holds.
 
     Returns fresh (u, du) and a cache for one ``vjp_jvp_batch`` sweep, made
     stale by the next pass that reuses its workspace."""
-    emb, tangent = np.asarray(emb, dtype=float), np.asarray(emb_tangent, dtype=float)
-    n, n_t = emb.shape[0], tangent.shape[0]
-    if n_t > n:
-        raise ContractViolation("more tangent rows than rows")
-    ws = _workspace(params, n, n_t, 2)
+    u, du, ws = _pass(params, emb, emb_tangent, 2)
     ws.generation += 1
-    ws.h[0][:n], ws.h[0][n : n + n_t] = emb, tangent
-    out = _forward(params, ws)[:, 0]
-    return out[:n] + params.biases[-1], out[n : n + n_t].copy(), (ws, ws.generation)
+    return u, du, (ws, ws.generation)
 
 
 def forward_batch(params, emb):
@@ -348,25 +359,9 @@ def vjp_value_batch(params, cache, seed_value):
 
 
 def eval_jvp_batch(params, emb, emb_tangent):
-    """``forward_jvp_batch`` without a cache: values at every embedded row
-    and tangent-rail derivatives at the first n_t, whose tangents
-    ``emb_tangent`` holds.
-
-    Streams ``ROW_BLOCK`` rows at a time through reused block buffers, so
-    its working set stays block-sized; every value is the same arithmetic
-    as in ``forward_jvp_batch``."""
-    n, n_t = emb.shape[0], emb_tangent.shape[0]
-    u, du = np.empty(n), np.empty(n_t)
-    for lo in range(0, n, ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, n)
-        t_hi = min(max(n_t, lo), hi)
-        ws = _workspace(params, hi - lo, t_hi - lo, 1)
-        ws.h[0][: hi - lo] = emb[lo:hi]
-        ws.h[0][hi - lo : hi + t_hi - 2 * lo] = emb_tangent[lo:t_hi]
-        out = _forward(params, ws)[:, 0]
-        np.add(out[: hi - lo], params.biases[-1], out=u[lo:hi])
-        du[lo:t_hi] = out[hi - lo : hi + t_hi - 2 * lo]
-    return u, du
+    """``forward_jvp_batch`` without a cache: the same arithmetic in one pass
+    through the order-1 workspace, which keeps no layer's input."""
+    return _pass(params, emb, emb_tangent, 1)[:2]
 
 
 def eval_batch(params, x, theta):

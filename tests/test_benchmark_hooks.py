@@ -27,13 +27,14 @@ def test_tracer_installs_on_the_package():
     assert out.returncode == 0, out.stderr
 
 
-@pytest.mark.parametrize("workload", ["absorb-tensor", "scatter-tensor", "mc-manufactured"])
+@pytest.mark.parametrize("workload", ["absorb-tensor", "scatter-tensor", "mc-manufactured", "oracle-verify"])
 def test_benchmark_child_run_passes_its_gates(tmp_path, workload):
     # one untraced run calls the package API the benchmark drives directly
     # (flatten/unflatten, subsample, assemble and assemble_with_gradient in
     # its finite-difference gate); scatter-tensor puts the K x K scattering
-    # seeds of each tile under that gate; mc-manufactured adds sample_terms,
-    # the per-step redraws and the costly full-set pass
+    # seeds of each tile under that gate; mc-manufactured adds discrete_norms,
+    # the per-step redraws and the costly full-set pass; oracle-verify runs
+    # the 14 identity checks on the oracle's Grams
     child = os.path.join(PERFBENCH, "child.py")
     args = ["--workload", workload, "--seed", "0", "--out", tmp_path.as_posix()]
     out = subprocess.run([sys.executable, child, *args], capture_output=True, text=True, timeout=300)

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 import sympy
 
+from uzawa_transport import config as cf
+from uzawa_transport import diagnostics_io as dio
 from uzawa_transport import kinetic_ops as ko
 from uzawa_transport import network as net
 from uzawa_transport import phase_space as ps
+from uzawa_transport import presets
 from uzawa_transport.errors import ContractViolation
 
 TWO_PI = 2.0 * np.pi
@@ -289,16 +292,31 @@ def test_blocked_and_sample_terms_agree_on_grid_directions():
     np.testing.assert_allclose(blocked["residual"], loose["residual"], atol=1e-12)
 
 
-def test_interior_terms_on_a_tensor_set_is_blocked_terms_on_its_rows():
+def test_whole_walk_of_a_tensor_set_is_blocked_terms_on_its_rows():
     quad = ps.build_quadrature(n_spatial=3, n_angular=8, n_boundary=(3, 3))
     params = net.init_params((4, 10, 1), seed=2)
     problem = _zero_problem(sigma_a=0.7, sigma_t=1.3, kernel=ko.forward_peaked_kernel(0.5))
-    got = ko.interior_terms(params, quad, problem)
+    walk = ko.interior_rows(quad, problem)
+    got = walk.whole(params)
     rows = quad.interior
     want = ko.blocked_terms(params, rows.x, rows.theta, quad.angular, problem, quad.boundary)
-    assert got["kernel_rows"].shape == (8, 8)
-    for key in ("u", "du", "residual", "sigma", "kernel_rows", "u_boundary"):
+    assert walk.kernel_rows.shape == (8, 8)
+    for key in ("u", "du", "residual", "u_boundary"):
         assert np.array_equal(got[key], want[key])
+
+
+def test_whole_set_residual_is_walked_in_tile_sized_passes(peak_bytes):
+    # mc-manufactured's full set: 4,096 samples with 12 slice rows each and
+    # 1,024 boundary nodes, 54,272 network rows in one pass, walked in tiles
+    overrides = {"quadrature.scheme": "monte-carlo", "quadrature.n_interior": 4096}
+    cfg = presets.expand_preset("manufactured", {**overrides, "quadrature.n_boundary": 1024})
+    (problem, reference), quad = cf.build_problem(cfg), cf.build_quadrature_set(cfg)
+    params, rows = cf.build_network(cfg), ko.interior_rows(quad, problem)
+    assert len(quad.interior) == 4096 and len(quad.angular) == 12
+    net.release_workspace()
+    assert peak_bytes(lambda: rows.whole(params)) < 4e6
+    net.release_workspace()
+    assert peak_bytes(lambda: dio.discrete_norms(params, quad, problem, reference)) < 4e6
 
 
 def test_each_boundary_node_set_gets_its_own_rows():
@@ -318,7 +336,7 @@ def test_each_boundary_node_set_gets_its_own_rows():
     params = net.init_params((4, 10, 1), seed=2)
     fresh = _zero_problem(sigma_a=0.7, sigma_t=1.3)
     for quad in (one, two):
-        got, want = ko.interior_terms(params, quad, problem), ko.interior_terms(params, quad, fresh)
+        got, want = (ko.interior_rows(quad, p).whole(params) for p in (problem, fresh))
         assert np.array_equal(got["u_boundary"], want["u_boundary"])
 
 

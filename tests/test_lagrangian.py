@@ -336,7 +336,9 @@ def test_tiling_changes_only_the_gradient_rounding(monkeypatch, preset, override
     quad, params, lcfg = cf.build_quadrature_set(cfg), cf.build_network(cfg), cf.build_lagrangian_config(cfg)
     batch = lg.subsample(quad, lcfg.batch_interior, [0, 0, 0])
     mult = lg.MultiplierField(np.random.default_rng(3).normal(0, 0.5, len(quad.boundary)), quad.boundary)
-    whole = ko.interior_terms(params, batch, problem)
+    rows = ko.interior_rows(batch, problem)
+    monkeypatch.setattr(net, "ROW_BLOCK", 10**9)  # the reference: one interior and one boundary pass
+    whole = rows.whole(params)
     mismatch = whole["u_boundary"] - problem.data.inflow(batch.boundary)
     bw = batch.boundary.weight
     want = (
@@ -348,8 +350,8 @@ def test_tiling_changes_only_the_gradient_rounding(monkeypatch, preset, override
     monkeypatch.setattr(ko.PhaseRows, "terms", lambda *args: seen.append(terms_of(*args)) or seen[-1])
     tiles, grads = {}, []
     for budget in (10**9, 500, 17):
-        monkeypatch.setattr(lg, "TILE_ROWS", budget)
-        tiles[budget] = [rows.stop - rows.start for rows, _ in lg._tiles(batch) if rows.stop > rows.start]
+        monkeypatch.setattr(net, "ROW_BLOCK", budget)
+        tiles[budget] = [p.stop - p.start for p, _ in rows.tiles() if p.stop > p.start]
         value = lg.assemble(params, mult, batch, problem, lcfg)
         parts, grad = lg.assemble_with_gradient(params, mult, batch, problem, lcfg)
         residuals, seen[:] = np.concatenate([terms["residual"] for terms in seen]), []
@@ -373,13 +375,13 @@ def test_no_sweep_after_a_non_finite_tile(monkeypatch):
     params = net.init_params((4, 8, 1), seed=3)
     mult = lg.constant_multiplier(quad.boundary, 0.5)
     cfg = lg.LagrangianConfig(gamma=1.0)
-    monkeypatch.setattr(lg, "TILE_ROWS", 80)
+    monkeypatch.setattr(net, "ROW_BLOCK", 80)
     sweeps, sweep = [], net.vjp_jvp_batch
     monkeypatch.setattr(net, "vjp_jvp_batch", lambda *args: sweeps.append(1) or sweep(*args))
     with np.errstate(over="ignore", invalid="ignore"):  # as in uzawa.inner_minimize
         parts, grad = lg.assemble_with_gradient(params, mult, quad, problem, cfg)
         value = lg.assemble(params, mult, quad, problem, cfg)
-    tiles = [rows for rows, _ in lg._tiles(quad)]
+    tiles = [rows for rows, _ in _tiles(quad)]
     first = next(i for i, rows in enumerate(tiles) if band(quad.interior.x[rows]).any())
     assert grad is None
     assert first == 2 and len(sweeps) == first and len(tiles) > first + 2
@@ -394,15 +396,19 @@ def _preset_batch(preset, overrides=None):
     return quad, lg.subsample(quad, lcfg.batch_interior, [0, 0, 0])
 
 
+def _tiles(quad):
+    return ko.interior_rows(quad, _problem()).tiles()
+
+
 def _stacked_rows(quad, points, nodes):
     """Network rows of one tile: value and tangent rows, Monte Carlo slices included."""
     per_point = 2 if quad.scheme == ps.TENSOR_GAUSS else len(quad.angular) + 2
     return per_point * (points.stop - points.start) + (nodes.stop - nodes.start)
 
 
-@pytest.mark.parametrize("budget", [lg.TILE_ROWS, 100, 17])
+@pytest.mark.parametrize("budget", [net.ROW_BLOCK, 100, 17])
 def test_every_tile_fits_the_stacked_budget_or_is_one_unit(monkeypatch, budget):
-    monkeypatch.setattr(lg, "TILE_ROWS", budget)
+    monkeypatch.setattr(net, "ROW_BLOCK", budget)
     for quad in (
         _preset_batch("example2")[1],
         _preset_batch("example3-forward")[1],
@@ -410,7 +416,7 @@ def test_every_tile_fits_the_stacked_budget_or_is_one_unit(monkeypatch, budget):
         _quad(scheme=ps.MONTE_CARLO),
     ):
         unit = len(quad.angular) if quad.scheme == ps.TENSOR_GAUSS else 1
-        tiles = lg._tiles(quad)
+        tiles = _tiles(quad)
         for points, nodes in tiles:
             one_unit = points.stop - points.start == unit and nodes.start == nodes.stop
             assert _stacked_rows(quad, points, nodes) <= budget or one_unit
@@ -427,15 +433,15 @@ def test_tensor_batches_keep_their_tiles():
         interior = [slice(lo, hi) for lo, hi in zip(starts, starts[1:])]
         return [(rows, slice(0, 0)) for rows in interior] + [(slice(starts[-1], starts[-1]), boundary)]
 
-    assert lg._tiles(_preset_batch("example2")[1]) == tiles([0, 512, 1024], slice(0, 512))
-    assert lg._tiles(_preset_batch("example3-forward")[1]) == tiles([0, 512, 1024, 1536], slice(0, 256))
+    assert _tiles(_preset_batch("example2")[1]) == tiles([0, 512, 1024], slice(0, 512))
+    assert _tiles(_preset_batch("example3-forward")[1]) == tiles([0, 512, 1024, 1536], slice(0, 256))
 
 
 def test_monte_carlo_batch_makes_four_interior_tiles_and_one_boundary_tile():
     # 256 samples with K = 12 slice rows and a tangent row each: 73 samples
     # (1,022 rows) per tile; the 1,024 boundary nodes make one tile
     quad, batch = _preset_batch("manufactured", _MC_MANUFACTURED)
-    sizes = [(p.stop - p.start, n.stop - n.start) for p, n in lg._tiles(batch)]
+    sizes = [(p.stop - p.start, n.stop - n.start) for p, n in _tiles(batch)]
     assert len(quad.angular) == 12 and len(batch.interior) == 256
     assert sizes == [(73, 0), (73, 0), (73, 0), (37, 0), (0, 1024)]
 
@@ -450,9 +456,9 @@ def test_full_set_assemble_makes_one_pass_per_tile(monkeypatch):
     passes, forward = [], net._forward
     monkeypatch.setattr(net, "_forward", lambda *args: passes.append(1) or forward(*args))
     lg.assemble(params, mult, quad, problem, lcfg)
-    per_tile = lg.TILE_ROWS // (len(quad.angular) + 2)
+    per_tile = net.ROW_BLOCK // (len(quad.angular) + 2)
     n, n_b = len(quad.interior), len(quad.boundary)
-    assert len(passes) == -(-n // per_tile) - (-n_b // lg.TILE_ROWS) == 58
+    assert len(passes) == -(-n // per_tile) - (-n_b // net.ROW_BLOCK) == 58
 
 
 def test_rows_are_built_once_per_evaluation(monkeypatch):

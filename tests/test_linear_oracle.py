@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from uzawa_transport import linear_oracle as lo
+from uzawa_transport import phase_space as ps
 from uzawa_transport import uzawa
 from uzawa_transport.errors import ContractViolation, IllConditionedSystem
 
@@ -29,9 +30,14 @@ def test_gram_matrices_spd(space):
 
 
 def test_blocked_grams_match_one_pass(space):
-    rule = lo.tensor_interior(lo.UNIT_SQUARE, 32, 32, lo.angular_rule(64))
+    # the factored Grams against one pass over the 65,536 rows of the rule
+    rule = ps.tensor_interior(ps.UNIT_SQUARE, 32, 32, ps.angular_rule(64))
     phi = lo._basis_values(rule.x, rule.theta)
-    adv = lo._advection_values(rule.x, rule.theta)
+    (x1, x2), c, s = rule.x.T, np.cos(rule.theta), np.sin(rule.theta)
+    # omega . grad of 1, x1, x2, x1 x2, x1^2, x2^2, times each angular factor
+    grad_poly = np.column_stack([0 * c, c, s, c * x2 + s * x1, 2 * c * x1, 2 * s * x2])
+    ang = np.column_stack([np.ones_like(c), c, s])
+    adv = (ang[:, :, None] * grad_poly[:, None, :]).reshape(-1, 18)
     # isotropic scattering maps the angular factor 1 to 0 and cos, sin to themselves
     ts = adv + phi * (1.0 + 0.1 * np.repeat([0.0, 1.0, 1.0], lo._N_POLY))
     for got, rows in ((space.pde_gram, ts), (space.mass, phi), (space.advection_gram, adv)):
