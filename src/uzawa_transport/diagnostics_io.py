@@ -65,10 +65,15 @@ def scalar_flux(params, angular, nx=101, ny=101, domain=None):
     """Angular integral of the network at every grid node.
 
     Row r of the (grid point, angle) product is point r // K at angle
-    r % K.  The rows are built and evaluated one ``network.ROW_BLOCK``
-    block at a time, the blocks one ``eval_batch`` call over all rows would
-    form, so the values are bitwise that call's while the product itself
-    is never held: only the (points, K) values are.
+    r % K.  The product is streamed by whole grid points: one block is
+    floor(``network.ROW_BLOCK`` / K) points times the K angles (one point
+    when K exceeds the budget), its embedded rows written by broadcasting
+    each point's (x1, x2) against the rule's (cos theta, sin theta), computed
+    once, and evaluated in one ``eval_jvp_batch`` pass.  Every row is
+    embedded as ``eval_batch`` embeds it and a row's value does not depend
+    on its block, so the values are bitwise one ``eval_batch`` call's over
+    all rows, while the product itself is never held: only the (points, K)
+    values are.
     """
     from .phase_space import UNIT_SQUARE
 
@@ -77,12 +82,16 @@ def scalar_flux(params, angular, nx=101, ny=101, domain=None):
         raise ContractViolation("angular weights must sum to 2*pi")
     pts = grid_points(nx, ny, domain)
     k = len(angular)
+    per_block = max(network.ROW_BLOCK // k, 1)
+    emb = np.empty((min(per_block, pts.shape[0]), k, 4))
+    emb[:, :, 2], emb[:, :, 3] = np.cos(angular.theta), np.sin(angular.theta)
     u = np.empty((pts.shape[0], k))
-    flat = u.reshape(-1)
-    for lo in range(0, flat.size, network.ROW_BLOCK):
-        point, angle = np.divmod(np.arange(lo, min(lo + network.ROW_BLOCK, flat.size)), k)
-        u_block = network.eval_batch(params, pts.take(point, axis=0), angular.theta.take(angle))
-        flat[lo : lo + point.size] = u_block
+    for lo in range(0, pts.shape[0], per_block):
+        block = pts[lo : lo + per_block]
+        rows = emb[: block.shape[0]]
+        rows[:, :, :2] = block[:, None, :]
+        rows = rows.reshape(-1, 4)
+        u[lo : lo + block.shape[0]] = network.eval_jvp_batch(params, rows, rows[:0])[0].reshape(-1, k)
     values = (u @ angular.weight).reshape(nx, ny)
     extent = (domain.lo[0], domain.hi[0], domain.lo[1], domain.hi[1])
     return FieldGrid(nx, ny, values, extent)

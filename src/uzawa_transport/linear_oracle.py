@@ -22,6 +22,16 @@ iterate, never the multiplier: c_k, ||lambda_k - lambda*||_w and the moment
 trace' W (lambda_k - lambda*).  With e_k = c_k - c*, each identity is an
 array expression in them: <dlam, trace e>_w = moment . e, and
 ||trace e||_w^2 = e' boundary_mass e.
+
+The boundary side is factored per edge as well.  The inflow rule orders its
+nodes by edge, then angle, then position, so on edge e the trace of the
+coefficients C (3 x 6) is the 32 x 32 block A_e C P_e' of angular factors
+at the edge's angles and polynomials at its positions.  Both per-iterate
+maps, ``boundary_values`` and ``rhs``, are stacked products with these
+factors; the dense 4,096 x 18 trace serves only the trace-fitting least
+squares and the tests.  The outflow rule is the inflow rule with omega
+turned to -omega at the same positions and weights, so the outflow Gram is
+the inflow Gram with the cos and sin blocks' signs flipped.
 """
 
 from __future__ import annotations
@@ -36,7 +46,6 @@ from .kinetic_ops import isotropic_kernel, scattering_apply
 from .lagrangian import MultiplierField
 from .phase_space import (
     INFLOW,
-    OUTFLOW,
     BoundaryNodes,
     UNIT_SQUARE,
     angular_rule,
@@ -104,7 +113,9 @@ class LinearTrialSpace:
     boundary_mass: np.ndarray = field(init=False, repr=False)
     outflow_mass: np.ndarray = field(init=False, repr=False)
     inflow: BoundaryNodes = field(init=False, repr=False)  # the multiplier's frozen nodes
-    trace: np.ndarray = field(init=False, repr=False)  # basis at the inflow nodes
+    trace: np.ndarray = field(init=False, repr=False)  # basis at the inflow nodes, for lstsq and tests
+    edge_ang: np.ndarray = field(init=False, repr=False)  # A_e: angular factor at edge e's angles
+    edge_poly_t: np.ndarray = field(init=False, repr=False)  # P_e': polynomials at edge e's positions
 
     def __post_init__(self):
         domain = UNIT_SQUARE
@@ -123,10 +134,13 @@ class LinearTrialSpace:
         self.inflow = inflow = tensor_boundary(domain, 32, 32, side=INFLOW)
         self.trace = _basis_values(inflow.x, inflow.theta)
         self.boundary_mass = self.trace.T @ (inflow.weight[:, None] * self.trace)
-
-        outflow = tensor_boundary(domain, 32, 32, side=OUTFLOW)
-        phi_out = _basis_values(outflow.x, outflow.theta)
-        self.outflow_mass = phi_out.T @ (outflow.weight[:, None] * phi_out)
+        # node (edge, angle, position): theta is constant along positions, x along angles
+        theta, x = inflow.theta.reshape(4, 32, 32)[:, :, 0], inflow.x.reshape(4, 32, 32, 2)[:, 0]
+        self.edge_ang = _angular_values(theta.ravel()).reshape(4, 32, _N_ANG)
+        self.edge_poly_t = _poly_values(x.reshape(-1, 2)).reshape(4, 32, _N_POLY).transpose(0, 2, 1).copy()
+        # omega -> -omega flips the sign of the cos and sin factors
+        flip = np.repeat([1.0, -1.0, -1.0], _N_POLY)
+        self.outflow_mass = flip[:, None] * self.boundary_mass * flip
 
         for name, mat in (("pde", self.pde_gram), ("boundary", self.boundary_mass)):
             low = np.linalg.eigvalsh(mat).min()
@@ -137,10 +151,17 @@ class LinearTrialSpace:
         return self.mass + self.advection_gram + self.outflow_mass + self.boundary_mass
 
     def boundary_values(self, c):
-        return self.trace @ c
+        """trace @ c in node order: A_e C P_e' on every edge e."""
+        return (self.edge_ang @ np.reshape(c, (_N_ANG, _N_POLY)) @ self.edge_poly_t).ravel()
+
+    def trace_adjoint(self, values):
+        """trace' @ values for one value per inflow node: the sum over edges of A_e' V_e P_e."""
+        blocks = np.reshape(values, self.edge_ang.shape[:2] + (-1,))
+        per_edge = self.edge_ang.transpose(0, 2, 1) @ blocks @ self.edge_poly_t.transpose(0, 2, 1)
+        return per_edge.sum(0).ravel()
 
     def rhs(self, lambda_vec, gamma, g_values):
-        return self.trace.T @ (self.inflow.weight * (gamma * g_values + lambda_vec))
+        return self.trace_adjoint(self.inflow.weight * (gamma * g_values + lambda_vec))
 
 
 def _checked(mat, what):
@@ -151,27 +172,24 @@ def _checked(mat, what):
     return mat
 
 
-def exact_inner_solve(space, lambda_vec, gamma, g_values=0.0):
-    """Minimizer of the discrete Lagrangian over the span: one linear solve."""
-    return QuadraticObjective.from_space(space, lambda_vec, gamma, g_values).minimizer
-
-
-def fixed_point_solve(space, gamma, g_values, lambda0=None):
+def fixed_point_solve(space, g_values, lambda0=None):
     """Discrete saddle point: trace-fitting coefficients and the multiplier.
 
     Returns (c_star, lambda_star, trace_mismatch); the mismatch reports how
     well the datum is representable in the span's trace image and should be
-    near zero for data constructed inside it.
+    near zero for data constructed inside it.  Neither c* nor lambda*
+    depends on gamma: c* is the weighted least-squares fit, whose normal
+    equations boundary_mass c* = trace' W g cancel the gamma terms.
     """
     g_values = np.asarray(g_values, dtype=float)
     sqw = np.sqrt(space.inflow.weight)
     c_star, *_ = np.linalg.lstsq(sqw[:, None] * space.trace, sqw * g_values, rcond=None)
     mismatch = uzawa.boundary_residual(space.inflow, space.boundary_values(c_star) - g_values)
     lambda0 = 0.0 if lambda0 is None else np.asarray(lambda0, dtype=float)
-    lambda0 = np.broadcast_to(lambda0, len(space.trace))
-    target = space.pde_gram @ c_star - space.trace.T @ (space.inflow.weight * lambda0)
+    lambda0 = np.broadcast_to(lambda0, len(space.inflow))
+    target = space.pde_gram @ c_star - space.trace_adjoint(space.inflow.weight * lambda0)
     d = np.linalg.solve(_checked(space.boundary_mass, "saddle"), target)
-    lambda_star = lambda0 + space.trace @ d
+    lambda_star = lambda0 + space.boundary_values(d)
     return c_star, lambda_star, mismatch
 
 
@@ -209,7 +227,7 @@ def run_uzawa_oracle(space, gamma, rho, n_iter, lambda0=0.0, g_values=None):
     nodes = space.inflow
     g_values = np.zeros(len(nodes)) if g_values is None else np.asarray(g_values, dtype=float)
     lam = MultiplierField(np.broadcast_to(np.asarray(lambda0, dtype=float), (len(nodes),)), nodes)
-    c_star, lambda_star, _ = fixed_point_solve(space, gamma, g_values, lambda0=lam.values)
+    c_star, lambda_star, _ = fixed_point_solve(space, g_values, lambda0=lam.values)
 
     star = QuadraticObjective.from_space(space, lambda_star, gamma, g_values)
     hessian = _checked(star.hessian, "inner")
@@ -298,17 +316,14 @@ def telescoping_check(space, run, gamma, rho):
 
 def strong_regime_constant(sigma_a, sigma_t, gamma, rho, n_alpha=999):
     """Best positive coercivity constant over the free parameter alpha."""
-    alphas = np.linspace(1e-3, 1.0 - 1e-3, n_alpha)
-    best = -np.inf
-    for a in alphas:
-        entries = (
-            2.0 * rho * a,
-            2.0 * rho * sigma_a * a,
-            rho * (2.0 * gamma - rho - 2.0 * sigma_a * a),
-            2.0 * rho * (sigma_a**2 * a - 4.0 * sigma_t**2 / (1.0 - a)),
-        )
-        best = max(best, min(entries))
-    return best
+    a = np.linspace(1e-3, 1.0 - 1e-3, n_alpha)
+    entries = (
+        2.0 * rho * a,
+        2.0 * rho * sigma_a * a,
+        rho * (2.0 * gamma - rho - 2.0 * sigma_a * a),
+        2.0 * rho * (sigma_a**2 * a - 4.0 * sigma_t**2 / (1.0 - a)),
+    )
+    return np.min(entries, axis=0).max()
 
 
 def verification_suite(n_iter=200, pairs=((1.0, 0.5), (1.0, 1.5), (2.0, 3.5))):

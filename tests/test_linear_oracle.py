@@ -45,6 +45,27 @@ def test_blocked_grams_match_one_pass(space):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_factored_boundary_maps_match_the_dense_trace(space):
+    # the per-edge factors against the basis table of the inflow rule's 4,096 nodes
+    nodes = space.inflow
+    dense = lo._basis_values(nodes.x, nodes.theta)
+    rng = np.random.default_rng(11)
+    c = rng.standard_normal(space.n_basis)
+    lam, g = rng.standard_normal((2, len(nodes)))
+    want = dense @ c
+    assert np.abs(space.boundary_values(c) - want).max() <= 1e-14 * np.abs(want).max()
+    for gamma in (0.0, 1.3):
+        want = dense.T @ (nodes.weight * (gamma * g + lam))
+        assert np.abs(space.rhs(lam, gamma, g) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_outflow_mass_is_the_dense_outflow_gram(space):
+    outflow = ps.tensor_boundary(ps.UNIT_SQUARE, 32, 32, side=ps.OUTFLOW)
+    phi = lo._basis_values(outflow.x, outflow.theta)
+    want = phi.T @ (outflow.weight[:, None] * phi)
+    assert np.abs(space.outflow_mass - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_trial_space_memory_stays_block_sized():
     # one 65,536 x 18 basis table of the whole rule would be 9.4 MB by itself
     tracemalloc.start()
@@ -57,7 +78,7 @@ def test_trial_space_memory_stays_block_sized():
 
 
 def test_exact_inner_solve_zero_case(space):
-    c = lo.exact_inner_solve(space, np.zeros(len(space.inflow)), gamma=1.0)
+    c = lo.QuadraticObjective.from_space(space, np.zeros(len(space.inflow)), 1.0).minimizer
     assert np.abs(c).max() <= 1e-14
 
 
@@ -65,8 +86,8 @@ def test_exact_inner_solve_first_order_optimality(space):
     rng = np.random.default_rng(3)
     lam = rng.normal(size=len(space.inflow))
     gamma = 1.3
-    c = lo.exact_inner_solve(space, lam, gamma)
     obj = lo.QuadraticObjective.from_space(space, lam, gamma)
+    c = obj.minimizer
     assert np.linalg.norm(obj.grad(c)) <= 1e-10 * max(1.0, np.linalg.norm(obj.linear))
 
 
@@ -91,23 +112,19 @@ def test_one_basis_closed_form():
 
 def test_fixed_point_trace_fit_and_gamma_independence(space, datum):
     c_g, g_values = datum
-    solves = []
+    # one solve serves every gamma
+    c_star, lambda_star, mismatch = lo.fixed_point_solve(space, g_values)
+    assert mismatch <= 1e-10
     for gamma in (0.5, 1.0, 2.0):
-        c_star, lambda_star, mismatch = lo.fixed_point_solve(space, gamma, g_values)
-        assert mismatch <= 1e-10
-        solves.append((c_star, lambda_star))
         # optimality identity: (A + gamma B) c* = Phi' W (gamma g + lambda*)
         lhs = (space.pde_gram + gamma * space.boundary_mass) @ c_star
         rhs = space.trace.T @ (space.inflow.weight * (gamma * g_values + lambda_star))
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-    for c_star, lambda_star in solves[1:]:
-        np.testing.assert_allclose(c_star, solves[0][0], atol=1e-10)
-        np.testing.assert_allclose(lambda_star, solves[0][1], atol=1e-8)
 
 
 def test_fixed_point_recovers_exact_coefficients(space, datum):
     c_g, g_values = datum
-    c_star, _, _ = lo.fixed_point_solve(space, 1.0, g_values)
+    c_star, _, _ = lo.fixed_point_solve(space, g_values)
     np.testing.assert_allclose(c_star, c_g, atol=1e-10)
 
 
@@ -164,6 +181,22 @@ def test_strong_regime_series(space, datum):
     partial = c_const * np.cumsum(run.err_triple[:-1] ** 2)
     assert np.all(partial <= run.dist_lambda[0] ** 2 + 1e-8)
     assert np.all(np.diff(run.err_triple) <= 1e-12)
+
+
+@pytest.mark.parametrize(
+    "sigma_a, sigma_t, gamma, rho", [(1.0, 0.1, 2.0, 1.0), (2.0, 0.05, 1.5, 0.5), (0.5, 0.3, 3.0, 2.0)]
+)
+def test_strong_regime_constant_matches_a_loop(sigma_a, sigma_t, gamma, rho):
+    best = -np.inf
+    for a in np.linspace(1e-3, 1.0 - 1e-3, 999):
+        entries = (
+            2.0 * rho * a,
+            2.0 * rho * sigma_a * a,
+            rho * (2.0 * gamma - rho - 2.0 * sigma_a * a),
+            2.0 * rho * (sigma_a**2 * a - 4.0 * sigma_t**2 / (1.0 - a)),
+        )
+        best = max(best, min(entries))
+    assert lo.strong_regime_constant(sigma_a, sigma_t, gamma, rho) == best
 
 
 def test_run_series_lengths(space, datum):
@@ -225,4 +258,6 @@ def test_rho_contract(space):
 
 def test_verification_suite_all_pass():
     checks = lo.verification_suite(n_iter=50)
+    # the oracle benchmark gates on exactly this many passing checks
+    assert len(checks) == 14
     assert all(ok for _, ok, _ in checks)

@@ -89,6 +89,27 @@ def test_outflow_mirror():
         assert nodes.weight.sum() == pytest.approx(8.0, abs=1e-12)
 
 
+def test_tensor_boundary_orders_edge_angle_position():
+    # nodes run by edge (bottom, right, top, left), then angle, then position:
+    # within an edge theta is constant along positions and x along angles
+    n_pos, n_ang = 5, 3
+    inflow = ps.tensor_boundary(ps.UNIT_SQUARE, n_pos, n_ang)
+    outflow = ps.tensor_boundary(ps.UNIT_SQUARE, n_pos, n_ang, side=ps.OUTFLOW)
+    for nodes, sign in ((inflow, 1.0), (outflow, -1.0)):
+        theta = nodes.theta.reshape(4, n_ang, n_pos)
+        x = nodes.x.reshape(4, n_ang, n_pos, 2)
+        assert np.array_equal(theta, np.broadcast_to(theta[:, :, :1], theta.shape))
+        assert np.array_equal(x, np.broadcast_to(x[:, :1], x.shape))
+        assert np.all(np.diff(theta[:, :, 0], axis=1) != 0)
+        assert np.all(np.any(np.diff(x[:, 0], axis=1) != 0, axis=2))
+        normals = nodes.normal.reshape(4, n_ang * n_pos, 2)
+        assert np.array_equal(normals[:, 0], [[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        assert np.array_equal(normals, np.broadcast_to(normals[:, :1], normals.shape))
+        # the outflow rule is the inflow rule at the same positions and weights, omega -> -omega
+        assert np.array_equal(nodes.x, inflow.x) and np.array_equal(nodes.weight, inflow.weight)
+        np.testing.assert_allclose(nodes.omega, sign * inflow.omega, atol=1e-15)
+
+
 def test_boundary_smooth_integrand_high_accuracy():
     # cos^2 t is smooth in t, and 16 nodes of the cos(t) dt Gauss rule
     # already integrate it against cos(t) to rounding
