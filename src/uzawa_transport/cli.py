@@ -147,7 +147,6 @@ def run_experiment(config, out_dir=None):
         checks = linear_oracle.verification_suite(n_iter=config["oracle.n_iter"])
         all_ok = True
         for name, ok, detail in checks:
-            ok = bool(ok)  # JSON cannot serialise numpy.bool_
             print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))
             all_ok &= ok
         _write_manifest(out_dir, config, time.perf_counter() - start, {"checks_passed": all_ok})

@@ -61,30 +61,27 @@ def grid_points(nx, ny, domain):
     return np.column_stack([X.ravel(), Y.ravel()])
 
 
-def scalar_flux(params, angular, nx=101, ny=101, domain=None):
-    """Angular integral of the network at every grid node.
+def _grid_values(params, theta, nx, ny, domain):
+    """Network values at every (grid node, direction of ``theta``) pair, shape
+    (nx * ny, K), and the grid's extent.
 
-    Row r of the (grid point, angle) product is point r // K at angle
-    r % K.  The product is streamed by whole grid points: one block is
-    floor(``network.ROW_BLOCK`` / K) points times the K angles (one point
+    The product is streamed by whole grid points: one block is
+    floor(``network.ROW_BLOCK`` / K) points times the K directions (one point
     when K exceeds the budget), its embedded rows written by broadcasting
-    each point's (x1, x2) against the rule's (cos theta, sin theta), computed
-    once, and evaluated in one ``eval_jvp_batch`` pass.  Every row is
-    embedded as ``eval_batch`` embeds it and a row's value does not depend
-    on its block, so the values are bitwise one ``eval_batch`` call's over
-    all rows, while the product itself is never held: only the (points, K)
-    values are.
+    each point's (x1, x2) against (cos theta, sin theta), computed once, and
+    evaluated in one ``eval_jvp_batch`` pass.  Every row is embedded as
+    ``eval_batch`` embeds it and a row's value does not depend on its block,
+    so the values are bitwise one ``eval_batch`` call's over all rows, while
+    the product itself is never held: only the (points, K) values are.
     """
     from .phase_space import UNIT_SQUARE
 
     domain = domain or UNIT_SQUARE
-    if abs(angular.weight.sum() - TWO_PI) > 1e-10:
-        raise ContractViolation("angular weights must sum to 2*pi")
     pts = grid_points(nx, ny, domain)
-    k = len(angular)
+    k = theta.size
     per_block = max(network.ROW_BLOCK // k, 1)
     emb = np.empty((min(per_block, pts.shape[0]), k, 4))
-    emb[:, :, 2], emb[:, :, 3] = np.cos(angular.theta), np.sin(angular.theta)
+    emb[:, :, 2], emb[:, :, 3] = np.cos(theta), np.sin(theta)
     u = np.empty((pts.shape[0], k))
     for lo in range(0, pts.shape[0], per_block):
         block = pts[lo : lo + per_block]
@@ -92,19 +89,22 @@ def scalar_flux(params, angular, nx=101, ny=101, domain=None):
         rows[:, :, :2] = block[:, None, :]
         rows = rows.reshape(-1, 4)
         u[lo : lo + block.shape[0]] = network.eval_jvp_batch(params, rows, rows[:0])[0].reshape(-1, k)
-    values = (u @ angular.weight).reshape(nx, ny)
-    extent = (domain.lo[0], domain.hi[0], domain.lo[1], domain.hi[1])
-    return FieldGrid(nx, ny, values, extent)
+    return u, (domain.lo[0], domain.hi[0], domain.lo[1], domain.hi[1])
+
+
+def scalar_flux(params, angular, nx=101, ny=101, domain=None):
+    """Angular integral of the network at every grid node: the grid stream at
+    the rule's angles, weighted by the rule."""
+    if abs(angular.weight.sum() - TWO_PI) > 1e-10:
+        raise ContractViolation("angular weights must sum to 2*pi")
+    u, extent = _grid_values(params, angular.theta, nx, ny, domain)
+    return FieldGrid(nx, ny, (u @ angular.weight).reshape(nx, ny), extent)
 
 
 def angular_slice(params, theta, nx=101, ny=101, domain=None):
-    """Network values on the grid at one fixed direction."""
-    from .phase_space import UNIT_SQUARE
-
-    domain = domain or UNIT_SQUARE
-    pts = grid_points(nx, ny, domain)
-    u = network.eval_batch(params, pts, np.full(pts.shape[0], float(theta)))
-    extent = (domain.lo[0], domain.hi[0], domain.lo[1], domain.hi[1])
+    """Network values on the grid at one fixed direction: the grid stream
+    with that one direction."""
+    u, extent = _grid_values(params, np.array([float(theta)]), nx, ny, domain)
     return FieldGrid(nx, ny, u.reshape(nx, ny), extent)
 
 

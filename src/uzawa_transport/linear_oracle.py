@@ -26,12 +26,12 @@ array expression in them: <dlam, trace e>_w = moment . e, and
 The boundary side is factored per edge as well.  The inflow rule orders its
 nodes by edge, then angle, then position, so on edge e the trace of the
 coefficients C (3 x 6) is the 32 x 32 block A_e C P_e' of angular factors
-at the edge's angles and polynomials at its positions.  Both per-iterate
-maps, ``boundary_values`` and ``rhs``, are stacked products with these
-factors; the dense 4,096 x 18 trace serves only the trace-fitting least
-squares and the tests.  The outflow rule is the inflow rule with omega
-turned to -omega at the same positions and weights, so the outflow Gram is
-the inflow Gram with the cos and sin blocks' signs flipped.
+at the edge's angles and polynomials at its positions.  The trace and its
+adjoint (``boundary_values``, ``trace_adjoint``) are stacked products with
+these factors and build the boundary Gram column by column; no 4,096 x 18
+table of the basis at the inflow nodes is formed.  The outflow rule is the
+inflow rule with omega turned to -omega at the same positions and weights,
+so the outflow Gram is the inflow Gram with the cos and sin signs flipped.
 """
 
 from __future__ import annotations
@@ -77,11 +77,6 @@ def _angular_values(theta):
     return np.column_stack([np.ones(theta.size), np.cos(theta), np.sin(theta)])
 
 
-def _basis_values(x, theta):  # column a * _N_POLY + p is angular factor a times polynomial p
-    ang, poly = _angular_values(theta), _poly_values(x)
-    return (ang[:, :, None] * poly[:, None, :]).reshape(ang.shape[0], _N_ANG * _N_POLY)
-
-
 def _tensor_gram(ang, ang_weight, poly, poly_weight):
     """Gram over a product rule of the functions sum_j ang[:, j, a] poly[:, j, p]
     (column a * _N_POLY + p): sum over j, k of the Kronecker product of the
@@ -102,18 +97,19 @@ class LinearTrialSpace:
     polynomial itself).  So the interior Grams (``pde_gram``, ``mass``,
     ``advection_gram``) are sums of Kronecker products of 3x3 angular and
     6x6 spatial factor Grams (``_tensor_gram``), and no table over the
-    rule's 65,536 rows is formed."""
+    rule's 65,536 rows is formed.  The boundary keeps only per-edge factors:
+    column i of ``boundary_mass`` is ``trace_adjoint`` of W times
+    ``boundary_values`` of the i-th unit vector."""
 
     sigma_a: float
     sigma_t: float
-    n_basis: int = _N_ANG * _N_POLY
+    n_basis: int = field(init=False, default=_N_ANG * _N_POLY)
     pde_gram: np.ndarray = field(init=False, repr=False)  # <(T+S)phi_i, (T+S)phi_j>
     mass: np.ndarray = field(init=False, repr=False)
     advection_gram: np.ndarray = field(init=False, repr=False)
     boundary_mass: np.ndarray = field(init=False, repr=False)
     outflow_mass: np.ndarray = field(init=False, repr=False)
     inflow: BoundaryNodes = field(init=False, repr=False)  # the multiplier's frozen nodes
-    trace: np.ndarray = field(init=False, repr=False)  # basis at the inflow nodes, for lstsq and tests
     edge_ang: np.ndarray = field(init=False, repr=False)  # A_e: angular factor at edge e's angles
     edge_poly_t: np.ndarray = field(init=False, repr=False)  # P_e': polynomials at edge e's positions
 
@@ -132,12 +128,12 @@ class LinearTrialSpace:
         self.pde_gram = _tensor_gram(ts_ang, ang_w, ts_poly, poly_w)
 
         self.inflow = inflow = tensor_boundary(domain, 32, 32, side=INFLOW)
-        self.trace = _basis_values(inflow.x, inflow.theta)
-        self.boundary_mass = self.trace.T @ (inflow.weight[:, None] * self.trace)
         # node (edge, angle, position): theta is constant along positions, x along angles
         theta, x = inflow.theta.reshape(4, 32, 32)[:, :, 0], inflow.x.reshape(4, 32, 32, 2)[:, 0]
         self.edge_ang = _angular_values(theta.ravel()).reshape(4, 32, _N_ANG)
         self.edge_poly_t = _poly_values(x.reshape(-1, 2)).reshape(4, 32, _N_POLY).transpose(0, 2, 1).copy()
+        columns = [self.trace_adjoint(inflow.weight * self.boundary_values(e)) for e in np.eye(self.n_basis)]
+        self.boundary_mass = np.column_stack(columns)
         # omega -> -omega flips the sign of the cos and sin factors
         flip = np.repeat([1.0, -1.0, -1.0], _N_POLY)
         self.outflow_mass = flip[:, None] * self.boundary_mass * flip
@@ -178,17 +174,19 @@ def fixed_point_solve(space, g_values, lambda0=None):
     Returns (c_star, lambda_star, trace_mismatch); the mismatch reports how
     well the datum is representable in the span's trace image and should be
     near zero for data constructed inside it.  Neither c* nor lambda*
-    depends on gamma: c* is the weighted least-squares fit, whose normal
-    equations boundary_mass c* = trace' W g cancel the gamma terms.
+    depends on gamma: c* is the weighted least-squares fit, solved by its
+    normal equations boundary_mass c* = trace' W g, which cancel the gamma
+    terms.  The checked ``boundary_mass`` also serves the saddle solve.
     """
     g_values = np.asarray(g_values, dtype=float)
-    sqw = np.sqrt(space.inflow.weight)
-    c_star, *_ = np.linalg.lstsq(sqw[:, None] * space.trace, sqw * g_values, rcond=None)
+    weight = space.inflow.weight
+    boundary_mass = _checked(space.boundary_mass, "boundary-mass")
+    c_star = np.linalg.solve(boundary_mass, space.trace_adjoint(weight * g_values))
     mismatch = uzawa.boundary_residual(space.inflow, space.boundary_values(c_star) - g_values)
     lambda0 = 0.0 if lambda0 is None else np.asarray(lambda0, dtype=float)
     lambda0 = np.broadcast_to(lambda0, len(space.inflow))
-    target = space.pde_gram @ c_star - space.trace_adjoint(space.inflow.weight * lambda0)
-    d = np.linalg.solve(_checked(space.boundary_mass, "saddle"), target)
+    target = space.pde_gram @ c_star - space.trace_adjoint(weight * lambda0)
+    d = np.linalg.solve(boundary_mass, target)
     lambda_star = lambda0 + space.boundary_values(d)
     return c_star, lambda_star, mismatch
 
@@ -353,7 +351,7 @@ def verification_suite(n_iter=200, pairs=((1.0, 0.5), (1.0, 1.5), (2.0, 3.5))):
         checks.append(
             (
                 f"telescoping bound ({label})",
-                gap_tel <= 1e-8 and total <= bound + 1e-8,
+                bool(gap_tel <= 1e-8 and total <= bound + 1e-8),
                 f"gap {gap_tel:.3e}, sum {total:.6f} <= {bound:.6f}",
             )
         )
@@ -368,7 +366,7 @@ def verification_suite(n_iter=200, pairs=((1.0, 0.5), (1.0, 1.5), (2.0, 3.5))):
     checks.append(
         (
             "strong-regime weighted sums",
-            c_const > 0 and bool(np.all(partial <= bound)),
+            bool(c_const > 0 and np.all(partial <= bound)),
             f"C={c_const:.4f}, max partial {partial.max():.6f} <= {bound:.6f}",
         )
     )

@@ -30,8 +30,8 @@ network never loads scipy.  Two kinds of batched kernel evaluate it:
 
 ``ROW_BLOCK`` is the one per-pass row budget.  Callers keep to it: the
 residual assembly walks ``kinetic_ops.PhaseRows.tiles``, which reads it,
-and ``diagnostics_io.scalar_flux`` streams ``eval_jvp_batch`` blocks of whole
-grid points.
+and the flux and slice grids of ``diagnostics_io`` stream ``eval_jvp_batch``
+blocks of whole grid points.
 
 Only one workspace is live, sized to the largest (n, n_t) it has served:
 a pass that does not fit grows it, and one of another (widths,

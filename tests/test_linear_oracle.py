@@ -21,6 +21,22 @@ def datum(space):
     return lo.default_trace_datum(space)
 
 
+def _dense_basis(x, theta):
+    """The 18 basis functions at phase points, one row per point: column
+    a * 6 + p is angular factor a (1, cos, sin) times polynomial p (1, x1,
+    x2, x1 x2, x1^2, x2^2).  The reference for the factored maps and Grams."""
+    x1, x2 = x.T
+    poly = np.column_stack([np.ones_like(x1), x1, x2, x1 * x2, x1**2, x2**2])
+    ang = np.column_stack([np.ones_like(theta), np.cos(theta), np.sin(theta)])
+    return (ang[:, :, None] * poly[:, None, :]).reshape(-1, 18)
+
+
+@pytest.fixture(scope="module")
+def dense_trace(space):
+    # the 4,096 x 18 table of the basis at the inflow nodes
+    return _dense_basis(space.inflow.x, space.inflow.theta)
+
+
 def test_gram_matrices_spd(space):
     for mat in (space.pde_gram, space.boundary_mass, space.mass):
         np.testing.assert_allclose(mat, mat.T, atol=1e-12)
@@ -32,7 +48,7 @@ def test_gram_matrices_spd(space):
 def test_blocked_grams_match_one_pass(space):
     # the factored Grams against one pass over the 65,536 rows of the rule
     rule = ps.tensor_interior(ps.UNIT_SQUARE, 32, 32, ps.angular_rule(64))
-    phi = lo._basis_values(rule.x, rule.theta)
+    phi = _dense_basis(rule.x, rule.theta)
     (x1, x2), c, s = rule.x.T, np.cos(rule.theta), np.sin(rule.theta)
     # omega . grad of 1, x1, x2, x1 x2, x1^2, x2^2, times each angular factor
     grad_poly = np.column_stack([0 * c, c, s, c * x2 + s * x1, 2 * c * x1, 2 * s * x2])
@@ -45,10 +61,9 @@ def test_blocked_grams_match_one_pass(space):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_factored_boundary_maps_match_the_dense_trace(space):
+def test_factored_boundary_maps_match_the_dense_trace(space, dense_trace):
     # the per-edge factors against the basis table of the inflow rule's 4,096 nodes
-    nodes = space.inflow
-    dense = lo._basis_values(nodes.x, nodes.theta)
+    nodes, dense = space.inflow, dense_trace
     rng = np.random.default_rng(11)
     c = rng.standard_normal(space.n_basis)
     lam, g = rng.standard_normal((2, len(nodes)))
@@ -61,20 +76,34 @@ def test_factored_boundary_maps_match_the_dense_trace(space):
 
 def test_outflow_mass_is_the_dense_outflow_gram(space):
     outflow = ps.tensor_boundary(ps.UNIT_SQUARE, 32, 32, side=ps.OUTFLOW)
-    phi = lo._basis_values(outflow.x, outflow.theta)
+    phi = _dense_basis(outflow.x, outflow.theta)
     want = phi.T @ (outflow.weight[:, None] * phi)
     assert np.abs(space.outflow_mass - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def test_boundary_mass_is_the_dense_inflow_gram(space, dense_trace):
+    # built column by column from the factored maps
+    want = dense_trace.T @ (space.inflow.weight[:, None] * dense_trace)
+    assert np.abs(space.boundary_mass - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_n_basis_is_not_a_constructor_argument():
+    # the Grams are 18 x 18 whatever was passed, so another count only broke later
+    with pytest.raises(TypeError):
+        lo.LinearTrialSpace(sigma_a=1.0, sigma_t=0.1, n_basis=5)
+
+
 def test_trial_space_memory_stays_block_sized():
-    # one 65,536 x 18 basis table of the whole rule would be 9.4 MB by itself
+    # one 65,536 x 18 basis table of the whole rule would be 9.4 MB by itself;
+    # a 4,096 x 18 table of the inflow nodes and its least-squares fit took the
+    # peak to 1.8 MB
     tracemalloc.start()
     try:
         lo.LinearTrialSpace(sigma_a=1.0, sigma_t=0.1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 10e6
+    assert peak < 1.5e6
 
 
 def test_exact_inner_solve_zero_case(space):
@@ -100,7 +129,8 @@ def test_one_basis_closed_form():
     gamma = 0.7
     a11 = space.pde_gram[0, 0]
     b11 = space.boundary_mass[0, 0]
-    rhs1 = space.trace[:, 0] @ (space.inflow.weight * (gamma * 0.0 + lam))
+    trace0 = _dense_basis(space.inflow.x, space.inflow.theta)[:, 0]
+    rhs1 = trace0 @ (space.inflow.weight * (gamma * 0.0 + lam))
     expected = rhs1 / (a11 + gamma * b11)
     # solve the full system with lambda projected onto the first function only
     # by zeroing every other rhs entry
@@ -110,7 +140,7 @@ def test_one_basis_closed_form():
     assert rhs[0] / system[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_fixed_point_trace_fit_and_gamma_independence(space, datum):
+def test_fixed_point_trace_fit_and_gamma_independence(space, datum, dense_trace):
     c_g, g_values = datum
     # one solve serves every gamma
     c_star, lambda_star, mismatch = lo.fixed_point_solve(space, g_values)
@@ -118,7 +148,7 @@ def test_fixed_point_trace_fit_and_gamma_independence(space, datum):
     for gamma in (0.5, 1.0, 2.0):
         # optimality identity: (A + gamma B) c* = Phi' W (gamma g + lambda*)
         lhs = (space.pde_gram + gamma * space.boundary_mass) @ c_star
-        rhs = space.trace.T @ (space.inflow.weight * (gamma * g_values + lambda_star))
+        rhs = dense_trace.T @ (space.inflow.weight * (gamma * g_values + lambda_star))
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -126,6 +156,17 @@ def test_fixed_point_recovers_exact_coefficients(space, datum):
     c_g, g_values = datum
     c_star, _, _ = lo.fixed_point_solve(space, g_values)
     np.testing.assert_allclose(c_star, c_g, atol=1e-10)
+
+
+def test_fixed_point_fit_is_the_weighted_least_squares_fit(space, datum, dense_trace):
+    # the normal-equation solve against lstsq on the weighted table, for a
+    # datum in the trace image and one outside it
+    sqw = np.sqrt(space.inflow.weight)
+    outside = np.random.default_rng(5).standard_normal(len(space.inflow))
+    for g_values in (datum[1], outside):
+        want, *_ = np.linalg.lstsq(sqw[:, None] * dense_trace, sqw * g_values, rcond=None)
+        c_star, _, _ = lo.fixed_point_solve(space, g_values)
+        assert np.abs(c_star - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_residual_identity_along_run(space, datum):
@@ -207,7 +248,7 @@ def test_run_series_lengths(space, datum):
     assert run.coefficients.shape == run.moments.shape == (18, space.n_basis)
 
 
-def test_records_match_a_node_space_iteration(space, datum):
+def test_records_match_a_node_space_iteration(space, datum, dense_trace):
     # lambda_k iterated by hand on the inflow nodes, without the production step
     _, g_values = datum
     gamma, rho = 1.0, 0.5
@@ -216,11 +257,11 @@ def test_records_match_a_node_space_iteration(space, datum):
     lam = np.zeros(len(space.inflow))
     for k in range(11):
         dlam = lam - run.lambda_star
-        moment = space.trace.T @ (w * dlam)
+        moment = dense_trace.T @ (w * dlam)
         assert abs(run.dist_lambda[k] - np.sqrt(w @ dlam**2)) <= 1e-10 * run.dist_lambda[k]
         assert np.linalg.norm(run.moments[k] - moment) <= 1e-10 * np.linalg.norm(moment)
-        c = np.linalg.solve(hessian, space.trace.T @ (w * (gamma * g_values + lam)))
-        lam = lam - rho * (space.trace @ c - g_values)
+        c = np.linalg.solve(hessian, dense_trace.T @ (w * (gamma * g_values + lam)))
+        lam = lam - rho * (dense_trace @ c - g_values)
 
 
 def test_run_memory_is_its_records(space, datum):
@@ -261,3 +302,5 @@ def test_verification_suite_all_pass():
     # the oracle benchmark gates on exactly this many passing checks
     assert len(checks) == 14
     assert all(ok for _, ok, _ in checks)
+    # plain bools, which the verify manifest serialises as they are
+    assert all(type(ok) is bool for _, ok, _ in checks)
