@@ -144,7 +144,7 @@ def run_experiment(config, out_dir=None):
     start = time.perf_counter()
 
     if config.mode == configmod.ORACLE_VERIFY:
-        checks = linear_oracle.verification_suite(n_iter=config["oracle.n_iter"])
+        checks = linear_oracle.verification_suite()
         all_ok = True
         for name, ok, detail in checks:
             print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))

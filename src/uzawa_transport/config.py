@@ -7,7 +7,9 @@ or a bound such as ``> 0``) are declared once, in ``SCHEMA``;
 the shape of a list value.  Unknown keys are rejected and all violations
 are reported together rather than one at a time.  The same flat
 dictionary is what run manifests snapshot, so a manifest can be fed back
-to ``run`` to reproduce an experiment.
+to ``run`` to reproduce an experiment; a key since retired from
+``SCHEMA`` (``_RETIRED``) is accepted only at the one value the code now
+fixes, so older manifests re-run bit for bit.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ SCHEMA = {
     "quadrature.n_boundary": ("int", 1024, ">= 2"),
     "quadrature.seed": ("int", 0, ">= 0"),
     "network.widths": ("ints", (4, 64, 64, 64, 1), None),
-    "network.activation": ("str", "tanh", tuple(network.ACTIVATIONS)),
     "network.seed": ("int", 0, ">= 0"),
     "lagrangian.gamma": ("float", 1.0, ">= 0"),
     "lagrangian.batch_interior": ("int", 0, ">= 0"),  # 0 means the full set
@@ -81,28 +82,30 @@ SCHEMA = {
     "uzawa.n_outer": ("int", 10, ">= 1"),
     "uzawa.n_inner": ("int", 200, ">= 1"),
     "uzawa.learning_rate": ("float", 1e-3, "> 0"),
-    "uzawa.beta1": ("float", 0.9, "in [0, 1)"),
-    "uzawa.beta2": ("float", 0.999, "in [0, 1)"),
-    "uzawa.eps_adam": ("float", 1e-8, "> 0"),
-    "uzawa.lambda_init": ("float", 0.0, None),
     "outputs.directory": ("str", "", None),
     "outputs.grid_n": ("int", 101, ">= 2"),
     "outputs.grids": ("strs", ("scalar-flux",), None),
     "outputs.emit_quadrature": ("bool", False, None),
     "outputs.checkpoint": ("bool", True, None),
-    "oracle.n_iter": ("int", 200, ">= 1"),
 }
 
-# keys retired from SCHEMA that manifests written before still hold, each
-# with the one value every run used; from_flat ignores them at that value
-_RETIRED = {"uzawa.optimizer": ("str", "adam"), "lagrangian.include_source": ("bool", True)}
+# key -> (type tag, the one value every run used); from_flat accepts it only there
+_RETIRED = {
+    "uzawa.optimizer": ("str", "adam"),
+    "lagrangian.include_source": ("bool", True),
+    "network.activation": ("str", "tanh"),
+    "uzawa.beta1": ("float", 0.9),
+    "uzawa.beta2": ("float", 0.999),
+    "uzawa.eps_adam": ("float", 1e-8),
+    "uzawa.lambda_init": ("float", 0.0),
+    "oracle.n_iter": ("int", 200),
+}
 
 _BOUNDS = {
     "> 0": lambda v: v > 0,
     ">= 0": lambda v: v >= 0,
     ">= 1": lambda v: v >= 1,
     ">= 2": lambda v: v >= 2,
-    "in [0, 1)": lambda v: 0 <= v < 1,
 }
 
 
@@ -194,8 +197,15 @@ def _semantic_violations(values):
             v.append(f"{key}: absorption must be >= 0")
     if values["problem.kernel.kind"] == "forward-peaked" and values["problem.kernel.epsilon"] <= 0:
         v.append("problem.kernel.epsilon: forward-peaked kernel needs epsilon > 0")
-    if values["problem.manufactured"] and values["problem.sigma_a.kind"] != "constant":
-        v.append("problem.manufactured: needs a constant absorption coefficient")
+    if values["problem.manufactured"]:
+        if values["problem.sigma_a.kind"] != "constant":
+            v.append("problem.manufactured: needs a constant absorption coefficient")
+        # the manufactured solution brings its own source and a zero trace
+        for key in ("problem.source.kind", "problem.inflow.kind"):
+            if values[key] != "zero":
+                v.append(f"{key}: must be 'zero' on a manufactured problem, got {values[key]!r}")
+        if values["problem.noise.std"] > 0:
+            v.append("problem.noise.std: a manufactured problem has no inflow data to perturb")
     batch = values["lagrangian.batch_interior"]
     if values["quadrature.scheme"] == phase_space.TENSOR_GAUSS:
         full = values["quadrature.n_spatial"] ** 2
@@ -239,7 +249,7 @@ def from_flat(mapping):
             try:
                 if _SCALARS[tag](raw) == kept:
                     continue
-            except ValueError:
+            except (TypeError, ValueError):
                 pass
             violations.append(f"{key}: retired; only {kept!r} is accepted, got {raw!r}")
         elif key not in SCHEMA:
@@ -402,9 +412,7 @@ def build_quadrature_set(cfg, domain=phase_space.UNIT_SQUARE):
 
 
 def build_network(cfg):
-    return network.init_params(
-        cfg["network.widths"], cfg["network.activation"], cfg["network.seed"]
-    )
+    return network.init_params(cfg["network.widths"], cfg["network.seed"])
 
 
 def _section(cfg, prefix):

@@ -53,10 +53,6 @@ class MultiplierField:
         return float(np.sqrt(self.nodes.weight @ self.values**2))
 
 
-def constant_multiplier(nodes, value=0.0):
-    return MultiplierField(np.full(len(nodes), float(value)), nodes)
-
-
 @dataclass
 class LagrangianParts:
     """The three objective terms; ``mismatch`` is u - g on the boundary nodes,

@@ -6,9 +6,8 @@ the angle: the trial space lives on D x S^1.  Every function that takes
 phase points (x, theta) embeds them itself.  Its parameters are one
 float64 vector, ``MlpParams.flat``: per affine layer the weight matrix
 row-major, then the bias; the per-layer arrays are views of it.  The
-activation is tanh, gelu or silu; gelu's normal CDF is
-``scipy.special.erf``, imported at gelu's first call, so a tanh or silu
-network never loads scipy.  Two kinds of batched kernel evaluate it:
+activation is tanh, the one entry of ``ACTIVATIONS``; ``MlpParams`` and
+checkpoint headers carry its name.  Two kinds of batched kernel evaluate it:
 
 - ``forward_jvp_batch`` evaluates n embedded rows plus a forward tangent
   rail (for omega-directional spatial derivatives) on the first n_t of
@@ -80,8 +79,8 @@ def _transport_tangent(theta):
 
 def _act_tanh(z, order, out=None):
     """Activation and its derivatives up to ``order``: a prefix of (a, d1, d2),
-    written into the ``order + 1`` arrays of ``out`` when given.  Every
-    activation writes ``out[0]`` last, so ``out[0]`` may be ``z`` itself."""
+    written into the ``order + 1`` arrays of ``out`` when given.  ``z`` is
+    read only by the first write, to ``out[0]``, so ``out[0]`` may be ``z``."""
     out = out or tuple(np.empty_like(z) for _ in range(order + 1))
     a = np.tanh(z, out=out[0])
     if order:
@@ -91,37 +90,8 @@ def _act_tanh(z, order, out=None):
     return out
 
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-
-def _act_gelu(z, order, out=None):
-    from scipy.special import erf
-
-    out = out or tuple(np.empty_like(z) for _ in range(order + 1))
-    cdf = 0.5 * (1.0 + erf(z * _INV_SQRT2))
-    if order:
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * z * z)
-        np.add(cdf, z * pdf, out=out[1])
-    if order == 2:
-        np.multiply(pdf, 2.0 - z * z, out=out[2])
-    np.multiply(z, cdf, out=out[0])
-    return out
-
-
-def _act_silu(z, order, out=None):
-    out = out or tuple(np.empty_like(z) for _ in range(order + 1))
-    s = 0.5 * (np.tanh(0.5 * z) + 1.0)
-    if order:
-        dsig = s * (1.0 - s)
-        np.add(s, z * dsig, out=out[1])
-    if order == 2:
-        np.multiply(dsig, 2.0 + z * (1.0 - 2.0 * s), out=out[2])
-    np.multiply(z, s, out=out[0])
-    return out
-
-
-ACTIVATIONS = {"tanh": _act_tanh, "gelu": _act_gelu, "silu": _act_silu}
+# a table, so that perfbench/tracer.py can wrap its entries by name
+ACTIVATIONS = {"tanh": _act_tanh}
 
 
 @dataclass
@@ -162,10 +132,10 @@ def param_count(widths):
     return sum(widths[i + 1] * widths[i] + widths[i + 1] for i in range(len(widths) - 1))
 
 
-def init_params(widths, activation="tanh", seed=0):
+def init_params(widths, seed=0):
     """Uniform weights scaled by 1/sqrt(fan-in), zero biases, seeded."""
     # checked as the zero network before any draw; max(): bad widths can count < 0
-    params = MlpParams(np.zeros(max(param_count(widths), 0)), widths, activation)
+    params = MlpParams(np.zeros(max(param_count(widths), 0)), widths)
     rng = np.random.default_rng(seed)
     for W in params.weights:
         scale = 1.0 / np.sqrt(W.shape[1])

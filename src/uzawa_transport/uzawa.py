@@ -1,9 +1,10 @@
 """Outer multiplier ascent wrapped around inner stochastic minimization.
 
-Each outer step minimizes the discrete Lagrangian over the network
-parameters for a fixed multiplier (a fixed number of optimizer steps,
-parameters warm-started from the previous outer step), then moves the
-multiplier along the boundary mismatch:
+The multiplier starts at zero on every frozen boundary node.  Each outer
+step minimizes the discrete Lagrangian over the network parameters for a
+fixed multiplier (a fixed number of Adam steps, parameters warm-started
+from the previous outer step), then moves the multiplier along the
+boundary mismatch:
 
     lambda(b) <- lambda(b) - rho * (u(b) - g(b))   on every frozen node.
 
@@ -24,7 +25,7 @@ import numpy as np
 from . import lagrangian as lagr
 from . import network, phase_space
 from .errors import ContractViolation, NumericalAbort
-from .lagrangian import MultiplierField, constant_multiplier
+from .lagrangian import MultiplierField
 
 
 @dataclass
@@ -33,34 +34,26 @@ class UzawaConfig:
     n_outer: int = 10
     n_inner: int = 200
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
-    lambda_init: float = 0.0
 
     def __post_init__(self):
         # the checks of config validation, written so that NaN fails each one
-        floats = (self.rho, self.learning_rate, self.beta1, self.beta2, self.eps_adam, self.lambda_init)
-        if not all(math.isfinite(value) for value in floats):
-            raise ContractViolation("rho, learning_rate, beta1, beta2, eps_adam, lambda_init must be finite")
+        if not (math.isfinite(self.rho) and math.isfinite(self.learning_rate)):
+            raise ContractViolation("rho and learning_rate must be finite")
         if not self.rho > 0:
             raise ContractViolation("multiplier step rho must be positive")
         if self.n_outer < 1 or self.n_inner < 1:
             raise ContractViolation("iteration counts must be >= 1")
         if not self.learning_rate > 0:
             raise ContractViolation("learning rate must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ContractViolation("Adam decay rates must satisfy 0 <= beta1, beta2 < 1")
-        if not self.eps_adam > 0:
-            raise ContractViolation("eps_adam must be positive")
 
 
 class Adam:
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam with its usual decay rates and denominator floor."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = None
         self.v = None
         self.t = 0
@@ -155,14 +148,11 @@ def inner_minimize(state, quad, problem, lagr_cfg, config, optimizer, outer, see
 def run(problem, quad, params0, config, lagr_cfg, seed=0):
     """Full iteration: returns the final state with per-step histories."""
     b = quad.boundary
-    state = RunState(
-        params=params0,
-        multiplier=constant_multiplier(b, config.lambda_init),
-    )
+    state = RunState(params=params0, multiplier=MultiplierField(np.zeros(len(b)), b))
     with np.errstate(over="ignore", invalid="ignore"):
         u0 = network.eval_batch(params0, b.x, b.theta)
         state.initial_boundary_residual = boundary_residual(b, u0 - problem.data.inflow(b))
-    optimizer = Adam(config.learning_rate, config.beta1, config.beta2, config.eps_adam)
+    optimizer = Adam(config.learning_rate)
     for k in range(config.n_outer):
         trace = inner_minimize(state, quad, problem, lagr_cfg, config, optimizer, k, seed)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 
 from uzawa_transport import cli
 from uzawa_transport import config as cm
-from uzawa_transport import lagrangian, presets, uzawa
+from uzawa_transport import lagrangian, phase_space, presets, uzawa
 from uzawa_transport.errors import ConfigError, ContractViolation, IllConditionedSystem
 
 CLI = [sys.executable, "-m", "uzawa_transport"]
@@ -28,6 +29,19 @@ FAST_OVERRIDES = {
     "lagrangian.batch_interior": "8",
     "network.widths": "4,8,1",
     "outputs.grid_n": "5",
+}
+
+
+# every retired key at the value the manifests written before hold
+RETIRED_AS_WRITTEN = {
+    "uzawa.optimizer": "adam",
+    "lagrangian.include_source": True,
+    "network.activation": "tanh",
+    "uzawa.beta1": 0.9,
+    "uzawa.beta2": 0.999,
+    "uzawa.eps_adam": 1e-08,
+    "uzawa.lambda_init": 0.0,
+    "oracle.n_iter": 200,
 }
 
 
@@ -67,7 +81,6 @@ BOUND_EDGES = {
     ">= 0": [(0, True)],
     ">= 1": [(1, True)],
     ">= 2": [(2, True)],
-    "in [0, 1)": [(0, True), (1, False)],
 }
 
 
@@ -292,7 +305,7 @@ def test_cli_manifest_rerun_reproduces_metrics(tmp_path):
     assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
     # a manifest written while the retired keys were in SCHEMA holds them
     manifest = json.loads((out_a / "manifest.json").read_text())
-    manifest["config"].update({"uzawa.optimizer": "adam", "lagrangian.include_source": True})
+    manifest["config"].update(RETIRED_AS_WRITTEN)
     older = tmp_path / "older.json"
     older.write_text(json.dumps(manifest))
     third = _run_cli(["run", older.as_posix(), "--out", (tmp_path / "c").as_posix(), "--threads", "1"])
@@ -302,18 +315,111 @@ def test_cli_manifest_rerun_reproduces_metrics(tmp_path):
 
 def test_retired_keys_are_ignored_at_their_one_value():
     default = cm.from_flat({})
-    assert cm.from_flat({"uzawa.optimizer": "adam", "lagrangian.include_source": True}) == default
-    assert cm.from_flat({"lagrangian.include_source": "true"}) == default
-    assert "uzawa.optimizer" not in default.to_flat()
+    assert cm.from_flat(RETIRED_AS_WRITTEN) == default
+    assert cm.from_flat({"lagrangian.include_source": "true", "oracle.n_iter": "200", "uzawa.beta1": "0.9"}) == default
+    assert not set(cm._RETIRED) & set(default.to_flat())
 
 
-@pytest.mark.parametrize("key, value", [("uzawa.optimizer", "sgd"), ("lagrangian.include_source", "false")])
+def test_retired_values_are_what_the_code_uses(monkeypatch):
+    from uzawa_transport import linear_oracle, network
+
+    kept = {key: value for key, (_, value) in cm._RETIRED.items()}
+    assert not set(kept) & set(cm.SCHEMA)
+    assert set(network.ACTIVATIONS) == {kept["network.activation"]}
+    assert (uzawa.Adam.beta1, uzawa.Adam.beta2, uzawa.Adam.eps) == (
+        kept["uzawa.beta1"],
+        kept["uzawa.beta2"],
+        kept["uzawa.eps_adam"],
+    )
+    default_n_iter = inspect.signature(linear_oracle.verification_suite).parameters["n_iter"].default
+    assert default_n_iter == kept["oracle.n_iter"]
+    # the multiplier the first inner minimization sees
+    starts = []
+    inner = uzawa.inner_minimize
+
+    def record(state, *args, **kwargs):
+        starts.append(state.multiplier.values.copy())
+        return inner(state, *args, **kwargs)
+
+    monkeypatch.setattr(uzawa, "inner_minimize", record)
+    cfg = presets.expand_preset("example1", FAST_OVERRIDES)
+    problem, _ = cm.build_problem(cfg)
+    quad = cm.build_quadrature_set(cfg)
+    uzawa.run(problem, quad, cm.build_network(cfg), cm.build_uzawa_config(cfg), cm.build_lagrangian_config(cfg))
+    assert np.all(starts[0] == kept["uzawa.lambda_init"]) and np.any(starts[1] != 0.0)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("uzawa.optimizer", "sgd"),
+        ("lagrangian.include_source", "false"),
+        ("network.activation", "gelu"),
+        ("uzawa.beta2", "0.99"),
+        ("uzawa.lambda_init", "0.5"),
+        ("oracle.n_iter", "2"),
+    ],
+)
 def test_cli_retired_key_at_another_value_exit_code(tmp_path, key, value):
     out = _run_cli(["preset", "example1", "--override", f"{key}={value}", "--out", tmp_path.as_posix()])
     assert out.returncode == 2
     lines = out.stderr.strip().splitlines()
     assert len(lines) == 2 and lines[0] == "configuration error:"
     assert lines[1].startswith(f"  - {key}: ")
+
+
+@pytest.mark.parametrize("raw", [None, [0.9]], ids=["null", "list"])
+def test_cli_retired_key_unparsable_in_a_manifest_exit_code(tmp_path, raw):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"config": {"uzawa.beta1": raw}, "version": "0.1.0", "wall_clock": 1.0}))
+    out = _run_cli(["run", path.as_posix(), "--out", (tmp_path / "out").as_posix()])
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.splitlines()[1:] == [f"  - uzawa.beta1: retired; only 0.9 is accepted, got {raw!r}"]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("problem.source.kind", "constant"), ("problem.inflow.kind", "left-edge"), ("problem.noise.std", "0.1")],
+)
+def test_cli_manufactured_rejects_data_it_would_ignore_exit_code(tmp_path, key, value):
+    args = ["preset", "manufactured", "--override", f"{key}={value}", "--out", tmp_path.as_posix()]
+    for name, fast in FAST_OVERRIDES.items():
+        args += ["--override", f"{name}={fast}"]
+    out = _run_cli(args)
+    assert out.returncode == 2, out.stderr
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 2 and lines[1].startswith(f"  - {key}: ")
+
+
+def test_every_schema_key_is_read(tmp_path, monkeypatch):
+    # every key is honoured: what the builders of every preset, the Monte
+    # Carlo rule, the output directory and one run read covers SCHEMA
+    read = set()
+    getitem, section = cm.ExperimentConfig.__getitem__, cm._section
+
+    def record_item(cfg, key):
+        read.add(key)
+        return getitem(cfg, key)
+
+    def record_section(cfg, prefix):
+        fields = section(cfg, prefix)
+        read.update(prefix + name for name in fields)
+        return fields
+
+    monkeypatch.setattr(cm.ExperimentConfig, "__getitem__", record_item)
+    monkeypatch.setattr(cm, "_section", record_section)
+    configs = [presets.expand_preset(name) for name in presets.PRESETS]
+    configs.append(presets.expand_preset("manufactured", {"quadrature.scheme": phase_space.MONTE_CARLO}))
+    for cfg in configs:
+        cm.build_problem(cfg)
+        cm.build_quadrature_set(cfg)
+        cm.build_network(cfg)
+        cm.build_lagrangian_config(cfg)
+        cm.build_uzawa_config(cfg)
+        cli._resolve_out_dir(None, cfg)
+    tiny = presets.expand_preset("example1", FAST_OVERRIDES)
+    assert cli.run_experiment(tiny, tmp_path.as_posix())[0] == 0
+    assert read == set(cm.SCHEMA)
 
 
 def test_cli_emit_quadrature_writes_the_run_nodes(tmp_path):
@@ -482,7 +588,7 @@ def test_cli_failed_verification_exit_code(tmp_path, monkeypatch, capsys):
     from uzawa_transport import linear_oracle
 
     checks = [("identity that holds", True, ""), ("identity that fails", False, "residual 1.0e+00")]
-    monkeypatch.setattr(linear_oracle, "verification_suite", lambda n_iter: checks)
+    monkeypatch.setattr(linear_oracle, "verification_suite", lambda: checks)
     assert cli.main(["verify", "--out", tmp_path.as_posix()]) == 1
     out = capsys.readouterr().out
     assert "[PASS] identity that holds" in out

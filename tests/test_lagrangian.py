@@ -33,6 +33,10 @@ def _problem(sigma_a=1.0, sigma_t=0.0, kernel=None, f=None, g=None):
     )
 
 
+def _constant_multiplier(nodes, value):
+    return lg.MultiplierField(np.full(len(nodes), value), nodes)
+
+
 def _zero_net():
     params = net.init_params((4, 8, 1), seed=0)
     return net.unflatten(np.zeros(params.n_params), params.widths)
@@ -41,7 +45,7 @@ def _zero_net():
 def test_all_zero_inputs_give_zero_value():
     quad = _quad()
     problem = _problem()
-    mult = lg.constant_multiplier(quad.boundary, 0.0)
+    mult = _constant_multiplier(quad.boundary, 0.0)
     parts = lg.assemble(_zero_net(), mult, quad, problem, lg.LagrangianConfig(gamma=1.0))
     assert parts.pde == 0.0
     assert parts.boundary_penalty == 0.0
@@ -53,14 +57,14 @@ def test_boundary_penalty_equals_inflow_measure():
     # zero network, g = 1, gamma = 2: penalty = (2/2) * measure(inflow) = 8
     quad = _quad(n_boundary=(8, 8))
     problem = _problem(g=lambda x, t: np.ones(np.atleast_2d(x).shape[0]))
-    mult = lg.constant_multiplier(quad.boundary, 0.0)
+    mult = _constant_multiplier(quad.boundary, 0.0)
     parts = lg.assemble(_zero_net(), mult, quad, problem, lg.LagrangianConfig(gamma=2.0))
     assert parts.boundary_penalty == pytest.approx(8.0, abs=1e-12)
 
 
 def test_multiplier_term_sign():
     quad = _quad(n_boundary=(8, 8))
-    mult = lg.constant_multiplier(quad.boundary, 1.0)
+    mult = _constant_multiplier(quad.boundary, 1.0)
     cfg = lg.LagrangianConfig(gamma=0.0)
     # g = 0: -sum w * 1 * (0 - 0) = 0
     parts = lg.assemble(_zero_net(), mult, quad, _problem(), cfg)
@@ -138,7 +142,7 @@ def test_pure_residual_zero_network_zero_gradient():
     # gamma=0, lambda=0, f=0: zero network is the global minimum
     quad = _quad()
     problem = _problem()
-    mult = lg.constant_multiplier(quad.boundary, 0.0)
+    mult = _constant_multiplier(quad.boundary, 0.0)
     cfg = lg.LagrangianConfig(gamma=0.0)
     grad = lg.assemble_with_gradient(_zero_net(), mult, quad, problem, cfg)[1]
     assert np.abs(grad).max() == 0.0
@@ -148,7 +152,7 @@ def test_gradient_homogeneous_in_weights():
     quad = _quad()
     problem = _problem(sigma_a=0.5, g=lambda x, t: np.full(np.atleast_2d(x).shape[0], 0.4))
     params = net.init_params((4, 6, 1), seed=2)
-    mult = lg.constant_multiplier(quad.boundary, 0.2)
+    mult = _constant_multiplier(quad.boundary, 0.2)
     cfg = lg.LagrangianConfig(gamma=1.0)
     g1 = lg.assemble_with_gradient(params, mult, quad, problem, cfg)[1]
 
@@ -181,7 +185,7 @@ def test_value_affine_in_multiplier():
 def test_registry_mismatch_rejected():
     quad = _quad()
     other = ps.tensor_boundary(ps.UNIT_SQUARE, 4, 4)
-    mult = lg.constant_multiplier(other, 0.0)
+    mult = _constant_multiplier(other, 0.0)
     with pytest.raises(ContractViolation):
         lg.assemble(_zero_net(), mult, quad, _problem(), lg.LagrangianConfig())
 
@@ -189,7 +193,7 @@ def test_registry_mismatch_rejected():
 def test_source_enters_the_pde_part():
     quad = _quad()
     problem = _problem(f=lambda x, t: np.ones(np.atleast_2d(x).shape[0]))
-    mult = lg.constant_multiplier(quad.boundary, 0.0)
+    mult = _constant_multiplier(quad.boundary, 0.0)
     parts = lg.assemble(_zero_net(), mult, quad, problem, lg.LagrangianConfig())
     assert parts.pde == pytest.approx(0.5 * 2 * np.pi, abs=1e-10)  # 1/2 int 1 over W
 
@@ -255,7 +259,7 @@ def test_subsample_unbiased_pde_part():
     quad = _quad(n_spatial=4, n_angular=8)
     problem = _problem(sigma_a=1.0, f=lambda x, t: x[:, 0])
     params = net.init_params((4, 8, 1), seed=6)
-    mult = lg.constant_multiplier(quad.boundary, 0.0)
+    mult = _constant_multiplier(quad.boundary, 0.0)
     cfg = lg.LagrangianConfig(gamma=0.0)
     full = lg.assemble(params, mult, quad, problem, cfg).pde
     draws = np.array(
@@ -270,7 +274,7 @@ def test_subsample_unbiased_pde_part():
 
 def test_multiplier_norm():
     nodes = ps.tensor_boundary(ps.UNIT_SQUARE, 8, 8)
-    mult = lg.constant_multiplier(nodes, 2.0)
+    mult = _constant_multiplier(nodes, 2.0)
     # ||2||_{L2(inflow)} = 2 * sqrt(8)
     assert mult.norm() == pytest.approx(2.0 * np.sqrt(8.0), abs=1e-12)
     with pytest.raises(ContractViolation):
@@ -288,7 +292,7 @@ def test_training_step_allocates_no_layer_buffers(peak_bytes):
     # example3-forward batch: 48 blocks x 32 directions plus 256 boundary rows
     problem, quad, params, cfg = _example3_forward()
     batch = lg.subsample(quad, cfg.batch_interior, [0, 0, 0])
-    mult = lg.constant_multiplier(quad.boundary, 0.5)
+    mult = _constant_multiplier(quad.boundary, 0.5)
     peaks = [
         peak_bytes(lambda: lg.assemble_with_gradient(params, mult, batch, problem, cfg))
         for _ in range(5)
@@ -300,7 +304,7 @@ def test_step_memory_does_not_grow_with_the_batch(peak_bytes):
     # the full 400-block interior (12,800 rows with tangents) is swept one
     # tile at a time, in the workspace a 48-block batch uses
     problem, quad, params, cfg = _example3_forward()
-    mult = lg.constant_multiplier(quad.boundary, 0.5)
+    mult = _constant_multiplier(quad.boundary, 0.5)
     net.release_workspace()
     assert peak_bytes(lambda: lg.assemble_with_gradient(params, mult, quad, problem, cfg)) < 8e6
     held = []
@@ -373,7 +377,7 @@ def test_no_sweep_after_a_non_finite_tile(monkeypatch):
     band = lambda x: (x[:, 0] > 0.3) & (x[:, 0] < 0.5)  # noqa: E731
     problem = _problem(sigma_t=1.0, f=lambda x, t: np.where(band(x), 1e300, 1.0) * 1e10)
     params = net.init_params((4, 8, 1), seed=3)
-    mult = lg.constant_multiplier(quad.boundary, 0.5)
+    mult = _constant_multiplier(quad.boundary, 0.5)
     cfg = lg.LagrangianConfig(gamma=1.0)
     monkeypatch.setattr(net, "ROW_BLOCK", 80)
     sweeps, sweep = [], net.vjp_jvp_batch
@@ -452,7 +456,7 @@ def test_full_set_assemble_makes_one_pass_per_tile(monkeypatch):
     cfg = presets.expand_preset("manufactured", _MC_MANUFACTURED)
     problem, _ = cf.build_problem(cfg)
     quad, params, lcfg = cf.build_quadrature_set(cfg), cf.build_network(cfg), cf.build_lagrangian_config(cfg)
-    mult = lg.constant_multiplier(quad.boundary, 0.5)
+    mult = _constant_multiplier(quad.boundary, 0.5)
     passes, forward = [], net._forward
     monkeypatch.setattr(net, "_forward", lambda *args: passes.append(1) or forward(*args))
     lg.assemble(params, mult, quad, problem, lcfg)
@@ -468,7 +472,7 @@ def test_rows_are_built_once_per_evaluation(monkeypatch):
     problem, _ = cf.build_problem(cfg)
     quad, params, lcfg = cf.build_quadrature_set(cfg), cf.build_network(cfg), cf.build_lagrangian_config(cfg)
     batch = lg.subsample(quad, lcfg.batch_interior, [0, 0, 0])
-    mult = lg.constant_multiplier(quad.boundary, 0.5)
+    mult = _constant_multiplier(quad.boundary, 0.5)
     embedded, embed = [], net._embed
     monkeypatch.setattr(net, "_embed", lambda x, theta: embedded.append(len(theta)) or embed(x, theta))
     lg.assemble_with_gradient(params, mult, batch, problem, lcfg)
@@ -491,12 +495,12 @@ def test_a_growing_pass_frees_the_last_tiles_workspace(monkeypatch):
     monkeypatch.setattr(net._Workspace, "__init__", lambda ws, *args: init(ws, *args) or alive.add(ws))
     monkeypatch.setattr(net, "_forward", lambda *args: live.append(len(alive)) or forward(*args))
     net.release_workspace()
-    lg.assemble_with_gradient(params, lg.constant_multiplier(quad.boundary, 0.5), batch, problem, lcfg)
+    lg.assemble_with_gradient(params, _constant_multiplier(quad.boundary, 0.5), batch, problem, lcfg)
     assert live == [1] * 5 and len({id(ws) for ws in alive}) == 1
 
 
 def test_full_set_value_pass_stays_block_sized(peak_bytes):
     # 400 blocks x 32 directions: 12,800 interior rows with tangents
     problem, quad, params, cfg = _example3_forward()
-    mult = lg.constant_multiplier(quad.boundary, 0.5)
+    mult = _constant_multiplier(quad.boundary, 0.5)
     assert peak_bytes(lambda: lg.assemble(params, mult, quad, problem, cfg)) < 40e6

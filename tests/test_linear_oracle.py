@@ -121,23 +121,21 @@ def test_exact_inner_solve_first_order_optimality(space):
 
 
 def test_one_basis_closed_form():
-    # restrict to a single basis function by hand: the 1x1 solve must match
-    # the scalar formula c = rhs / (A + gamma B)
-    space = lo.LinearTrialSpace(sigma_a=1.0, sigma_t=0.0)
+    # phi_0 = 1: (T + S) phi_0 = sigma_a, its trace is 1 on every inflow node,
+    # and the inflow measure of the unit square is 4 edges x 2 = 8
     rng = np.random.default_rng(0)
-    lam = rng.normal(size=len(space.inflow))
     gamma = 0.7
-    a11 = space.pde_gram[0, 0]
-    b11 = space.boundary_mass[0, 0]
-    trace0 = _dense_basis(space.inflow.x, space.inflow.theta)[:, 0]
-    rhs1 = trace0 @ (space.inflow.weight * (gamma * 0.0 + lam))
-    expected = rhs1 / (a11 + gamma * b11)
-    # solve the full system with lambda projected onto the first function only
-    # by zeroing every other rhs entry
-    rhs = np.zeros(space.n_basis)
-    rhs[0] = rhs1
-    system = np.diag(np.diag(space.pde_gram + gamma * space.boundary_mass))
-    assert rhs[0] / system[0, 0] == pytest.approx(expected, rel=1e-12)
+    for sigma_a, sigma_t in ((1.0, 0.0), (2.0, 0.3)):
+        space = lo.LinearTrialSpace(sigma_a=sigma_a, sigma_t=sigma_t)
+        w = space.inflow.weight
+        lam, g = rng.normal(size=len(w)), rng.normal(size=len(w))
+        objective = lo.QuadraticObjective.from_space(space, lam, gamma, g)
+        h00 = 2.0 * np.pi * sigma_a**2 + gamma * 8.0
+        r0 = w @ (gamma * g + lam)
+        assert objective.hessian[0, 0] == pytest.approx(h00, rel=1e-12)
+        assert objective.linear[0] == pytest.approx(r0, rel=1e-12)
+        one = lo.QuadraticObjective(objective.hessian[:1, :1], objective.linear[:1])
+        assert one.minimizer[0] == pytest.approx(r0 / h00, rel=1e-12)
 
 
 def test_fixed_point_trace_fit_and_gamma_independence(space, datum, dense_trace):

@@ -1,11 +1,11 @@
 """Trial network: init, evaluation, directional derivatives, checkpoints."""
 
+import json
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from uzawa_transport import network as net
 from uzawa_transport.errors import ContractViolation
@@ -16,6 +16,11 @@ def _one_point(params, x, theta, tangent):
     emb = np.array([[x[0], x[1], np.cos(theta), np.sin(theta)]])
     u, du, _ = net.forward_jvp_batch(params, emb, np.asarray(tangent, dtype=float)[None, :])
     return u[0], du[0]
+
+
+def _network(widths, activation, seed):
+    """The seeded network of ``widths`` with the named activation."""
+    return net.unflatten(net.init_params(widths, seed=seed).flat, widths, activation)
 
 
 def _spatial(direction):
@@ -148,10 +153,10 @@ def test_batch_matches_single_point():
         assert u[i] == pytest.approx(net.eval_batch(params, x[i : i + 1], theta[i : i + 1])[0], abs=1e-14)
 
 
-@pytest.mark.parametrize("activation", ["tanh", "gelu", "silu"])
+@pytest.mark.parametrize("activation", list(net.ACTIVATIONS))
 def test_eval_batch_blocks_match_forward_batch_bitwise(activation):
     # two block boundaries plus a ragged tail
-    params = net.init_params((4, 16, 16, 1), activation=activation, seed=8)
+    params = _network((4, 16, 16, 1), activation, 8)
     rng = np.random.default_rng(3)
     n = 2 * net.ROW_BLOCK + 3
     x = rng.uniform(0, 1, (n, 2))
@@ -160,7 +165,7 @@ def test_eval_batch_blocks_match_forward_batch_bitwise(activation):
     assert np.array_equal(net.eval_batch(params, x, theta), u_ref)
 
 
-@pytest.mark.parametrize("activation", ["tanh", "gelu", "silu"])
+@pytest.mark.parametrize("activation", list(net.ACTIVATIONS))
 def test_activation_orders_are_prefixes(activation):
     act = net.ACTIVATIONS[activation]
     z = np.linspace(-6.0, 6.0, 241)
@@ -173,7 +178,7 @@ def test_activation_orders_are_prefixes(activation):
             assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("activation", ["tanh", "gelu", "silu"])
+@pytest.mark.parametrize("activation", list(net.ACTIVATIONS))
 def test_activation_in_place_matches_out_of_place(activation):
     # the stacked pass hands the pre-activation in as out[0]
     act = net.ACTIVATIONS[activation]
@@ -186,20 +191,8 @@ def test_activation_in_place_matches_out_of_place(activation):
             assert np.array_equal(g, w)
 
 
-def _phi(z):
-    return 0.5 * (1.0 + erf(z / np.sqrt(2.0)))
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 # each activation and its first derivative, analytic in z
-_DENSE_ACTIVATIONS = {
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "gelu": (lambda z: z * _phi(z), lambda z: _phi(z) + z * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)),
-    "silu": (lambda z: z * _sigmoid(z), lambda z: _sigmoid(z) * (1.0 + z * (1.0 - _sigmoid(z)))),
-}
+_DENSE_ACTIVATIONS = {"tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2)}
 
 
 def _dense_reference(flat, widths, activation, emb, tan):
@@ -219,13 +212,13 @@ def _dense_reference(flat, widths, activation, emb, tan):
     return a[0], t[0]
 
 
-@pytest.mark.parametrize("activation", ["tanh", "gelu", "silu"])
+@pytest.mark.parametrize("activation", list(net.ACTIVATIONS))
 def test_kernels_match_complex_step(activation):
     # complex step (Squire & Trapp, SIAM Rev. 1998): dF/dp_i = Im F(p + i h e_i) / h
     # is exact to rounding, with no cancellation, for h far below any scale
     widths, n, n_t, h = (4, 7, 5, 1), 6, 4, 1e-200
     rng = np.random.default_rng(42)
-    params = net.init_params(widths, activation=activation, seed=3)
+    params = _network(widths, activation, 3)
     x = rng.uniform(0.05, 0.95, (n, 2))
     theta = rng.uniform(0, 2 * np.pi, n)
     emb = net._embed(x, theta)
@@ -247,9 +240,9 @@ def test_kernels_match_complex_step(activation):
     np.testing.assert_allclose(grad, cs, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("activation", ["tanh", "gelu", "silu"])
+@pytest.mark.parametrize("activation", list(net.ACTIVATIONS))
 def test_activations_gradient_check(activation):
-    params = net.init_params((4, 6, 1), activation=activation, seed=2)
+    params = _network((4, 6, 1), activation, 2)
     x = np.array([0.42, 0.58])
     theta = 0.77
     emb = net._embed(x[None, :], [theta])
@@ -284,15 +277,27 @@ def test_smoothness_under_small_perturbation():
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    params = net.init_params((4, 16, 1), activation="gelu", seed=17)
+    params = net.init_params((4, 16, 1), seed=17)
     path = tmp_path / "net.uzmlp"
     net.save_params(params, path)
     with open(path, "rb") as fh:
         assert fh.read(6) == b"UZMLP1"
+        assert fh.readline() == b"\n"
+        assert json.loads(fh.readline()) == {"widths": [4, 16, 1], "activation": "tanh"}
     loaded = net.load_params(path)
     assert loaded.widths == params.widths
-    assert loaded.activation == "gelu"
+    assert loaded.activation == "tanh"
     assert np.array_equal(net.flatten(loaded), net.flatten(params))
+
+
+@pytest.mark.parametrize("activation", ["gelu", "silu"])
+def test_checkpoint_of_a_retired_activation_refused(tmp_path, activation):
+    path = tmp_path / "net.uzmlp"
+    net.save_params(net.init_params((4, 16, 1), seed=17), path)
+    raw = path.read_bytes().replace(b'"tanh"', f'"{activation}"'.encode(), 1)
+    path.write_bytes(raw)
+    with pytest.raises(ContractViolation, match=f"unknown activation '{activation}'"):
+        net.load_params(path)
 
 
 def test_input_width_other_than_four_rejected():
@@ -309,11 +314,11 @@ def test_cos_sin_periodicity():
     assert u[0] == pytest.approx(u[1], abs=1e-14)
 
 
-@pytest.mark.parametrize("activation", ["tanh", "gelu", "silu"])
+@pytest.mark.parametrize("activation", list(net.ACTIVATIONS))
 @pytest.mark.parametrize("widths", [(4, 16, 16, 1), (4, 7, 5, 1)])
 def test_stacked_rails_match_separate_passes(activation, widths):
     # tangents on the first n_t rows only; the rest are value-only
-    params = net.init_params(widths, activation=activation, seed=4)
+    params = _network(widths, activation, 4)
     rng = np.random.default_rng(9)
     n, n_t = 23, 15
     emb = rng.uniform(-1.0, 1.0, (n, 4))
@@ -351,10 +356,10 @@ def test_stale_cache_rejected():
         net.forward_jvp_batch(params, emb[:3], tan)
 
 
-@pytest.mark.parametrize("activation", ["tanh", "gelu", "silu"])
+@pytest.mark.parametrize("activation", list(net.ACTIVATIONS))
 def test_streamed_jvp_matches_cached_pass_bitwise(activation):
     # one pass without a cache, its rows not a multiple of ROW_ALIGN
-    params = net.init_params((4, 16, 16, 1), activation=activation, seed=8)
+    params = _network((4, 16, 16, 1), activation, 8)
     rng = np.random.default_rng(6)
     n, n_t = net.ROW_BLOCK + 9, net.ROW_BLOCK + 4
     x = rng.uniform(0, 1, (n, 2))
@@ -419,10 +424,10 @@ def test_streamed_pass_frees_the_training_workspace():
     assert held < 4e6
 
 
-@pytest.mark.parametrize("activation", ["tanh", "gelu", "silu"])
+@pytest.mark.parametrize("activation", list(net.ACTIVATIONS))
 def test_cache_outlives_a_workspace_switch(activation):
     # a streamed pass replaces the live workspace; the cache keeps its own
-    params = net.init_params((4, 16, 16, 1), activation=activation, seed=5)
+    params = _network((4, 16, 16, 1), activation, 5)
     rng = np.random.default_rng(8)
     emb, tan = rng.uniform(-1.0, 1.0, (23, 4)), rng.uniform(-1.0, 1.0, (15, 4))
     seeds = rng.standard_normal(23), rng.standard_normal(15)
