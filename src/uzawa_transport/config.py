@@ -10,6 +10,11 @@ dictionary is what run manifests snapshot, so a manifest can be fed back
 to ``run`` to reproduce an experiment; a key since retired from
 ``SCHEMA`` (``_RETIRED``) is accepted only at the one value the code now
 fixes, so older manifests re-run bit for bit.
+
+Validation builds nothing: the widths go through ``network.check_widths``,
+not a network draw, so parsing a config loads neither ``numpy.random`` nor
+``numpy.polynomial``, and ``verify`` loads only what the oracle needs.  The
+``build_*`` functions below construct the run's objects.
 """
 
 from __future__ import annotations
@@ -117,6 +122,14 @@ def _integer(raw):
     return int(raw)
 
 
+def _real(raw):
+    """A float from a number or a numeric string; a bool (which ``float``
+    would read as 0.0 or 1.0) is refused."""
+    if isinstance(raw, bool):
+        raise ValueError(f"not a number: {raw!r}")
+    return float(raw)
+
+
 def _boolean(raw):
     if isinstance(raw, bool):
         return raw
@@ -128,7 +141,7 @@ def _boolean(raw):
 
 
 # a list tag ("ints", "floats", "strs") parses each item with its scalar tag
-_SCALARS = {"int": _integer, "float": float, "bool": _boolean, "str": str}
+_SCALARS = {"int": _integer, "float": _real, "bool": _boolean, "str": str}
 
 
 def _convert(key, raw, violations):
@@ -214,7 +227,7 @@ def _semantic_violations(values):
     if batch > full:
         v.append(f"lagrangian.batch_interior: batch {batch} exceeds the interior size {full}")
     try:
-        network.init_params(values["network.widths"])  # the network's own checks
+        network.check_widths(values["network.widths"])
     except ContractViolation as err:
         v.append(f"network.widths: {err}")
     for key in ("problem.sigma_a.center", "problem.source.center"):

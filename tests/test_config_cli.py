@@ -377,6 +377,22 @@ def test_cli_retired_key_unparsable_in_a_manifest_exit_code(tmp_path, raw):
     assert out.stderr.splitlines()[1:] == [f"  - uzawa.beta1: retired; only 0.9 is accepted, got {raw!r}"]
 
 
+def test_cli_float_keys_refuse_booleans_in_a_manifest(tmp_path):
+    # float(True) is 1.0: a JSON true must not run as a number
+    floats = {
+        key: True if tag == "float" else [True, 0.5]
+        for key, (tag, _, _) in cm.SCHEMA.items()
+        if tag in ("float", "floats")
+    }
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"config": floats, "version": "0.1.0", "wall_clock": 1.0}))
+    out = _run_cli(["run", path.as_posix(), "--out", (tmp_path / "out").as_posix()])
+    assert out.returncode == 2, out.stderr
+    lines = out.stderr.splitlines()[1:]
+    assert sorted(line.split(":")[0].removeprefix("  - ") for line in lines) == sorted(floats)
+    assert all("cannot parse" in line for line in lines)
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("problem.source.kind", "constant"), ("problem.inflow.kind", "left-edge"), ("problem.noise.std", "0.1")],
@@ -672,11 +688,13 @@ def test_cli_negative_seed_exit_code(tmp_path, capsys, args, key):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--threads", "3", "list-presets"], ["list-presets", "--threads", "3"]],
+    [["--threads", "3", "verify"], ["verify", "--threads", "3"]],
     ids=["before", "after"],
 )
-def test_cli_threads_pin_blas_before_numpy_loads(argv):
-    # records the thread variables at the moment numpy is first imported
+def test_cli_threads_pin_blas_before_numpy_loads(argv, tmp_path):
+    # records the thread variables at the moment numpy is first imported;
+    # verify loads numpy (list-presets does not)
+    argv = [*argv, "--out", tmp_path.as_posix()]
     code = (
         "import json, os, sys\n"
         "from uzawa_transport import cli\n"

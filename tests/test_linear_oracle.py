@@ -106,6 +106,12 @@ def test_trial_space_memory_stays_block_sized():
     assert peak < 1.5e6
 
 
+def test_datum_is_the_seeded_draw_bit_for_bit(space, datum):
+    drawn = 0.5 * np.random.default_rng(12345).standard_normal(18)
+    assert datum[0].tobytes() == drawn.tobytes()
+    assert np.array_equal(datum[1], space.boundary_values(drawn))
+
+
 def test_exact_inner_solve_zero_case(space):
     c = lo.QuadraticObjective.from_space(space, np.zeros(len(space.inflow)), 1.0).minimizer
     assert np.abs(c).max() <= 1e-14

@@ -110,6 +110,24 @@ def test_tensor_boundary_orders_edge_angle_position():
         np.testing.assert_allclose(nodes.omega, sign * inflow.omega, atol=1e-15)
 
 
+def test_gauss_interval_is_numpys_leggauss_bit_for_bit():
+    for n in range(1, 301):
+        y, w = np.polynomial.legendre.leggauss(n)
+        for a, b in ((0.0, 1.0), (-np.pi / 2.0, np.pi / 2.0)):
+            x, wx = ps.gauss_interval(n, a, b)
+            assert np.array_equal(x, 0.5 * (b - a) * (y + 1.0) + a), n
+            assert np.array_equal(wx, 0.5 * (b - a) * w), n
+
+
+def test_gauss_interval_integrates_monomials_to_its_degree():
+    # above n = 17 the rounding of the nodes themselves (leggauss's too)
+    # puts the highest powers past 1e-14
+    for n in range(1, 18):
+        x, w = ps.gauss_interval(n, 0.0, 1.0)
+        k = np.arange(2 * n)
+        np.testing.assert_allclose((x[None, :] ** k[:, None]) @ w, 1.0 / (k + 1), rtol=1e-14, atol=0)
+
+
 def test_boundary_smooth_integrand_high_accuracy():
     # cos^2 t is smooth in t, and 16 nodes of the cos(t) dt Gauss rule
     # already integrate it against cos(t) to rounding
