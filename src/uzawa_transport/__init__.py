@@ -8,6 +8,7 @@ before numpy loads.
 __version__ = "0.1.0"
 
 _SUBMODULES = (
+    "atomic_io",
     "cli",
     "config",
     "diagnostics_io",

@@ -13,19 +13,22 @@ checkpoint headers carry its name.  Two kinds of batched kernel evaluate it:
   rail (for omega-directional spatial derivatives) on the first n_t of
   them, both rails stacked so each layer is one GEMM, and caches what one
   reverse sweep, ``vjp_jvp_batch``, needs for exact gradients of
-  derivative-containing losses: each layer's stacked input, the
-  activation's derivative at the n value rows, and, at the n_t tangent
-  rows only, the second derivative times the tangent pre-activation (the
-  one product the sweep reads).  Each GEMM writes into the next layer's
-  input, where the activation runs in place, so no full-height
-  pre-activation is kept.  Every pass that fits reuses the buffers, so a
-  training step allocates no layer temporaries, however many passes it
-  makes; ``forward_batch``/``vjp_value_batch`` are n_t = 0.
+  derivative-containing losses: each layer's stacked input and, at the n_t
+  tangent rows only, the second derivative times the tangent
+  pre-activation (the one product the sweep reads, which it could not
+  recompute).  The activation's derivative is not kept: tanh' = 1 - a*a is
+  a function of the layer's output, so the sweep refills it into one slope
+  buffer, shared by all layers, from the kept outputs.  Each GEMM writes
+  into the next layer's input, where the activation runs in place, so no
+  full-height pre-activation is kept.  Every pass that fits reuses the
+  buffers, so a training step allocates no layer temporaries, however many
+  passes it makes; ``forward_batch``/``vjp_value_batch`` are n_t = 0.
 - ``eval_jvp_batch`` (embedded rows, as ``forward_jvp_batch``, whose
   pass body it shares) and ``eval_batch`` (values only, at phase points)
-  keep no cache: their workspace alternates two input buffers and shares
-  one derivative buffer.  ``eval_jvp_batch`` is one pass of the rows it
-  is handed; ``eval_batch`` cuts its points into ``ROW_BLOCK``-row passes.
+  keep no cache: their workspace alternates two input buffers and keeps
+  the slope at the tangent rows only.  ``eval_jvp_batch`` is one pass of
+  the rows it is handed; ``eval_batch`` cuts its points into
+  ``ROW_BLOCK``-row passes.
 
 ``ROW_BLOCK`` is the one per-pass row budget.  Callers keep to it: the
 residual assembly walks ``kinetic_ops.PhaseRows.tiles``, which reads it,
@@ -52,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic_io import atomic_open
 from .errors import ContractViolation
 
 CHECKPOINT_MAGIC = b"UZMLP1"
@@ -84,10 +88,17 @@ def _act_tanh(z, order, out=None):
     out = out or tuple(np.empty_like(z) for _ in range(order + 1))
     a = np.tanh(z, out=out[0])
     if order:
-        np.subtract(1.0, np.multiply(a, a, out=out[1]), out=out[1])
+        _tanh_slope(a, out[1])
     if order == 2:
         np.multiply(np.multiply(a, -2.0, out=out[2]), out[1], out=out[2])
     return out
+
+
+def _tanh_slope(a, out):
+    """tanh' = 1 - a*a from tanh's output ``a``, into ``out``: the forward
+    writes the slope with it and the reverse sweep refills it from the layer
+    outputs with it, so both hold the same bits."""
+    return np.subtract(1.0, np.multiply(a, a, out=out), out=out)
 
 
 # a table, so that perfbench/tracer.py can wrap its entries by name
@@ -191,20 +202,26 @@ class _Workspace:
     ``h[l]`` is layer l's input: n value rows over n_t tangent rows over
     zero rows (``ROW_ALIGN``), so a layer is one GEMM, which writes into
     ``h[l + 1]``; the activation then runs in place on the value rows.
-    ``d1`` holds the activation's derivative at the value rows.  Order 2 (a
-    reverse sweep follows) gives each layer its own buffers plus ``d2``:
-    at the tangent rows only, the second derivative times the tangent
-    pre-activation; order 1 alternates two input buffers and shares one
-    ``d1``.  ``nbytes`` is the size of all its buffers."""
+    ``d1`` is one slope buffer that every hidden layer shares: the forward
+    writes the activation's derivative there at the first n_t value rows,
+    where the tangent rail reads it, and only there.  Order 2 (a reverse
+    sweep follows) keeps per hidden layer its input ``h[l]`` and ``d2``: at
+    the tangent rows only, the second derivative times the tangent
+    pre-activation, which the forward overwrites, so it cannot be
+    recomputed.  Its ``d1`` spans all n value rows, since the sweep refills
+    it there, layer by layer, from the kept outputs.  Order 1 alternates two
+    input buffers and sizes ``d1`` by the n_t tangent rows.  ``nbytes`` is
+    the size of all its buffers."""
 
     def __init__(self, widths, n, n_t, order):
         def flat(count, rows, ws):
-            count = len(ws) if order == 2 else count
             return [_mapped(rows * max(ws[i::count])) for i in range(count)]
 
         self.widths, self.generation, self.capacity, hidden = widths, 0, (n, n_t), widths[1:-1]
-        self._h, self._d1 = flat(2, _aligned(n + n_t), widths[:-1]), flat(1, n, hidden)
-        self._d2 = flat(1, n_t, hidden) if order == 2 else None
+        per_layer = order == 2
+        self._h = flat(len(widths) - 1 if per_layer else 2, _aligned(n + n_t), widths[:-1])
+        self._d1 = flat(1, n if per_layer else n_t, hidden)
+        self._d2 = flat(len(hidden), n_t, hidden) if per_layer else None
         self._out = _mapped(_aligned(n + n_t))
         self.nbytes = sum(b.nbytes for b in (*self._h, *self._d1, *(self._d2 or ()), self._out))
 
@@ -213,7 +230,8 @@ class _Workspace:
             return [bufs[i % len(bufs)][: rows * w].reshape(rows, w) for i, w in enumerate(ws)]
 
         self.n, self.n_t, hidden = n, n_t, self.widths[1:-1]
-        self.h, self.d1 = views(self._h, _aligned(n + n_t), self.widths[:-1]), views(self._d1, n, hidden)
+        self.h = views(self._h, _aligned(n + n_t), self.widths[:-1])
+        self.d1 = views(self._d1, n if self._d2 else n_t, hidden)
         self.h[0][n + n_t :] = 0.0  # zero rows stay zero through every layer and sweep
         self.d2 = views(self._d2, n_t, hidden) if self._d2 else None
         self.out = self._out[: _aligned(n + n_t)].reshape(-1, 1)
@@ -254,17 +272,16 @@ def _forward(params, ws):
     order = 2 if ws.d2 else 1
     for layer, (W, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
         a = np.matmul(ws.h[layer], W.T, out=ws.h[layer + 1])
-        z, tangent = a[:n], a[n : n + n_t]
+        z, tangent, slope = a[:n], a[n : n + n_t], ws.d1[layer][:n_t]
         z += b
-        bufs = (z, ws.d1[layer], ws.d2[layer]) if ws.d2 else (z, ws.d1[layer])
-        # tangent rows need one derivative order more than value rows
+        # only the tangent rows need derivatives; a sweep refills the slope at every value row
         if n_t:
-            act(z[:n_t], order, tuple(buf[:n_t] for buf in bufs))
+            act(z[:n_t], order, (z[:n_t], slope, ws.d2[layer]) if ws.d2 else (z[:n_t], slope))
         if n > n_t:
-            act(z[n_t:], order - 1, tuple(buf[n_t:n] for buf in bufs[:order]))
+            act(z[n_t:], 0, (z[n_t:],))
         if ws.d2:
             ws.d2[layer] *= tangent  # the sweep reads only d2 * t
-        tangent *= ws.d1[layer][:n_t]
+        tangent *= slope
     return np.matmul(ws.h[-1], params.weights[-1].T, out=ws.out)
 
 
@@ -305,9 +322,11 @@ def vjp_jvp_batch(params, cache, seed_value, seed_tangent):
     Per layer one weight-gradient GEMM into the flat gradient and, above the
     input layer, one adjoint GEMM over the stacked rails; tangent adjoints
     enter through the activation's second derivative, which makes gradients
-    of directional derivatives exact.  The sweep overwrites the cached layer
-    inputs and second-derivative products, so a cache admits one sweep; a
-    stale cache raises."""
+    of directional derivatives exact.  Before a layer's adjoint GEMM
+    overwrites its cached input, the sweep refills the shared slope buffer
+    from that input, the output of the layer below.  The sweep overwrites
+    the cached layer inputs and second-derivative products, so a cache
+    admits one sweep; a stale cache raises."""
     ws, generation = cache
     if generation != ws.generation:
         raise ContractViolation("stale forward cache: its workspace was reused or already swept")
@@ -320,14 +339,16 @@ def vjp_jvp_batch(params, cache, seed_value, seed_tangent):
     last = len(params.weights) - 1
     for layer in range(last, -1, -1):
         if layer < last:
-            zbar, tbar, d2 = adj[:n], adj[n : n + n_t], ws.d2[layer]
+            zbar, tbar, d1, d2 = adj[:n], adj[n : n + n_t], ws.d1[layer], ws.d2[layer]
             d2 *= tbar
-            zbar *= ws.d1[layer]
+            zbar *= d1
             zbar[:n_t] += d2
-            tbar *= ws.d1[layer][:n_t]
+            tbar *= d1[:n_t]
         np.matmul(adj.T, ws.h[layer], out=views[layer][0])
         np.matmul(ones, adj[:n], out=views[layer][1])  # one GEMV: a third of np.sum(axis=0)
         if layer:
+            # the slope of layer - 1 from its outputs, which the GEMM above read last
+            _tanh_slope(ws.h[layer][:n], ws.d1[layer - 1])
             # the output layer's adjoint is an outer product with its one weight row
             mix = np.multiply if layer == last else np.matmul
             adj = mix(adj, params.weights[layer], out=ws.h[layer])
@@ -359,9 +380,10 @@ def eval_batch(params, x, theta):
 
 
 def save_params(params, path):
-    """Checkpoint: magic, one JSON header line, then little-endian float64."""
+    """Checkpoint, written whole or not at all (``atomic_open``): magic, one
+    JSON header line, then little-endian float64."""
     header = {"widths": list(params.widths), "activation": params.activation}
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC + b"\n")
         fh.write(json.dumps(header).encode() + b"\n")
         fh.write(params.flat.astype("<f8").tobytes())

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic_io import atomic_open
 from .errors import ContractViolation
 
 INFLOW = "inflow"
@@ -330,9 +331,10 @@ def build_quadrature(
 
 
 def dump_quadrature_csv(quad, path):
-    """Write every node as (kind, x1, x2, omega_angle, weight)."""
+    """Write every node as (kind, x1, x2, omega_angle, weight), whole or not
+    at all (``atomic_open``)."""
     kinds = (("interior", quad.interior), ("angular", quad.angular), ("boundary", quad.boundary))
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "x1", "x2", "omega_angle", "weight"])
         for kind, nodes in kinds:

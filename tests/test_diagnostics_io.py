@@ -1,5 +1,9 @@
 """Flux, slices, discrete norms, and file round trips."""
 
+import dataclasses
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -75,7 +79,7 @@ def test_scalar_flux_memory_stays_block_sized(peak_bytes):
 
 
 @pytest.mark.parametrize("activation", list(net.ACTIVATIONS))
-@pytest.mark.parametrize("k", [7, 12, 32])
+@pytest.mark.parametrize("k", [7, 12, 32, 64, 150])
 def test_scalar_flux_blocks_match_one_pass(k, activation):
     # 37 x 29 points: no K here makes the row count a multiple of ROW_BLOCK
     params = net.unflatten(net.init_params((4, 16, 16, 1), seed=4).flat, (4, 16, 16, 1), activation)
@@ -89,12 +93,14 @@ def test_scalar_flux_blocks_match_one_pass(k, activation):
 
 
 def test_scalar_flux_streams_the_phase_grid(peak_bytes):
-    # with the block workspace warm, the peak is the (points, K) values
-    # (2.6 MB here) plus one block, not the 101^2 x 32 phase points
+    # with the block workspace warm (36 points fill one 32-point pass), the
+    # peak is the grid's points and per-point sums plus one block, not the
+    # 101^2 x 32 phase points (26 MB embedded) nor their (points, K)
+    # values (2.6 MB)
     params = net.init_params((4, 64, 64, 64, 1), seed=0)
     ang = ps.angular_rule(32)
-    dio.scalar_flux(params, ang, nx=5, ny=5)
-    assert peak_bytes(lambda: dio.scalar_flux(params, ang, nx=101, ny=101)) < 5e6
+    dio.scalar_flux(params, ang, nx=6, ny=6)
+    assert peak_bytes(lambda: dio.scalar_flux(params, ang, nx=101, ny=101)) < 1e6
 
 
 def test_scalar_flux_checks_angular_weights():
@@ -222,6 +228,27 @@ def test_grid_file_lines_are_float_reprs(tmp_path):
     assert path.read_text() == "\n".join(["x1,x2,value", *want]) + "\n"
 
 
+def _one_string_grid(grid):
+    """A grid file's text built as one joined string: the formatting that
+    ``emit_grid`` streams row by row."""
+    xs = np.linspace(grid.extent[0], grid.extent[1], grid.nx).tolist()
+    ys = [repr(y) for y in np.linspace(grid.extent[2], grid.extent[3], grid.ny).tolist()]
+    lines = ["x1,x2,value"]
+    for x, row in zip(xs, grid.values.tolist()):
+        lines.extend(f"{x!r},{y},{v!r}" for y, v in zip(ys, row))
+    return "\n".join(lines) + "\n"
+
+
+def test_streamed_grid_file_matches_one_string(tmp_path):
+    # non-square, with a negative zero and subnormals among the values
+    values = np.random.default_rng(5).standard_normal((7, 3))
+    values[2, 1], values[4, 0], values[6, 2] = -0.0, 5e-324, -2.2250738585072014e-309
+    grid = dio.FieldGrid(7, 3, values, (-0.3, 1.7, 0.1, 2.9))
+    path = tmp_path / "grid.csv"
+    dio.emit_grid(path, grid)
+    assert path.read_bytes() == _one_string_grid(grid).encode()
+
+
 def test_grid_validation():
     with pytest.raises(ContractViolation):
         dio.FieldGrid(1, 3, np.zeros((1, 3)), (0, 1, 0, 1))
@@ -248,3 +275,32 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-emit-")]
     assert leftovers == []
     assert path.exists()
+
+
+def _write_part_way(name, path):
+    """Start one writer on input that raises after some lines are written."""
+    if name == "emit_metrics":
+        dio.emit_metrics(path, [(0, 0, 1, 1, 0, 0, 0, 0), (0, 1, "not a number", 1, 0, 0, 0, 0)])
+    elif name == "save_params":
+        # the magic and header lines go out before the flat vector is read
+        net.save_params(SimpleNamespace(widths=(4, 8, 1), activation="tanh", flat=None), path)
+    else:
+        quad = ps.build_quadrature(n_spatial=3, n_angular=4, n_boundary=(2, 2))
+        short = dataclasses.replace(quad.boundary, theta=quad.boundary.theta[:1])
+        ps.dump_quadrature_csv(dataclasses.replace(quad, boundary=short), path)
+
+
+@pytest.mark.parametrize("name", ["emit_metrics", "save_params", "dump_quadrature_csv"])
+def test_a_write_that_raises_part_way_leaves_no_file(tmp_path, name):
+    with pytest.raises((ValueError, AttributeError, IndexError)):
+        _write_part_way(name, tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_written_files_get_the_mode_open_gives(tmp_path):
+    umask = os.umask(0)
+    os.umask(umask)
+    dio.emit_metrics(tmp_path / "metrics.csv", [(0, 0, 1, 1, 0, 0, 0, 0)])
+    net.save_params(net.init_params((4, 8, 1), seed=0), tmp_path / "params.uzmlp")
+    for path in tmp_path.iterdir():
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask

@@ -403,6 +403,15 @@ def test_stacked_pass_caches_one_product_per_tangent_row(peak_bytes):
     assert peak_bytes(step) < 11.5e6
 
 
+def test_workspace_sizes():
+    # a cache keeps per hidden layer its input and d2 * t; the layers share
+    # one slope buffer, of n rows before a sweep and of n_t rows without one
+    widths = (4, 64, 64, 64, 1)
+    assert net._Workspace(widths, 512, 512, 2).nbytes == 2_662_400  # a tensor tile
+    assert net._Workspace(widths, 1024, 73, 2).nbytes == 2_451_968  # a Monte Carlo tile
+    assert net._Workspace(widths, 1024, 512, 1).nbytes == 1_847_296
+
+
 def test_streamed_pass_frees_the_training_workspace():
     # once its cache is gone, a training step's workspace does not outlive
     # the next streamed pass: only the block workspace stays held
