@@ -96,7 +96,7 @@ def _final_metrics(state, quad, reference):
     if reference is not None:
         x, theta, w = quad.interior.x, quad.interior.theta, quad.interior.weight
         ref = np.asarray(reference.value(x, theta))
-        err = network.eval_batch(state.params, x, theta) - ref
+        err = network.eval_batch(state.params, network.embed(x, theta)) - ref
         metrics["l2_error"] = float(np.sqrt(w @ err**2))
         metrics["l2_error_rel"] = metrics["l2_error"] / float(np.sqrt(w @ ref**2))
     return metrics

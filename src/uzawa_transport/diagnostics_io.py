@@ -72,15 +72,11 @@ def _grid_values(params, theta, nx, ny, domain, reduce):
     node, direction of ``theta``) pair: ``reduce`` maps a block's (points, K)
     values to one value per point.
 
-    The product is streamed by whole grid points.  One pass is
-    floor(``network.ROW_BLOCK`` / K) points times the K directions (one point
-    when K exceeds the budget), its embedded rows written by broadcasting
-    each point's (x1, x2) against (cos theta, sin theta), computed once, and
-    evaluated in one ``eval_jvp_batch`` call.  One block, which ``reduce``
-    sees, stages a multiple of ``GEMV_POINTS`` points: one pass rounded down
-    to that multiple, or ``GEMV_POINTS`` points from several passes when one
-    pass holds fewer; the last block holds what is left.  Every row is
-    embedded as ``eval_batch`` embeds it and a row's value does not depend
+    The product is streamed by whole grid points, one block at a time: a
+    multiple of ``GEMV_POINTS`` points, as many as fill ``network.ROW_BLOCK``
+    rows (``GEMV_POINTS`` when fewer do); the last block holds what is
+    left.  A block's rows are ``network.embed`` of its points against the
+    directions, evaluated by ``eval_batch``.  A row's value does not depend
     on its pass, so the values are bitwise one ``eval_batch`` call's over
     all rows, and a block's ``@ weight`` is bitwise one GEMV's over all
     points.  Neither the product nor its (points, K) values are ever held:
@@ -89,22 +85,12 @@ def _grid_values(params, theta, nx, ny, domain, reduce):
     from .phase_space import UNIT_SQUARE
 
     domain = domain or UNIT_SQUARE
-    pts = grid_points(nx, ny, domain)
-    k = theta.size
-    per_pass = max(network.ROW_BLOCK // k, 1)
-    per_block = max(per_pass // GEMV_POINTS, 1) * GEMV_POINTS
-    per_pass = min(per_pass, per_block)
-    emb = np.empty((min(per_pass, pts.shape[0]), k, 4))
-    emb[:, :, 2], emb[:, :, 3] = np.cos(theta), np.sin(theta)
-    u, values = np.empty((min(per_block, pts.shape[0]), k)), np.empty(pts.shape[0])
+    pts, k = grid_points(nx, ny, domain), theta.size
+    per_block = max(network.ROW_BLOCK // k // GEMV_POINTS, 1) * GEMV_POINTS
+    values = np.empty(pts.shape[0])
     for lo in range(0, pts.shape[0], per_block):
-        block = u[: min(per_block, pts.shape[0] - lo)]
-        for at in range(0, block.shape[0], per_pass):
-            rows = emb[: min(per_pass, block.shape[0] - at)]
-            rows[:, :, :2] = pts[lo + at : lo + at + rows.shape[0], None, :]
-            rows = rows.reshape(-1, 4)
-            block[at : at + per_pass] = network.eval_jvp_batch(params, rows, rows[:0])[0].reshape(-1, k)
-        values[lo : lo + block.shape[0]] = reduce(block)
+        rows = network.embed(pts[lo : lo + per_block, None], theta).reshape(-1, network.INPUT_WIDTH)
+        values[lo : lo + per_block] = reduce(network.eval_batch(params, rows).reshape(-1, k))
     extent = (domain.lo[0], domain.hi[0], domain.lo[1], domain.hi[1])
     return FieldGrid(nx, ny, values.reshape(nx, ny), extent)
 

@@ -225,7 +225,7 @@ class ProblemSpec:
 
     def boundary_rows(self, boundary):
         """Network rows of a frozen boundary node set, computed once per node set."""
-        return _per_node_set(self._rows, boundary, lambda nodes: network._embed(nodes.x, nodes.theta))
+        return _per_node_set(self._rows, boundary, lambda nodes: network.embed(nodes.x, nodes.theta))
 
 
 # -- operators ----------------------------------------------------------------
@@ -272,20 +272,20 @@ def scattering_apply(u_slice, angular, kernel, sigma_t):
 
 class PhaseRows:
     """The rows of one evaluation, built once, and the layout of its passes:
-    per point (x, theta) its network row (x1, x2, cos theta, sin theta),
-    transport tangent (cos theta, sin theta, 0, 0), sigma_a, f and kernel
-    rows (the K x K matrix shared by tensor blocks, or a (1, K) row per
-    ``loose`` sample, whose K slice rows a tile appends from cos/sin of the
-    rule), and the boundary's rows, cached by ``ProblemSpec.boundary_rows``."""
+    per point (x, theta) its network row (``network.embed``), transport
+    tangent (``network.transport_tangent``), sigma_a, f and kernel rows (the
+    K x K matrix shared by tensor blocks, or a (1, K) row per ``loose``
+    sample, whose K slice rows each tile embeds from the sample's position
+    and the rule's angles), and the boundary's rows, cached by
+    ``ProblemSpec.boundary_rows``."""
 
     def __init__(self, x, theta, angular, problem, boundary, loose):
         x, theta = np.atleast_2d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(theta, dtype=float))
         self.x, self.theta, self.angular, self.problem, self.boundary = x, theta, angular, problem, boundary
-        self.emb, self.tangent = network._embed(x, theta), network._transport_tangent(theta)
+        self.emb, self.tangent, self.loose = network.embed(x, theta), network.transport_tangent(theta), loose
         self.sigma, self.source, kernel = problem.sigma_a(x), problem.data.source(x, theta), problem.kernel
         self.kernel_rows = kernel.rows(theta, angular)[:, None] if loose else kernel.matrix(angular)
-        self.dirs = np.column_stack([np.cos(angular.theta), np.sin(angular.theta)]) if loose else None
-        self.boundary_emb = np.empty((0, 4)) if boundary is None else problem.boundary_rows(boundary)
+        self.boundary_emb = problem.boundary_rows(boundary) if boundary else network.embed(x[:0], theta[:0])
 
     def tiles(self):
         """(points, boundary nodes) slices of each tile in pass order: runs of
@@ -294,7 +294,7 @@ class PhaseRows:
         each call) or one unit each.  A unit is a tensor block, K rows and K
         tangent rows, or a loose sample with K slice rows and a tangent row."""
         k, n, n_b, budget = len(self.angular), len(self.theta), len(self.boundary_emb), network.ROW_BLOCK
-        rows, unit = (1, k + 2) if self.dirs is not None else (k, 2 * k)
+        rows, unit = (1, k + 2) if self.loose else (k, 2 * k)
         per = rows * max(1, budget // unit)
         return [(slice(lo, min(lo + per, n)), slice(0, 0)) for lo in range(0, n, per)] + [
             (slice(n, n), slice(lo, min(lo + budget, n_b))) for lo in range(0, n_b, budget)
@@ -308,7 +308,7 @@ class PhaseRows:
         then the boundary nodes ``nodes`` (a slice); ``need_grad`` keeps the
         pass's cache.  A ReferenceSolution ``field`` stands in for the pass."""
         x, theta, k, b = self.x[points], self.theta[points], len(self.angular), self.boundary
-        m, loose = theta.shape[0], self.dirs is not None
+        m, loose = theta.shape[0], self.loose
         n_s, n_b, extra = m * k if loose else 0, self.boundary_emb[nodes].shape[0], {}
         if isinstance(field, ReferenceSolution):
             groups = [(x, theta)]
@@ -316,11 +316,10 @@ class PhaseRows:
             groups += [(b.x[nodes], b.theta[nodes])] if b is not None else []
             u_rows, du = field.value(*map(np.concatenate, zip(*groups))), field.directional(x, theta)
         else:
-            rows = np.empty((m + n_s + n_b, 4))
+            rows = np.empty((m + n_s + n_b, network.INPUT_WIDTH))
             rows[:m], rows[m + n_s :] = self.emb[points], self.boundary_emb[nodes]
-            if loose:  # each sample's slice rows: its position, the rule's directions
-                slices = rows[m : m + n_s].reshape(m, k, 4)
-                slices[..., :2], slices[..., 2:] = x[:, None], self.dirs
+            if n_s:  # each loose sample's slice rows: its position, the rule's directions
+                rows[m : m + n_s] = network.embed(x[:, None], self.angular.theta).reshape(n_s, -1)
             run = network.forward_jvp_batch if need_grad else network.eval_jvp_batch
             u_rows, du, *cache = run(field, rows, self.tangent[points])
             extra = {"cache": cache[0]} if need_grad else {}
@@ -341,7 +340,7 @@ class PhaseRows:
         wr, kernel_rows, sigma_t = weighted_residual, terms["kernel_rows"], self.problem.sigma_t
         scat = scattering_adjoint(wr.reshape(-1, kernel_rows.shape[-2]), kernel_rows, self.angular.weight)
         seeds = [wr * (terms["sigma"] + sigma_t), -sigma_t * scat.ravel()]
-        if self.dirs is None:
+        if not self.loose:
             seeds = [seeds[0] + seeds[1]]
         seeds.append(boundary_seed)
         return network.vjp_jvp_batch(params, terms.pop("cache"), np.concatenate(seeds), wr)

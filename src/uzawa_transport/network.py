@@ -1,9 +1,12 @@
 """Fully-connected trial functions on the position-angle domain.
 
 A network maps the embedded phase point (x1, x2, cos(theta), sin(theta))
-to a scalar, so its input width is 4 and its output is 2*pi-periodic in
-the angle: the trial space lives on D x S^1.  Every function that takes
-phase points (x, theta) embeds them itself.  Its parameters are one
+to a scalar, so its input width is ``INPUT_WIDTH`` = 4 and its output is
+2*pi-periodic in the angle: the trial space lives on D x S^1.  This
+module owns that row format: ``embed`` writes every network input row and
+``transport_tangent`` every tangent row, for the residual assembly, the
+boundary cache and the output grids alike, and every kernel takes rows,
+never phase points.  Its parameters are one
 float64 vector, ``MlpParams.flat``: per affine layer the weight matrix
 row-major, then the bias; the per-layer arrays are views of it.  The
 activation is tanh, the one entry of ``ACTIVATIONS``; ``MlpParams`` and
@@ -23,16 +26,15 @@ checkpoint headers carry its name.  Two kinds of batched kernel evaluate it:
   full-height pre-activation is kept.  Every pass that fits reuses the
   buffers, so a training step allocates no layer temporaries, however many
   passes it makes; ``forward_batch``/``vjp_value_batch`` are n_t = 0.
-- ``eval_jvp_batch`` (embedded rows, as ``forward_jvp_batch``, whose
-  pass body it shares) and ``eval_batch`` (values only, at phase points)
-  keep no cache: their workspace alternates two input buffers and keeps
-  the slope at the tangent rows only.  ``eval_jvp_batch`` is one pass of
-  the rows it is handed; ``eval_batch`` cuts its points into
-  ``ROW_BLOCK``-row passes.
+- ``eval_jvp_batch`` (as ``forward_jvp_batch``, whose pass body it
+  shares) and ``eval_batch`` (values only) keep no cache: their workspace
+  alternates two input buffers and keeps the slope at the tangent rows
+  only.  ``eval_jvp_batch`` is one pass of the rows it is handed;
+  ``eval_batch`` cuts its rows into ``ROW_BLOCK``-row passes.
 
 ``ROW_BLOCK`` is the one per-pass row budget.  Callers keep to it: the
 residual assembly walks ``kinetic_ops.PhaseRows.tiles``, which reads it,
-and the flux and slice grids of ``diagnostics_io`` stream ``eval_jvp_batch``
+and the flux and slice grids of ``diagnostics_io`` stream ``eval_batch``
 blocks of whole grid points.
 
 Only one workspace is live, sized to the largest (n, n_t) it has served:
@@ -69,12 +71,23 @@ ROW_BLOCK = 1024
 ROW_ALIGN = 64
 
 
-def _embed(x, theta):
-    """Network input rows (x1, x2, cos theta, sin theta) of phase points."""
-    return np.column_stack([x[:, 0], x[:, 1], np.cos(theta), np.sin(theta)])
+# Columns of a network input row: (x1, x2, cos theta, sin theta).
+INPUT_WIDTH = 4
 
 
-def _transport_tangent(theta):
+def embed(x, theta):
+    """Network input rows (x1, x2, cos theta, sin theta) of phase points,
+    shaped (..., ``INPUT_WIDTH``): positions ``x`` (..., 2) and angles
+    ``theta`` (...) broadcast.  Paired (n, 2) and (n,) give one row per
+    point; ``x[:, None]`` against a rule's K angles gives every (point,
+    angle) row, point-major, with cos and sin taken once per angle."""
+    x, theta = np.asarray(x, dtype=float), np.asarray(theta, dtype=float)
+    rows = np.empty(np.broadcast_shapes(x.shape[:-1], theta.shape) + (INPUT_WIDTH,))
+    rows[..., :2], rows[..., 2], rows[..., 3] = x, np.cos(theta), np.sin(theta)
+    return rows
+
+
+def transport_tangent(theta):
     """Input tangents (cos theta, sin theta, 0, 0): each point's own direction
     omega moves the position and holds the angle."""
     zero = np.zeros_like(theta)
@@ -132,14 +145,14 @@ class MlpParams:
 
 
 def check_widths(widths):
-    """The layer widths as a tuple of ints, or ContractViolation: (4, ..., 1)
-    with at least one hidden layer, all positive.  Config validation calls
+    """The layer widths as a tuple of ints, or ContractViolation:
+    (``INPUT_WIDTH``, ..., 1) with at least one hidden layer, all positive.  Config validation calls
     this alone, so parsing a config neither builds nor draws a network."""
     widths = tuple(int(w) for w in widths)
     if len(widths) < 3:
         raise ContractViolation("need (d0, ..., 1) with at least one hidden layer")
-    if widths[0] != 4:
-        raise ContractViolation("input width must be 4, the embedding (x1, x2, cos theta, sin theta)")
+    if widths[0] != INPUT_WIDTH:
+        raise ContractViolation(f"input width must be {INPUT_WIDTH}, the row (x1, x2, cos theta, sin theta)")
     if widths[-1] != 1:
         raise ContractViolation("output width must be 1")
     if any(w <= 0 for w in widths):
@@ -366,13 +379,13 @@ def eval_jvp_batch(params, emb, emb_tangent):
     return _pass(params, emb, emb_tangent, 1)[:2]
 
 
-def eval_batch(params, x, theta):
-    """Network values at phase points (x, theta), embedded and evaluated a ``ROW_BLOCK`` at a time."""
-    x, theta = np.atleast_2d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(theta, dtype=float))
-    u = np.empty(theta.shape[0])
+def eval_batch(params, emb):
+    """Network values at every embedded row, evaluated a ``ROW_BLOCK`` at a time."""
+    emb = np.asarray(emb, dtype=float)
+    u = np.empty(emb.shape[0])
     for lo in range(0, u.shape[0], ROW_BLOCK):
-        emb = _embed(x[lo : lo + ROW_BLOCK], theta[lo : lo + ROW_BLOCK])
-        u[lo : lo + ROW_BLOCK] = eval_jvp_batch(params, emb, emb[:0])[0]
+        rows = emb[lo : lo + ROW_BLOCK]
+        u[lo : lo + ROW_BLOCK] = eval_jvp_batch(params, rows, rows[:0])[0]
     return u
 
 

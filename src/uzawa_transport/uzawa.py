@@ -150,7 +150,7 @@ def run(problem, quad, params0, config, lagr_cfg, seed=0):
     b = quad.boundary
     state = RunState(params=params0, multiplier=MultiplierField(np.zeros(len(b)), b))
     with np.errstate(over="ignore", invalid="ignore"):
-        u0 = network.eval_batch(params0, b.x, b.theta)
+        u0 = network.eval_batch(params0, problem.boundary_rows(b))
         state.initial_boundary_residual = boundary_residual(b, u0 - problem.data.inflow(b))
     optimizer = Adam(config.learning_rate)
     for k in range(config.n_outer):

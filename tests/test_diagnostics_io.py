@@ -87,7 +87,7 @@ def test_scalar_flux_blocks_match_one_pass(k, activation):
     grid = dio.scalar_flux(params, ang, nx=37, ny=29)
     pts = dio.grid_points(37, 29, ps.UNIT_SQUARE)
     assert (pts.shape[0] * k) % net.ROW_BLOCK
-    u = net.eval_batch(params, np.repeat(pts, k, axis=0), np.tile(ang.theta, pts.shape[0]))
+    u = net.eval_batch(params, net.embed(np.repeat(pts, k, axis=0), np.tile(ang.theta, pts.shape[0])))
     expected = (u.reshape(pts.shape[0], k) @ ang.weight).reshape(37, 29)
     assert np.array_equal(grid.values, expected)
 
@@ -119,7 +119,7 @@ def test_angular_slice_matches_eval_and_periodicity():
     rng = np.random.default_rng(1)
     for _ in range(10):
         i, j = rng.integers(0, 9, 2)
-        direct = net.eval_batch(params, np.array([[xs[i], xs[j]]]), [0.7])[0]
+        direct = net.eval_batch(params, net.embed(np.array([[xs[i], xs[j]]]), [0.7]))[0]
         assert abs(grid_a.values[i, j] - direct) <= 1e-14
 
 

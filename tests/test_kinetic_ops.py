@@ -328,7 +328,7 @@ def test_each_boundary_node_set_gets_its_own_rows():
     )
     rows_one = problem.boundary_rows(one.boundary)
     rows_two = problem.boundary_rows(two.boundary)
-    assert np.array_equal(rows_two, net._embed(two.boundary.x, two.boundary.theta))
+    assert np.array_equal(rows_two, net.embed(two.boundary.x, two.boundary.theta))
     assert not np.array_equal(rows_one, rows_two)
     assert problem.boundary_rows(one.boundary) is rows_one
     problem._rows[id(two.boundary)] = (one.boundary, rows_one)

@@ -467,20 +467,30 @@ def test_full_set_assemble_makes_one_pass_per_tile(monkeypatch):
 
 def test_rows_are_built_once_per_evaluation(monkeypatch):
     # one embedding of the interior rows however many tiles walk them; the
-    # frozen boundary's rows come from the problem's cache after the first
+    # frozen boundary's rows come from the problem's cache after the first;
+    # each tile embeds its own samples' slice rows, (samples, K) at once
     cfg = presets.expand_preset("manufactured", _MC_MANUFACTURED)
     problem, _ = cf.build_problem(cfg)
     quad, params, lcfg = cf.build_quadrature_set(cfg), cf.build_network(cfg), cf.build_lagrangian_config(cfg)
     batch = lg.subsample(quad, lcfg.batch_interior, [0, 0, 0])
     mult = _constant_multiplier(quad.boundary, 0.5)
-    embedded, embed = [], net._embed
-    monkeypatch.setattr(net, "_embed", lambda x, theta: embedded.append(len(theta)) or embed(x, theta))
+    paired, sliced, embed = [], [], net.embed
+
+    def counted(x, theta):
+        rows = embed(x, theta)
+        (sliced if rows.ndim == 3 else paired).append(rows.shape[:-1])
+        return rows
+
+    monkeypatch.setattr(net, "embed", counted)
+    per_tile, k = net.ROW_BLOCK // (len(quad.angular) + 2), len(quad.angular)
     lg.assemble_with_gradient(params, mult, batch, problem, lcfg)
-    assert embedded == [256, 1024]
-    embedded.clear()
+    assert paired == [(256,), (1024,)]
+    assert sliced == [(per_tile, k)] * 3 + [(256 - 3 * per_tile, k)]
+    paired.clear(), sliced.clear()
     lg.assemble_with_gradient(params, mult, batch, problem, lcfg)
     lg.assemble(params, mult, quad, problem, lcfg)
-    assert embedded == [256, 4096]
+    assert paired == [(256,), (4096,)]
+    assert len(sliced) == 4 + -(-4096 // per_tile) and sum(n for n, _ in sliced) == 256 + 4096
 
 
 def test_a_growing_pass_frees_the_last_tiles_workspace(monkeypatch):

@@ -58,7 +58,7 @@ def test_zero_params_give_zero_output():
     params = net.init_params((4, 8, 1), seed=0)
     zero = net.unflatten(np.zeros(params.n_params), params.widths)
     theta = np.array([0.0, 1.3, 5.0])
-    assert np.array_equal(net.eval_batch(zero, np.tile([0.3, 0.8], (3, 1)), theta), np.zeros(3))
+    assert np.array_equal(net.eval_batch(zero, net.embed(np.tile([0.3, 0.8], (3, 1)), theta)), np.zeros(3))
 
 
 def test_eval_matches_hand_rolled_matrices():
@@ -68,7 +68,7 @@ def test_eval_matches_hand_rolled_matrices():
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
         a = np.tanh(W @ a + b)
     expected = float((params.weights[-1] @ a + params.biases[-1])[0])
-    assert abs(net.eval_batch(params, np.array([[0.21, 0.77]]), [2.3])[0] - expected) <= 1e-14
+    assert abs(net.eval_batch(params, net.embed(np.array([[0.21, 0.77]]), [2.3]))[0] - expected) <= 1e-14
 
 
 def test_directional_derivative_finite_difference():
@@ -81,7 +81,7 @@ def test_directional_derivative_finite_difference():
         d = np.array([np.cos(ang), np.sin(ang)])
         _, du = _one_point(params, x, theta, _spatial(d))
         h = 1e-5
-        u_pm = net.eval_batch(params, np.stack([x + h * d, x - h * d]), [theta, theta])
+        u_pm = net.eval_batch(params, net.embed(np.stack([x + h * d, x - h * d]), [theta, theta]))
         fd = (u_pm[0] - u_pm[1]) / (2 * h)
         assert abs(du - fd) / max(abs(fd), 1e-12) <= 1e-6
 
@@ -108,7 +108,7 @@ def test_flatten_unflatten_roundtrip_preserves_eval():
     params = net.init_params((4, 12, 12, 1), seed=21)
     again = net.unflatten(net.flatten(params), params.widths)
     x, theta = np.array([[0.11, 0.93]]), [4.2]
-    assert net.eval_batch(params, x, theta)[0] == net.eval_batch(again, x, theta)[0]
+    assert net.eval_batch(params, net.embed(x, theta))[0] == net.eval_batch(again, net.embed(x, theta))[0]
     assert np.array_equal(net.flatten(params), net.flatten(again))
 
 
@@ -148,9 +148,10 @@ def test_batch_matches_single_point():
     rng = np.random.default_rng(5)
     x = rng.uniform(0, 1, (20, 2))
     theta = rng.uniform(0, 2 * np.pi, 20)
-    u = net.eval_batch(params, x, theta)
+    emb = net.embed(x, theta)
+    u = net.eval_batch(params, emb)
     for i in range(20):
-        assert u[i] == pytest.approx(net.eval_batch(params, x[i : i + 1], theta[i : i + 1])[0], abs=1e-14)
+        assert u[i] == pytest.approx(net.eval_batch(params, emb[i : i + 1])[0], abs=1e-14)
 
 
 @pytest.mark.parametrize("activation", list(net.ACTIVATIONS))
@@ -161,8 +162,9 @@ def test_eval_batch_blocks_match_forward_batch_bitwise(activation):
     n = 2 * net.ROW_BLOCK + 3
     x = rng.uniform(0, 1, (n, 2))
     theta = rng.uniform(0, 2 * np.pi, n)
-    u_ref, _ = net.forward_batch(params, net._embed(x, theta))
-    assert np.array_equal(net.eval_batch(params, x, theta), u_ref)
+    emb = net.embed(x, theta)
+    u_ref, _ = net.forward_batch(params, emb)
+    assert np.array_equal(net.eval_batch(params, emb), u_ref)
 
 
 @pytest.mark.parametrize("activation", list(net.ACTIVATIONS))
@@ -221,8 +223,8 @@ def test_kernels_match_complex_step(activation):
     params = _network(widths, activation, 3)
     x = rng.uniform(0.05, 0.95, (n, 2))
     theta = rng.uniform(0, 2 * np.pi, n)
-    emb = net._embed(x, theta)
-    tan = net._transport_tangent(theta[:n_t])
+    emb = net.embed(x, theta)
+    tan = net.transport_tangent(theta[:n_t])
     seed_value, seed_tangent = rng.standard_normal(n), rng.standard_normal(n_t)
     flat = net.flatten(params)
 
@@ -245,8 +247,8 @@ def test_activations_gradient_check(activation):
     params = _network((4, 6, 1), activation, 2)
     x = np.array([0.42, 0.58])
     theta = 0.77
-    emb = net._embed(x[None, :], [theta])
-    tan = net._transport_tangent(np.array([theta]))
+    emb = net.embed(x[None, :], [theta])
+    tan = net.transport_tangent(np.array([theta]))
     _, _, cache = net.forward_jvp_batch(params, emb, tan)
     grad = net.vjp_jvp_batch(params, cache, np.array([1.0]), np.array([0.5]))
     flat = net.flatten(params)
@@ -310,7 +312,7 @@ def test_input_width_other_than_four_rejected():
 
 def test_cos_sin_periodicity():
     params = net.init_params((4, 8, 1), seed=5)
-    u = net.eval_batch(params, np.tile([0.3, 0.3], (2, 1)), [0.4, 0.4 + 2 * np.pi])
+    u = net.eval_batch(params, net.embed(np.tile([0.3, 0.3], (2, 1)), [0.4, 0.4 + 2 * np.pi]))
     assert u[0] == pytest.approx(u[1], abs=1e-14)
 
 
@@ -364,8 +366,8 @@ def test_streamed_jvp_matches_cached_pass_bitwise(activation):
     n, n_t = net.ROW_BLOCK + 9, net.ROW_BLOCK + 4
     x = rng.uniform(0, 1, (n, 2))
     theta = rng.uniform(0, 2 * np.pi, n)
-    emb = net._embed(x, theta)
-    tan = net._transport_tangent(theta[:n_t])
+    emb = net.embed(x, theta)
+    tan = net.transport_tangent(theta[:n_t])
     u_ref, du_ref, _ = net.forward_jvp_batch(params, emb, tan)
     u, du = net.eval_jvp_batch(params, emb, tan)
     assert np.array_equal(u, u_ref)
@@ -425,7 +427,7 @@ def test_streamed_pass_frees_the_training_workspace():
         _, _, cache = net.forward_jvp_batch(params, emb, tan)
         net.vjp_jvp_batch(params, cache, np.ones(1792), np.ones(1536))
         del cache
-        u = net.eval_batch(params, x, theta)
+        u = net.eval_batch(params, net.embed(x, theta))
         held = tracemalloc.get_traced_memory()[0] + sum(ws.nbytes for ws in net._SLOTS.values())
     finally:
         tracemalloc.stop()
@@ -445,7 +447,7 @@ def test_cache_outlives_a_workspace_switch(activation):
     _, _, cache = net.forward_jvp_batch(params, emb, tan)
     want = net.vjp_jvp_batch(params, cache, *seeds)
     _, _, cache = net.forward_jvp_batch(params, emb, tan)
-    net.eval_batch(params, x, theta)
+    net.eval_batch(params, net.embed(x, theta))
     assert cache[0] not in net._SLOTS.values()
     assert np.array_equal(net.vjp_jvp_batch(params, cache, *seeds), want)
 

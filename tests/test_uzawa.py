@@ -73,7 +73,7 @@ def test_multiplier_update_linear_in_mismatch():
     params = net.init_params((4, 8, 1), seed=4)
     mult = lg.MultiplierField(np.zeros(len(nodes)), nodes)
     g1 = np.linspace(0.1, 0.4, len(nodes))
-    u_b = net.eval_batch(params, nodes.x, nodes.theta)
+    u_b = net.eval_batch(params, net.embed(nodes.x, nodes.theta))
     upd1 = uzawa.multiplier_update(mult, u_b - g1, rho=1.0)
     upd2 = uzawa.multiplier_update(mult, u_b - (u_b - 2.0 * (u_b - g1)), rho=1.0)
     np.testing.assert_allclose(upd2.values, 2.0 * upd1.values, atol=1e-14)
@@ -84,7 +84,7 @@ def test_run_records_zero_boundary_residual_for_zero_problem():
     zero = net.unflatten(np.zeros(params.n_params), params.widths)
     state = uzawa.RunState(zero, lg.MultiplierField(np.zeros(len(quad.boundary)), quad.boundary))
     b = quad.boundary
-    mismatch = net.eval_batch(zero, b.x, b.theta) - problem.data.inflow(b)
+    mismatch = net.eval_batch(zero, net.embed(b.x, b.theta)) - problem.data.inflow(b)
     assert uzawa.boundary_residual(b, mismatch) == 0.0
     assert state.initial_boundary_residual != state.initial_boundary_residual  # nan until run
 
@@ -250,7 +250,7 @@ def test_metrics_history_shapes():
     assert state.multiplier.nodes is quad.boundary
     # the outer record reads the full-set pass; inner traces keep no node arrays
     b = quad.boundary
-    u_b = net.eval_batch(state.params, b.x, b.theta)
+    u_b = net.eval_batch(state.params, net.embed(b.x, b.theta))
     mismatch = u_b - problem.data.inflow(b)
     assert state.outer_history[-1].boundary_residual == pytest.approx(
         np.sqrt(b.weight @ mismatch**2), rel=1e-12
