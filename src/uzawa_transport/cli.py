@@ -78,12 +78,15 @@ def _resolve_out_dir(explicit, config):
     return os.path.join(base, name)
 
 
-def _final_metrics(state, quad, reference):
+def _final_metrics(state, quad, problem, reference, config):
+    """The manifest's final metrics: the last outer record, the true error
+    when there is a reference, and the theory regime of the run's constants
+    (``strong_regime`` is null unless sigma_a is constant)."""
     import numpy as np
 
-    from . import network
+    from . import network, uzawa
 
-    last = state.outer_history[-1]
+    last, rho, gamma = state.outer_history[-1], config["uzawa.rho"], config["lagrangian.gamma"]
     metrics = {
         "loss_total": last.loss_parts.value,
         "loss_pde": last.loss_parts.pde,
@@ -92,7 +95,12 @@ def _final_metrics(state, quad, reference):
         "boundary_residual": last.boundary_residual,
         "initial_boundary_residual": state.initial_boundary_residual,
         "lambda_norm": last.lambda_norm,
+        "strong_regime": None,
+        "rho_below_2gamma": bool(0.0 < rho < 2.0 * gamma),
     }
+    if problem.sigma_a.kind == "constant":
+        regime = uzawa.check_strong_regime(problem.sigma_a.params[0], problem.sigma_t, rho, gamma)
+        metrics["strong_regime"] = regime.valid
     if reference is not None:
         x, theta, w = quad.interior.x, quad.interior.theta, quad.interior.weight
         ref = np.asarray(reference.value(x, theta))
@@ -109,13 +117,13 @@ def _write_manifest(out_dir, config, wall_clock, final):
     diagnostics_io.emit_manifest(os.path.join(out_dir, "manifest.json"), manifest)
 
 
-def _emit_train_outputs(out_dir, config, state, quad, reference, wall_clock):
+def _emit_train_outputs(out_dir, config, state, quad, problem, reference, wall_clock):
     from . import diagnostics_io, network, phase_space
 
     diagnostics_io.emit_metrics(
         os.path.join(out_dir, "metrics.csv"), diagnostics_io.metrics_rows(state)
     )
-    final = _final_metrics(state, quad, reference)
+    final = _final_metrics(state, quad, problem, reference, config)
     _write_manifest(out_dir, config, wall_clock, final)
     if config["outputs.checkpoint"]:
         network.save_params(state.params, os.path.join(out_dir, "params.uzmlp"))
@@ -166,7 +174,7 @@ def run_experiment(config, out_dir=None):
         _write_manifest(out_dir, config, time.perf_counter() - start, {"aborted": str(sys.exc_info()[1])})
         raise
 
-    final = _emit_train_outputs(out_dir, config, state, quad, reference, time.perf_counter() - start)
+    final = _emit_train_outputs(out_dir, config, state, quad, problem, reference, time.perf_counter() - start)
     summary = ", ".join(
         f"{k}={final[k]:.6g}" for k in ("loss_total", "boundary_residual") if k in final
     )

@@ -220,7 +220,7 @@ def run_uzawa_oracle(space, gamma, rho, n_iter, lambda0=0.0, g_values=None):
     The multiplier is stepped by ``uzawa.multiplier_update`` and measured by
     ``uzawa.boundary_residual``, looked up at call time, so the identities
     certify the solver's own step.  The moment is rhs_k - rhs*: no extra pass."""
-    if rho <= 0:
+    if not rho > 0:  # NaN fails it too
         raise ContractViolation("multiplier step rho must be positive")
     nodes = space.inflow
     g_values = np.zeros(len(nodes)) if g_values is None else np.asarray(g_values, dtype=float)

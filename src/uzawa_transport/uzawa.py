@@ -94,7 +94,7 @@ def boundary_residual(nodes, mismatch):
 
 def multiplier_update(multiplier, mismatch, rho):
     """One ascent step on the frozen boundary nodes, mismatch = u - g there."""
-    if rho <= 0:
+    if not rho > 0:  # NaN fails it too
         raise ContractViolation("multiplier step rho must be positive")
     return MultiplierField(multiplier.values - rho * mismatch, multiplier.nodes)
 
@@ -176,8 +176,8 @@ class StrongRegime:
 def check_strong_regime(sigma_a, sigma_t, rho, gamma):
     """Absorption-dominance check: scattering below a quarter of absorption
     and the multiplier step below 2*gamma - sigma_a - sqrt(sigma_a^2 - 16*sigma_t^2)."""
-    if min(sigma_a, sigma_t, rho, gamma) < 0:
-        raise ContractViolation("regime parameters must be nonnegative")
+    if not all(math.isfinite(v) and v >= 0 for v in (sigma_a, sigma_t, rho, gamma)):
+        raise ContractViolation("regime parameters must be finite and nonnegative")
     if sigma_t >= sigma_a / 4.0 or sigma_a == 0.0:
         return StrongRegime(False, None)
     rho_max = 2.0 * gamma - sigma_a - math.sqrt(sigma_a**2 - 16.0 * sigma_t**2)

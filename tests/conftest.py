@@ -1,10 +1,24 @@
-"""Shared fixtures."""
+"""Shared fixtures.
 
+Every BLAS pool is pinned to one thread before anything imports numpy, as
+``--threads 1`` pins a run's: the bit-for-bit tests compare against
+one-thread GEMV and GEMM results, which more threads may round otherwise.
+Child processes inherit the pin, and import the package from this tree's
+``src``, as the tests do.
+"""
+
+import os
 import tracemalloc
 
 import pytest
 
-from uzawa_transport import network as net
+from uzawa_transport.cli import _THREAD_VARS  # the CLI module loads no numpy
+
+os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+
+from uzawa_transport import network as net  # noqa: E402
 
 
 def _peak_bytes(fn):

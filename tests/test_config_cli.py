@@ -290,6 +290,29 @@ def test_cli_preset_run_emits_outputs(tmp_path):
     assert manifest["config"]["preset"] == "manufactured"
 
 
+@pytest.mark.parametrize(
+    "preset, overrides, strong, below",
+    [
+        # sigma_t = 9.9 is far above a quarter of sigma_a = 0.1
+        ("example3-forward", {}, False, True),
+        # the worked example: rho = 1 < rho_max = 3 - sqrt(0.84)
+        (
+            "example3-forward",
+            {"problem.sigma_a.value": "1", "problem.sigma_t": "0.1", "lagrangian.gamma": "2", "uzawa.rho": "1"},
+            True,
+            True,
+        ),
+        # a split-plane sigma_a has no constant to check; rho = 3 > 2 gamma
+        ("example5", {"uzawa.rho": "3"}, None, False),
+    ],
+)
+def test_manifest_states_the_theory_regime(tmp_path, preset, overrides, strong, below):
+    config = presets.expand_preset(preset, {**FAST_OVERRIDES, **overrides})
+    assert cli.run_experiment(config, tmp_path.as_posix())[0] == 0
+    final = json.loads((tmp_path / "manifest.json").read_text())["final_metrics"]
+    assert final["strong_regime"] is strong and final["rho_below_2gamma"] is below
+
+
 def test_cli_manifest_rerun_reproduces_metrics(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

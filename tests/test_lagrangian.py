@@ -5,12 +5,14 @@ import weakref
 import numpy as np
 import pytest
 
+from uzawa_transport import cli
 from uzawa_transport import config as cf
+from uzawa_transport import diagnostics_io as dio
 from uzawa_transport import kinetic_ops as ko
 from uzawa_transport import lagrangian as lg
 from uzawa_transport import network as net
 from uzawa_transport import phase_space as ps
-from uzawa_transport import presets
+from uzawa_transport import presets, uzawa
 from uzawa_transport.errors import ContractViolation
 
 
@@ -491,6 +493,66 @@ def test_rows_are_built_once_per_evaluation(monkeypatch):
     lg.assemble(params, mult, quad, problem, lcfg)
     assert paired == [(256,), (4096,)]
     assert len(sliced) == 4 + -(-4096 // per_tile) and sum(n for n, _ in sliced) == 256 + 4096
+
+
+def test_every_row_handed_to_a_pass_is_the_embedding_of_its_phase_point(monkeypatch):
+    # network.embed is the one writer of input rows: the tiles of both
+    # schemes, the flux grid's blocks and both callers of eval_batch hand the
+    # kernels exactly its rows, and transport_tangent's tangents
+    passes = []
+
+    def recorded(name, run):
+        def one_pass(params, emb, emb_tangent):
+            passes.append((name, np.array(emb), np.array(emb_tangent)))
+            return run(params, emb, emb_tangent)
+
+        return one_pass
+
+    for name in ("forward_jvp_batch", "eval_jvp_batch"):
+        monkeypatch.setattr(net, name, recorded(name, getattr(net, name)))
+
+    def handed(kernels=("forward_jvp_batch", "eval_jvp_batch")):
+        got = [(emb, tan) for name, emb, tan in passes if name in kernels]
+        passes.clear()
+        assert got and all(len(emb) <= net.ROW_BLOCK for emb, _ in got)
+        return tuple(np.concatenate(part) for part in zip(*got))
+
+    problem = ko.ProblemSpec(ko.constant_absorption(1.0), 0.5, ko.isotropic_kernel(), ko.SourceAndInflow())
+    params = net.init_params((4, 8, 1), seed=1)
+    tensor = ps.build_quadrature(n_spatial=9, n_angular=12, n_boundary=(3, 3))
+    loose = ps.build_quadrature(scheme=ps.MONTE_CARLO, n_spatial=200, n_angular=12, n_boundary=128, seed=2)
+    for quad in (tensor, loose):
+        rows, x, theta = ko.interior_rows(quad, problem), quad.interior.x, quad.interior.theta
+        b, k = quad.boundary, len(quad.angular)
+        for need_grad in (True, False):
+            for points, nodes in rows.tiles():
+                rows.terms(params, points, nodes, need_grad)
+                m = len(theta[points])
+                slices = net.embed(np.repeat(x[points], k, axis=0), np.tile(quad.angular.theta, m))
+                want = [net.embed(x[points], theta[points])] + [slices] * rows.loose
+                want.append(net.embed(b.x[nodes], b.theta[nodes]))
+                emb, tan = handed(["forward_jvp_batch" if need_grad else "eval_jvp_batch"])
+                assert np.array_equal(emb, np.concatenate(want))
+                assert np.array_equal(tan, net.transport_tangent(theta[points]))
+
+    for k in (12, 64):  # 143 points: blocks of 64 points in one pass, or of 32 points in two
+        ang = ps.angular_rule(k)
+        dio.scalar_flux(params, ang, nx=13, ny=11)
+        pts = dio.grid_points(13, 11, ps.UNIT_SQUARE)
+        emb, tan = handed(["eval_jvp_batch"])
+        assert np.array_equal(emb, net.embed(np.repeat(pts, k, axis=0), np.tile(ang.theta, len(pts))))
+        assert tan.size == 0
+
+    # eval_batch's callers: the run's initial boundary residual, before the
+    # first training pass, and the final metrics' true error
+    b = tensor.boundary
+    state = uzawa.run(problem, tensor, params, uzawa.UzawaConfig(n_outer=1, n_inner=1), lg.LagrangianConfig())
+    first = next(i for i, (name, _, _) in enumerate(passes) if name == "forward_jvp_batch")
+    del passes[first:]
+    assert np.array_equal(handed()[0], net.embed(b.x, b.theta))
+    reference = ko.ReferenceSolution(lambda x, theta: np.ones(len(theta)), None)
+    cli._final_metrics(state, tensor, problem, reference, {"uzawa.rho": 1.0, "lagrangian.gamma": 1.0})
+    assert np.array_equal(handed()[0], net.embed(tensor.interior.x, tensor.interior.theta))
 
 
 def test_a_growing_pass_frees_the_last_tiles_workspace(monkeypatch):

@@ -301,6 +301,11 @@ def test_rho_contract(space):
         lo.run_uzawa_oracle(space, 1.0, 0.0, 5)
 
 
+def test_rho_contract_refuses_nan(space):
+    with pytest.raises(ContractViolation):
+        lo.run_uzawa_oracle(space, 1.0, float("nan"), 3)
+
+
 def test_verification_suite_all_pass():
     checks = lo.verification_suite(n_iter=50)
     # the oracle benchmark gates on exactly this many passing checks

@@ -68,6 +68,14 @@ def test_multiplier_update_arithmetic():
     assert twice.nodes is nodes
 
 
+@pytest.mark.parametrize("rho", [0.0, -0.5, float("nan")])
+def test_multiplier_update_refuses_a_step_that_is_not_positive(rho):
+    nodes = ps.tensor_boundary(ps.UNIT_SQUARE, 2, 2)
+    mult = lg.MultiplierField(np.ones(len(nodes)), nodes)
+    with pytest.raises(ContractViolation):
+        uzawa.multiplier_update(mult, np.zeros(len(nodes)), rho)
+
+
 def test_multiplier_update_linear_in_mismatch():
     nodes = ps.tensor_boundary(ps.UNIT_SQUARE, 2, 2)
     params = net.init_params((4, 8, 1), seed=4)
@@ -235,6 +243,15 @@ def test_check_strong_regime():
     assert uzawa.check_strong_regime(1.0, 0.1, 5.0, 2.0).valid is False  # rho too big
     with pytest.raises(ContractViolation):
         uzawa.check_strong_regime(-1.0, 0.1, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("at", range(4))
+def test_check_strong_regime_refuses_non_finite_inputs(bad, at):
+    args = [1.0, 0.1, 1.0, 2.0]
+    args[at] = bad
+    with pytest.raises(ContractViolation):
+        uzawa.check_strong_regime(*args)
 
 
 def test_metrics_history_shapes():
