@@ -6,11 +6,11 @@ to a scalar, so its input width is ``INPUT_WIDTH`` = 4 and its output is
 module owns that row format: ``embed`` writes every network input row and
 ``transport_tangent`` every tangent row, for the residual assembly, the
 boundary cache and the output grids alike, and every kernel takes rows,
-never phase points.  Its parameters are one
-float64 vector, ``MlpParams.flat``: per affine layer the weight matrix
-row-major, then the bias; the per-layer arrays are views of it.  The
-activation is tanh, the one entry of ``ACTIVATIONS``; ``MlpParams`` and
-checkpoint headers carry its name.  Two kinds of batched kernel evaluate it:
+never phase points.  The parameters are one float64 vector,
+``MlpParams.flat``: per affine layer the weight matrix row-major, then the
+bias; the per-layer arrays are views of it.  The activation is tanh, the
+one entry of ``ACTIVATIONS``; ``MlpParams`` and checkpoint headers carry
+its name.  Two kinds of batched kernel evaluate it:
 
 - ``forward_jvp_batch`` evaluates n embedded rows plus a forward tangent
   rail (for omega-directional spatial derivatives) on the first n_t of
@@ -34,7 +34,7 @@ checkpoint headers carry its name.  Two kinds of batched kernel evaluate it:
 
 ``ROW_BLOCK`` is the one per-pass row budget.  Callers keep to it: the
 residual assembly walks ``kinetic_ops.PhaseRows.tiles``, which reads it,
-and the flux and slice grids of ``diagnostics_io`` stream ``eval_batch``
+and the flux and slice grids of ``diagnostics_io`` hand ``eval_batch``
 blocks of whole grid points.
 
 Only one workspace is live, sized to the largest (n, n_t) it has served:
@@ -146,8 +146,9 @@ class MlpParams:
 
 def check_widths(widths):
     """The layer widths as a tuple of ints, or ContractViolation:
-    (``INPUT_WIDTH``, ..., 1) with at least one hidden layer, all positive.  Config validation calls
-    this alone, so parsing a config neither builds nor draws a network."""
+    (``INPUT_WIDTH``, ..., 1) with at least one hidden layer, all positive.
+    Config validation calls this alone, so parsing a config neither builds
+    nor draws a network."""
     widths = tuple(int(w) for w in widths)
     if len(widths) < 3:
         raise ContractViolation("need (d0, ..., 1) with at least one hidden layer")

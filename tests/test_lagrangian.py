@@ -488,7 +488,7 @@ def test_rows_are_built_once_per_evaluation(monkeypatch):
     lg.assemble_with_gradient(params, mult, batch, problem, lcfg)
     assert paired == [(256,), (1024,)]
     assert sliced == [(per_tile, k)] * 3 + [(256 - 3 * per_tile, k)]
-    paired.clear(), sliced.clear()
+    del paired[:], sliced[:]
     lg.assemble_with_gradient(params, mult, batch, problem, lcfg)
     lg.assemble(params, mult, quad, problem, lcfg)
     assert paired == [(256,), (4096,)]
