@@ -27,12 +27,18 @@ _THREAD_VARS = (
 )
 
 
+def _thread_count(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a count >= 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser():
     # --threads is accepted before or after the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--threads",
-        type=int,
+        type=_thread_count,
         default=argparse.SUPPRESS,
         help="BLAS thread count (1 guarantees bitwise reproducibility)",
     )
@@ -197,7 +203,7 @@ def _load_config(path):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    if getattr(args, "threads", 0) > 0:
+    if "threads" in args:
         for var in _THREAD_VARS:
             os.environ[var] = str(args.threads)
 

@@ -194,20 +194,25 @@ class ExperimentConfig:
         return out
 
 
-# the absorption values each problem.sigma_a.kind reads
-_ABSORPTION_FIELDS = {
-    "constant": ("problem.sigma_a.value",),
-    "ball-obstacle": ("problem.sigma_a.inside", "problem.sigma_a.outside"),
-    "split-plane": ("problem.sigma_a.left", "problem.sigma_a.right"),
+# problem.<field>.kind -> the CoefficientField kind it builds and the keys
+# of its params in order: those that place it, then its values ("edge" is
+# the inflow edge x1, "zero" a 0)
+_DATA_FIELDS = {
+    "constant": ("constant", (), ("value",)),
+    "ball-obstacle": ("ball", ("center", "radius"), ("inside", "outside")),
+    "ball": ("ball", ("center", "radius"), ("value", "zero")),
+    "split-plane": ("split-plane", ("threshold",), ("left", "right")),
+    "left-edge": ("left-edge", ("edge",), ("value",)),
+    "edge-window": ("edge-window", ("edge", "half_width"), ("value",)),
 }
 
 
 def _semantic_violations(values):
     """The rules that read two or more keys or check a list value's shape."""
     v = []
-    for key in _ABSORPTION_FIELDS[values["problem.sigma_a.kind"]]:
-        if values[key] < 0:
-            v.append(f"{key}: absorption must be >= 0")
+    for key in _DATA_FIELDS[values["problem.sigma_a.kind"]][2]:
+        if values[f"problem.sigma_a.{key}"] < 0:
+            v.append(f"problem.sigma_a.{key}: absorption must be >= 0")
     if values["problem.kernel.kind"] == "forward-peaked" and values["problem.kernel.epsilon"] <= 0:
         v.append("problem.kernel.epsilon: forward-peaked kernel needs epsilon > 0")
     if values["problem.manufactured"]:
@@ -301,24 +306,6 @@ def parse_config(path):
 # -- builders -----------------------------------------------------------------
 
 
-def _build_sigma_a(cfg):
-    kind = cfg["problem.sigma_a.kind"]
-    if kind == "constant":
-        return kinetic_ops.constant_absorption(cfg["problem.sigma_a.value"])
-    if kind == "ball-obstacle":
-        return kinetic_ops.ball_obstacle(
-            cfg["problem.sigma_a.center"],
-            cfg["problem.sigma_a.radius"],
-            cfg["problem.sigma_a.inside"],
-            cfg["problem.sigma_a.outside"],
-        )
-    return kinetic_ops.split_plane(
-        cfg["problem.sigma_a.threshold"],
-        cfg["problem.sigma_a.left"],
-        cfg["problem.sigma_a.right"],
-    )
-
-
 def _manufactured_pieces(sigma_a_value):
     def value(x, theta):
         x = np.atleast_2d(x)
@@ -337,56 +324,20 @@ def _manufactured_pieces(sigma_a_value):
     return value, directional, source
 
 
-def _build_source(cfg):
-    kind = cfg["problem.source.kind"]
+def _data_field(cfg, name, domain):
+    """The CoefficientField that ``problem.<name>.*`` describes; None for kind zero."""
+    kind = cfg[f"problem.{name}.kind"]
     if kind == "zero":
         return None
-    if kind == "constant":
-        value = cfg["problem.source.value"]
-        return lambda x, theta: np.full(np.atleast_2d(x).shape[0], value)
-    center = np.asarray(cfg["problem.source.center"])
-    radius = cfg["problem.source.radius"]
-    value = cfg["problem.source.value"]
-
-    def ball(x, theta):
-        x = np.atleast_2d(x)
-        r2 = (x[:, 0] - center[0]) ** 2 + (x[:, 1] - center[1]) ** 2
-        return np.where(r2 <= radius * radius, value, 0.0)
-
-    return ball
-
-
-def _build_inflow(cfg, domain):
-    kind = cfg["problem.inflow.kind"]
-    if kind == "zero":
-        return None
-    value = cfg["problem.inflow.value"]
-    if kind == "constant":
-        return lambda x, theta: np.full(np.atleast_2d(x).shape[0], value)
-    lo0 = domain.lo[0]
-    if kind == "left-edge":
-
-        def left_edge(x, theta):
-            x = np.atleast_2d(x)
-            return np.where(np.abs(x[:, 0] - lo0) <= 1e-9, value, 0.0)
-
-        return left_edge
-    half_width = cfg["problem.inflow.half_width"]
-
-    def window(x, theta):
-        x = np.atleast_2d(x)
-        theta = np.atleast_1d(theta)
-        wrapped = np.angle(np.exp(1j * theta))
-        on_edge = np.abs(x[:, 0] - lo0) <= 1e-9
-        in_window = np.abs(wrapped) <= half_width + 1e-12
-        return np.where(on_edge & in_window, value, 0.0)
-
-    return window
+    field_kind, place, values = _DATA_FIELDS[kind]
+    fixed = {"edge": domain.lo[0], "zero": 0.0}
+    params = np.hstack([fixed[k] if k in fixed else cfg[f"problem.{name}.{k}"] for k in place + values])
+    return kinetic_ops.CoefficientField(field_kind, tuple(map(float, params)))
 
 
 def build_problem(cfg, domain=phase_space.UNIT_SQUARE):
     """ProblemSpec plus the exact reference when one exists."""
-    sigma_a = _build_sigma_a(cfg)
+    sigma_a = _data_field(cfg, "sigma_a", domain)
     kernel = (
         kinetic_ops.isotropic_kernel()
         if cfg["problem.kernel.kind"] == "isotropic"
@@ -398,8 +349,7 @@ def build_problem(cfg, domain=phase_space.UNIT_SQUARE):
         f, g = source, None  # the exact trace vanishes on the unit square
         reference = kinetic_ops.ReferenceSolution(value, directional)
     else:
-        f = _build_source(cfg)
-        g = _build_inflow(cfg, domain)
+        f, g = _data_field(cfg, "source", domain), _data_field(cfg, "inflow", domain)
     noise = None
     if cfg["problem.noise.std"] > 0:
         noise = kinetic_ops.NoiseSpec(cfg["problem.noise.std"], cfg["problem.noise.seed"])

@@ -1,4 +1,4 @@
-"""Transport and scattering operators, coefficients, sources, inflow data.
+"""Transport and scattering operators and the problem's data fields.
 
 The transport part is pointwise: directional spatial derivative plus
 absorption.  The scattering part sigma_t (u - mean u) redistributes
@@ -20,6 +20,9 @@ into tiles of at most ``network.ROW_BLOCK`` rows; its ``terms``, the one
 assembly body of every residual, runs one tile's pass, ``sweep`` seeds
 that pass's reverse sweep, and ``whole`` walks every tile for whole-set
 callers (``blocked_terms``, ``sample_terms``, ``discrete_norms``).
+
+The problem's data live here too: sigma_a, the source f and the inflow
+datum g are each a ``CoefficientField`` kind and its ``params``, or None.
 """
 
 from __future__ import annotations
@@ -44,49 +47,54 @@ def _per_node_set(cache, nodes, build):
     return hit[1]
 
 
-# -- coefficients -------------------------------------------------------------
+# -- data fields --------------------------------------------------------------
+
+
+# the index of each kind's first value in its params; those before place it
+_FIRST_VALUE = {"constant": 0, "ball": 3, "split-plane": 1, "left-edge": 1, "edge-window": 2}
 
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Nonnegative absorption coefficient as a function of position."""
+    """A data field of the problem, sigma_a, the source f or the inflow
+    datum g: a kind and its ``params``, in order:
+
+    - ``constant`` (value);
+    - ``ball`` (cx, cy, radius, inside, outside): inside where |x - c| <= radius;
+    - ``split-plane`` (threshold, left, right): left where x1 < threshold;
+    - ``left-edge`` (edge, value): value where |x1 - edge| <= 1e-9, else 0;
+    - ``edge-window`` (edge, half_width, value): value on that edge where theta,
+      wrapped to (-pi, pi], is within half_width + 1e-12, else 0.
+    """
 
     kind: str
     params: tuple
 
-    def __call__(self, x):
+    def __post_init__(self):
+        if self.kind not in _FIRST_VALUE:
+            raise ContractViolation(f"unknown field kind '{self.kind}'")
+
+    @property
+    def values(self):
+        """The values the field takes where it is set (the edge kinds are 0 elsewhere)."""
+        return self.params[_FIRST_VALUE[self.kind] :]
+
+    def __call__(self, x, theta=None):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.kind == "constant":
-            (value,) = self.params
-            return np.full(x.shape[0], value)
-        if self.kind == "ball-obstacle":
+            return np.full(x.shape[0], self.params[0])
+        if self.kind == "ball":
             cx, cy, radius, inside, outside = self.params
             r2 = (x[:, 0] - cx) ** 2 + (x[:, 1] - cy) ** 2
             return np.where(r2 <= radius * radius, inside, outside)
         if self.kind == "split-plane":
             threshold, left, right = self.params
             return np.where(x[:, 0] < threshold, left, right)
-        raise ContractViolation(f"unknown coefficient kind '{self.kind}'")
-
-
-def constant_absorption(value):
-    if value < 0:
-        raise ContractViolation("absorption must be nonnegative")
-    return CoefficientField("constant", (float(value),))
-
-
-def ball_obstacle(center, radius, inside, outside):
-    if min(inside, outside) < 0:
-        raise ContractViolation("absorption must be nonnegative")
-    return CoefficientField(
-        "ball-obstacle", (float(center[0]), float(center[1]), float(radius), float(inside), float(outside))
-    )
-
-
-def split_plane(threshold, left, right):
-    if min(left, right) < 0:
-        raise ContractViolation("absorption must be nonnegative")
-    return CoefficientField("split-plane", (float(threshold), float(left), float(right)))
+        on_edge = np.abs(x[:, 0] - self.params[0]) <= 1e-9
+        if self.kind == "edge-window":
+            wrapped = np.angle(np.exp(1j * np.atleast_1d(theta)))
+            on_edge = on_edge & (np.abs(wrapped) <= self.params[1] + 1e-12)
+        return np.where(on_edge, self.params[-1], 0.0)
 
 
 # -- scattering kernels -------------------------------------------------------
@@ -108,7 +116,7 @@ class ScatteringKernel:
     def __post_init__(self):
         if self.kind not in ("isotropic", "forward-peaked"):
             raise ContractViolation(f"unknown kernel kind '{self.kind}'")
-        if self.kind == "forward-peaked" and self.epsilon <= 0:
+        if self.kind == "forward-peaked" and not self.epsilon > 0:
             raise ContractViolation("forward-peaked kernel needs epsilon > 0")
 
     def rows(self, theta_query, angular):
@@ -220,8 +228,10 @@ class ProblemSpec:
     _rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.sigma_t < 0:
-            raise ContractViolation("scattering strength must be nonnegative")
+        if not 0 <= self.sigma_t < np.inf:  # NaN fails both checks
+            raise ContractViolation("scattering strength must be finite and nonnegative")
+        if not all(0 <= value < np.inf for value in self.sigma_a.values):
+            raise ContractViolation("absorption must be finite and nonnegative")
 
     def boundary_rows(self, boundary):
         """Network rows of a frozen boundary node set, computed once per node set."""

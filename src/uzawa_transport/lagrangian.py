@@ -30,8 +30,8 @@ class LagrangianConfig:
     resample: bool = True
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ContractViolation("boundary stabilization weight must be >= 0")
+        if not 0 <= self.gamma < np.inf:  # NaN fails too
+            raise ContractViolation("boundary stabilization weight must be finite and >= 0")
         if self.batch_interior is not None and self.batch_interior < 1:
             raise ContractViolation("interior batch size must be >= 1")
 

@@ -742,6 +742,15 @@ def test_cli_threads_pin_blas_before_numpy_loads(argv, tmp_path):
     assert seen == [["3"] * 5] and after == ["3"] * 5
 
 
+@pytest.mark.parametrize("argv", [["--threads", "0", "list-presets"], ["list-presets", "--threads", "-4"]])
+def test_cli_threads_refuses_a_count_below_one(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert stop.value.code == 2 and err.startswith("usage:")
+    assert "argument --threads: expected a count >= 1" in err
+
+
 def test_cli_input_width_three_exit_code():
     args = ["preset", "example1"]
     for key, value in {**FAST_OVERRIDES, "network.widths": "3,8,1"}.items():

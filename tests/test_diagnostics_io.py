@@ -25,7 +25,7 @@ def _const_net(value):
 
 def _problem(sigma_a=1.0, sigma_t=0.0, f=None, g=None):
     return ko.ProblemSpec(
-        ko.constant_absorption(sigma_a),
+        ko.CoefficientField("constant", (sigma_a,)),
         sigma_t,
         ko.isotropic_kernel(),
         ko.SourceAndInflow(f, g),

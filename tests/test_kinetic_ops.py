@@ -7,6 +7,7 @@ import sympy
 from uzawa_transport import config as cf
 from uzawa_transport import diagnostics_io as dio
 from uzawa_transport import kinetic_ops as ko
+from uzawa_transport import lagrangian as lg
 from uzawa_transport import network as net
 from uzawa_transport import phase_space as ps
 from uzawa_transport import presets
@@ -17,7 +18,7 @@ TWO_PI = 2.0 * np.pi
 
 def _zero_problem(sigma_a=1.0, sigma_t=0.0, kernel=None, f=None, g=None):
     return ko.ProblemSpec(
-        ko.constant_absorption(sigma_a),
+        ko.CoefficientField("constant", (sigma_a,)),
         sigma_t,
         kernel or ko.isotropic_kernel(),
         ko.SourceAndInflow(f, g),
@@ -340,22 +341,164 @@ def test_each_boundary_node_set_gets_its_own_rows():
         assert np.array_equal(got["u_boundary"], want["u_boundary"])
 
 
-def test_coefficient_fields():
-    ball = ko.ball_obstacle((0.5, 0.5), 0.15, 50.0, 1.0)
-    assert ball(np.array([[0.5, 0.5], [0.5, 0.64], [0.9, 0.9]])) == pytest.approx([50, 50, 1])
-    split = ko.split_plane(0.5, 0.1, 5.0)
-    assert split(np.array([[0.49, 0.1], [0.5, 0.1]])) == pytest.approx([0.1, 5.0])
+# -- data fields ----------------------------------------------------------------
+
+
+def test_data_field_kinds_at_chosen_points():
+    ball = ko.CoefficientField("ball", (0.5, 0.5, 0.25, 50.0, 1.0))
+    # r = radius (0.25 squared is exact) counts as inside
+    assert list(ball(np.array([[0.5, 0.5], [0.75, 0.5], [0.5, 0.25], [0.76, 0.5]]))) == [50, 50, 50, 1]
+    split = ko.CoefficientField("split-plane", (0.5, 0.1, 5.0))
+    assert list(split(np.array([[0.49, 0.1], [0.5, 0.1], [0.9, 0.1]]))) == [0.1, 5.0, 5.0]
+    left = ko.CoefficientField("left-edge", (0.0, 2.0))
+    x = np.array([[1e-9, 0.3], [2e-9, 0.3], [0.0, 0.9], [-1e-9, 0.5], [-2e-9, 0.5]])
+    assert list(left(x, np.zeros(5))) == [2.0, 0.0, 2.0, 2.0, 0.0]
+    window = ko.CoefficientField("edge-window", (0.0, np.pi / 16, 3.0))
+    x = np.array([[0.0, 0.5]] * 5 + [[1e-9, 0.2], [0.5, 0.5], [1.0, 0.5]])
+    theta = np.array([np.pi / 16, TWO_PI - np.pi / 16, TWO_PI - 0.1, np.pi / 8, 0.0, 0.0, 0.0, 0.0])
+    # 2 pi - pi/16 wraps to 4.7e-16 beyond -pi/16, inside by the 1e-12 slack
+    assert list(window(x, theta)) == [3.0, 3.0, 3.0, 0.0, 3.0, 3.0, 0.0, 0.0]
+    constant = ko.CoefficientField("constant", (-0.5,))
+    assert list(constant(np.array([[0.1, 0.2], [0.9, 0.9]]), np.zeros(2))) == [-0.5, -0.5]
+    values = [f.values for f in (ball, split, left, window, constant)]
+    assert values == [(50.0, 1.0), (0.1, 5.0), (2.0,), (3.0,), (-0.5,)]
+    with pytest.raises(ContractViolation, match="unknown field kind"):
+        ko.CoefficientField("ball-obstacle", (0.5, 0.5, 0.15, 50.0, 1.0))
+
+
+def _problem_with(sigma_a=None, sigma_t=0.0):
+    sigma_a = sigma_a or ko.CoefficientField("constant", (1.0,))
+    return ko.ProblemSpec(sigma_a, sigma_t, ko.isotropic_kernel(), ko.SourceAndInflow())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: lg.LagrangianConfig(gamma=np.nan),
+        lambda: lg.LagrangianConfig(gamma=np.inf),
+        lambda: lg.LagrangianConfig(gamma=-1.0),
+        lambda: ko.ScatteringKernel("forward-peaked", np.nan),
+        lambda: _problem_with(sigma_t=np.nan),
+        lambda: _problem_with(sigma_t=np.inf),
+        lambda: _problem_with(sigma_t=-1.0),
+        lambda: _problem_with(ko.CoefficientField("constant", (-1.0,))),
+        lambda: _problem_with(ko.CoefficientField("constant", (np.nan,))),
+        lambda: _problem_with(ko.CoefficientField("constant", (np.inf,))),
+        lambda: _problem_with(ko.CoefficientField("ball", (0.5, 0.5, 0.15, np.nan, 1.0))),
+        lambda: _problem_with(ko.CoefficientField("split-plane", (0.5, 0.1, -5.0))),
+    ],
+    ids=[
+        "gamma-nan", "gamma-inf", "gamma-negative", "epsilon-nan", "sigma_t-nan", "sigma_t-inf",
+        "sigma_t-negative", "sigma_a-negative", "sigma_a-nan", "sigma_a-inf", "ball-inside-nan",
+        "split-right-negative",
+    ],
+)
+def test_constructors_refuse_constants_out_of_range(build):
     with pytest.raises(ContractViolation):
-        ko.constant_absorption(-1.0)
+        build()
+
+
+def test_source_and_inflow_may_be_negative():
+    # only the absorption has a sign; a geometry parameter has none either
+    f, g = ko.CoefficientField("constant", (-1.0,)), ko.CoefficientField("left-edge", (0.0, -2.0))
+    data = ko.SourceAndInflow(f, g)
+    sigma_a = ko.CoefficientField("split-plane", (-0.5, 0.1, 5.0))
+    problem = ko.ProblemSpec(sigma_a, 0.0, ko.isotropic_kernel(), data)
+    nodes = ps.tensor_boundary(ps.UNIT_SQUARE, 4, 4)
+    assert set(problem.data.inflow(nodes)) == {0.0, -2.0}
+    assert list(problem.data.source(np.array([[0.3, 0.3]]), [0.0])) == [-1.0]
+
+
+def test_build_problem_gives_each_data_field_its_kind_and_params():
+    def fields(name):
+        problem, _ = cf.build_problem(presets.expand_preset(name))
+        return problem.sigma_a, problem.data.f, problem.data.g, problem.data.noise
+
+    def field(kind, *params):
+        return ko.CoefficientField(kind, params)
+
+    one = field("constant", 1.0)
+    assert fields("example1") == (one, field("ball", 0.5, 0.5, 1.0, 1.0, 0.0), None, None)
+    window = field("edge-window", 0.0, np.pi / 16, 1.0)
+    assert fields("example2") == (field("ball", 0.5, 0.5, 0.15, 50.0, 1.0), None, window, None)
+    assert fields("example3-forward") == (field("constant", 0.1), None, one, None)
+    assert fields("example4") == (one, None, field("left-edge", 0.0, 1.0), ko.NoiseSpec(0.05, 777))
+    assert fields("example5") == (field("split-plane", 0.5, 0.1, 5.0), None, one, None)
+    for name in presets.PRESETS:
+        if name not in ("manufactured", "oracle-verify"):
+            kinds = {type(f) for f in fields(name)[:3]}
+            assert kinds <= {ko.CoefficientField, type(None)}
+            assert all(type(p) is float for f in fields(name)[:3] if f for p in f.params)
+
+
+def _closures_replaced(cfg, domain=ps.UNIT_SQUARE):
+    """sigma_a, f and g written out as one plain closure per config kind:
+    the reference the built CoefficientFields must equal bit for bit."""
+    kind = cfg["problem.sigma_a.kind"]
+    if kind == "constant":
+        level = cfg["problem.sigma_a.value"]
+        sigma_a = lambda x: np.full(np.atleast_2d(x).shape[0], level)  # noqa: E731
+    elif kind == "ball-obstacle":
+        center, radius = cfg["problem.sigma_a.center"], cfg["problem.sigma_a.radius"]
+        inside, outside = cfg["problem.sigma_a.inside"], cfg["problem.sigma_a.outside"]
+
+        def sigma_a(x):
+            r2 = (x[:, 0] - center[0]) ** 2 + (x[:, 1] - center[1]) ** 2
+            return np.where(r2 <= radius * radius, inside, outside)
+
+    else:
+        threshold, left, right = (cfg[f"problem.sigma_a.{k}"] for k in ("threshold", "left", "right"))
+        sigma_a = lambda x: np.where(x[:, 0] < threshold, left, right)  # noqa: E731
+    f = g = None
+    kind, value = cfg["problem.source.kind"], cfg["problem.source.value"]
+    if kind == "constant":
+        f = lambda x, theta: np.full(np.atleast_2d(x).shape[0], value)  # noqa: E731
+    elif kind == "ball":
+        center, radius = np.asarray(cfg["problem.source.center"]), cfg["problem.source.radius"]
+
+        def f(x, theta):
+            r2 = (x[:, 0] - center[0]) ** 2 + (x[:, 1] - center[1]) ** 2
+            return np.where(r2 <= radius * radius, value, 0.0)
+
+    kind, value, lo0 = cfg["problem.inflow.kind"], cfg["problem.inflow.value"], domain.lo[0]
+    if kind == "constant":
+        g = lambda x, theta: np.full(np.atleast_2d(x).shape[0], value)  # noqa: E731
+    elif kind == "left-edge":
+        g = lambda x, theta: np.where(np.abs(x[:, 0] - lo0) <= 1e-9, value, 0.0)  # noqa: E731
+    elif kind == "edge-window":
+        half_width = cfg["problem.inflow.half_width"]
+
+        def g(x, theta):
+            on_edge = np.abs(x[:, 0] - lo0) <= 1e-9
+            in_window = np.abs(np.angle(np.exp(1j * theta))) <= half_width + 1e-12
+            return np.where(on_edge & in_window, value, 0.0)
+
+    return sigma_a, f, g
+
+
+@pytest.mark.parametrize("scheme", [ps.TENSOR_GAUSS, ps.MONTE_CARLO])
+@pytest.mark.parametrize("name", [name for name in presets.PRESETS if name != "oracle-verify"])
+def test_data_fields_equal_the_closures_they_replace(name, scheme):
+    # examples 1, 4 and 5 run kinds that no benchmark workload runs
+    cfg = presets.expand_preset(name, {"quadrature.scheme": scheme})
+    (problem, _), quad = cf.build_problem(cfg), cf.build_quadrature_set(cfg)
+    sigma_a, f, g = _closures_replaced(cfg)
+    if cfg["problem.manufactured"]:
+        f = problem.data.f  # a manufactured problem brings its own source closure
+    for nodes in (quad.interior, quad.boundary):
+        assert np.array_equal(problem.sigma_a(nodes.x), sigma_a(nodes.x))
+        for new, old in ((problem.data.f, f), (problem.data.g, g)):
+            assert (new is None) == (old is None)
+            if new is not None:
+                assert isinstance(new, ko.CoefficientField) or cfg["problem.manufactured"]
+                got, want = new(nodes.x, nodes.theta), old(nodes.x, nodes.theta)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_inflow_noise_frozen_and_support_masked():
     nodes = ps.tensor_boundary(ps.UNIT_SQUARE, 4, 4)
 
-    def g(x, theta):
-        return np.where(np.abs(x[:, 0]) <= 1e-9, 1.0, 0.0)
-
-    data = ko.SourceAndInflow(None, g, ko.NoiseSpec(0.05, 123))
+    data = ko.SourceAndInflow(None, ko.CoefficientField("left-edge", (0.0, 1.0)), ko.NoiseSpec(0.05, 123))
     a = data.inflow(nodes)
     b = data.inflow(nodes)
     assert np.array_equal(a, b)  # frozen realization

@@ -28,7 +28,7 @@ def _quad(n_spatial=3, n_angular=8, n_boundary=(3, 3), scheme=ps.TENSOR_GAUSS, s
 
 def _problem(sigma_a=1.0, sigma_t=0.0, kernel=None, f=None, g=None):
     return ko.ProblemSpec(
-        ko.constant_absorption(sigma_a),
+        ko.CoefficientField("constant", (sigma_a,)),
         sigma_t,
         kernel or ko.isotropic_kernel(),
         ko.SourceAndInflow(f, g),
@@ -517,7 +517,7 @@ def test_every_row_handed_to_a_pass_is_the_embedding_of_its_phase_point(monkeypa
         assert got and all(len(emb) <= net.ROW_BLOCK for emb, _ in got)
         return tuple(np.concatenate(part) for part in zip(*got))
 
-    problem = ko.ProblemSpec(ko.constant_absorption(1.0), 0.5, ko.isotropic_kernel(), ko.SourceAndInflow())
+    problem = _problem(sigma_t=0.5)
     params = net.init_params((4, 8, 1), seed=1)
     tensor = ps.build_quadrature(n_spatial=9, n_angular=12, n_boundary=(3, 3))
     loose = ps.build_quadrature(scheme=ps.MONTE_CARLO, n_spatial=200, n_angular=12, n_boundary=128, seed=2)

@@ -18,7 +18,7 @@ def _tiny_setup(g=None, f=None, scheme=ps.TENSOR_GAUSS):
     else:
         quad = ps.build_quadrature(scheme=scheme, n_spatial=4, n_angular=6, n_boundary=(3, 3))
     problem = ko.ProblemSpec(
-        ko.constant_absorption(1.0), 0.0, ko.isotropic_kernel(), ko.SourceAndInflow(f, g)
+        ko.CoefficientField("constant", (1.0,)), 0.0, ko.isotropic_kernel(), ko.SourceAndInflow(f, g)
     )
     params = net.init_params((4, 8, 1), seed=0)
     return quad, problem, params
