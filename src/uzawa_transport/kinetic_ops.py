@@ -179,6 +179,10 @@ class NoiseSpec:
     std: float
     seed: int
 
+    def __post_init__(self):
+        if not 0 <= self.std < np.inf:  # NaN fails both checks
+            raise ContractViolation("noise std must be finite and nonnegative")
+
 
 @dataclass
 class SourceAndInflow:

@@ -13,15 +13,16 @@ discrete inner products, the residual identity, the multiplier distance
 recursion, and the telescoping bound hold to solver precision at every
 iterate; this is what the acceptance identity suite checks.
 
-The multiplier lives on the frozen inflow nodes and is stepped by the
-solver's own ``uzawa.multiplier_update``.  Its component orthogonal to the
-trace image of the basis is never touched by the updates, so the reference
-multiplier is the unique fixed point inside (initial multiplier + trace
-image), computed by one boundary-mass solve.  A run keeps three records per
-iterate, never the multiplier: c_k, ||lambda_k - lambda*||_w and the moment
-trace' W (lambda_k - lambda*).  With e_k = c_k - c*, each identity is an
-array expression in them: <dlam, trace e>_w = moment . e, and
-||trace e||_w^2 = e' boundary_mass e.
+The multiplier lives on the frozen inflow nodes, starts at 0 as in
+``uzawa.run``, and is stepped by the solver's own
+``uzawa.multiplier_update``.  The updates only add traces of the basis, so
+the reference multiplier is the unique fixed point inside the trace image,
+computed by one boundary-mass solve.  A run keeps, per iterate and never
+the multiplier: c_k, ||lambda_k - lambda*||_w, the moment
+trace' W (lambda_k - lambda*), and with e_k = c_k - c* the energies
+e_k' pde_gram e_k and e_k' boundary_mass e_k (= ||trace e_k||_w^2) and the
+triple norm.  Each identity is an array expression in these records, with
+<dlam, trace e>_w = moment . e.
 
 The boundary side is factored per edge as well.  The inflow rule orders its
 nodes by edge, then angle, then position, so on edge e the trace of the
@@ -168,42 +169,37 @@ def _checked(mat, what):
     return mat
 
 
-def fixed_point_solve(space, g_values, lambda0=None):
-    """Discrete saddle point: trace-fitting coefficients and the multiplier.
+def fixed_point_solve(space, g_values):
+    """Discrete saddle point (c_star, lambda_star) of a run started at lambda = 0.
 
-    Returns (c_star, lambda_star, trace_mismatch); the mismatch reports how
-    well the datum is representable in the span's trace image and should be
-    near zero for data constructed inside it.  Neither c* nor lambda*
-    depends on gamma: c* is the weighted least-squares fit, solved by its
-    normal equations boundary_mass c* = trace' W g, which cancel the gamma
-    terms.  The checked ``boundary_mass`` also serves the saddle solve.
+    Neither depends on gamma: c* is the weighted least-squares fit, solved
+    by its normal equations boundary_mass c* = trace' W g, which cancel the
+    gamma terms.  The updates move the multiplier only inside the trace
+    image, so lambda* is the fixed point there: the trace of d with
+    boundary_mass d = pde_gram c*.  The checked ``boundary_mass`` serves
+    both solves.
     """
     g_values = np.asarray(g_values, dtype=float)
-    weight = space.inflow.weight
     boundary_mass = _checked(space.boundary_mass, "boundary-mass")
-    c_star = np.linalg.solve(boundary_mass, space.trace_adjoint(weight * g_values))
-    mismatch = uzawa.boundary_residual(space.inflow, space.boundary_values(c_star) - g_values)
-    lambda0 = 0.0 if lambda0 is None else np.asarray(lambda0, dtype=float)
-    lambda0 = np.broadcast_to(lambda0, len(space.inflow))
-    target = space.pde_gram @ c_star - space.trace_adjoint(weight * lambda0)
-    d = np.linalg.solve(boundary_mass, target)
-    lambda_star = lambda0 + space.boundary_values(d)
-    return c_star, lambda_star, mismatch
+    c_star = np.linalg.solve(boundary_mass, space.trace_adjoint(space.inflow.weight * g_values))
+    lambda_star = space.boundary_values(np.linalg.solve(boundary_mass, space.pde_gram @ c_star))
+    return c_star, lambda_star
 
 
 @dataclass
 class OracleRun:
     """Records of one run, one row per iterate k: c_k, ||lambda_k - lambda*||_w,
-    the 18-number moment trace' W (lambda_k - lambda*) and the energy norms
-    of e_k = c_k - c*.  The multiplier iterates themselves are not kept."""
+    the 18-number moment trace' W (lambda_k - lambda*), and for e_k = c_k - c*
+    the energies e_k' pde_gram e_k and e_k' boundary_mass e_k and the triple
+    norm.  The multiplier iterates themselves are not kept."""
 
     coefficients: np.ndarray
     c_star: np.ndarray
     lambda_star: np.ndarray
     dist_lambda: np.ndarray
     moments: np.ndarray
-    err_pde: np.ndarray
-    err_boundary: np.ndarray
+    pde_energy: np.ndarray
+    boundary_energy: np.ndarray
     err_triple: np.ndarray
 
 
@@ -212,67 +208,38 @@ def _energy(errors, mat):
     return np.einsum("ki,ij,kj->k", errors, mat, errors)
 
 
-def run_uzawa_oracle(space, gamma, rho, n_iter, lambda0=0.0, g_values=None):
-    """Iterate with exact inner solves; records hold n_iter + 1 iterates.
+def run_uzawa_oracle(space, gamma, rho, n_iter, g_values=None):
+    """Iterate from lambda = 0 with exact inner solves; records hold n_iter + 1 iterates.
 
-    H is built and condition-checked once per run; each iterate is one LU
-    solve with it, not an inverse, whose small residual the identities need.
-    The multiplier is stepped by ``uzawa.multiplier_update`` and measured by
-    ``uzawa.boundary_residual``, looked up at call time, so the identities
-    certify the solver's own step.  The moment is rhs_k - rhs*: no extra pass."""
+    H = pde_gram + gamma * boundary_mass is built and condition-checked once
+    per run; each iterate is one LU solve with it, not an inverse, whose
+    small residual the identities need.  The multiplier is stepped by
+    ``uzawa.multiplier_update`` and measured by ``uzawa.boundary_residual``,
+    looked up at call time, so the identities certify the solver's own
+    step.  The moment is rhs_k - rhs*: no extra pass."""
     if not rho > 0:  # NaN fails it too
         raise ContractViolation("multiplier step rho must be positive")
     nodes = space.inflow
     g_values = np.zeros(len(nodes)) if g_values is None else np.asarray(g_values, dtype=float)
-    lam = MultiplierField(np.broadcast_to(np.asarray(lambda0, dtype=float), (len(nodes),)), nodes)
-    c_star, lambda_star, _ = fixed_point_solve(space, g_values, lambda0=lam.values)
+    lam = MultiplierField(np.zeros(len(nodes)), nodes)
+    c_star, lambda_star = fixed_point_solve(space, g_values)
 
-    star = QuadraticObjective.from_space(space, lambda_star, gamma, g_values)
-    hessian = _checked(star.hessian, "inner")
+    hessian = _checked(space.pde_gram + gamma * space.boundary_mass, "inner")
+    rhs_star = space.rhs(lambda_star, gamma, g_values)
     coeffs, dist, moments = [], [], []
     for k in range(n_iter + 1):
         rhs = space.rhs(lam.values, gamma, g_values)
         c = np.linalg.solve(hessian, rhs)
         coeffs.append(c)
-        moments.append(rhs - star.linear)
+        moments.append(rhs - rhs_star)
         dist.append(uzawa.boundary_residual(nodes, lam.values - lambda_star))
         if k < n_iter:
             lam = uzawa.multiplier_update(lam, space.boundary_values(c) - g_values, rho)
     coeffs = np.array(coeffs)
+    e = coeffs - c_star
     grams = (space.pde_gram, space.boundary_mass, space.triple_gram())
-    errs = (np.sqrt(_energy(coeffs - c_star, gram)) for gram in grams)
-    return OracleRun(coeffs, c_star, lambda_star, np.array(dist), np.array(moments), *errs)
-
-
-@dataclass
-class QuadraticObjective:
-    """The oracle's inner problem as an explicit convex quadratic.
-
-    value(c) = 1/2 c' H c - r' c with H = pde_gram + gamma * boundary_mass;
-    ``lipschitz`` is the largest eigenvalue of H (the gradient's Lipschitz
-    constant), and ``minimizer`` the exact solution.
-    """
-
-    hessian: np.ndarray
-    linear: np.ndarray
-
-    @classmethod
-    def from_space(cls, space, lambda_vec, gamma, g_values=0.0):
-        return cls(space.pde_gram + gamma * space.boundary_mass, space.rhs(lambda_vec, gamma, g_values))
-
-    def value(self, c):
-        return 0.5 * c @ self.hessian @ c - self.linear @ c
-
-    def grad(self, c):
-        return self.hessian @ c - self.linear
-
-    @property
-    def lipschitz(self):
-        return float(np.linalg.eigvalsh(self.hessian).max())
-
-    @property
-    def minimizer(self):
-        return np.linalg.solve(_checked(self.hessian, "inner"), self.linear)
+    pde, bnd, triple = (_energy(e, gram) for gram in grams)
+    return OracleRun(coeffs, c_star, lambda_star, np.array(dist), np.array(moments), pde, bnd, np.sqrt(triple))
 
 
 # -- identity gaps ------------------------------------------------------------
@@ -296,28 +263,26 @@ def default_trace_datum(space):
     return c_g, space.boundary_values(c_g)
 
 
-def residual_identity_gap(space, run, gamma):
+def residual_identity_gap(run, gamma):
     """Worst deviation of <(T+S)e,(T+S)e> + gamma<e,e>_b = <dlam, e>_b,
     the right side being the stored moment dotted with e."""
-    e = run.coefficients - run.c_star
-    lhs = _energy(e, space.pde_gram) + gamma * _energy(e, space.boundary_mass)
-    return float(np.abs(lhs - np.sum(run.moments * e, axis=1)).max())
+    lhs = run.pde_energy + gamma * run.boundary_energy
+    return float(np.abs(lhs - np.sum(run.moments * (run.coefficients - run.c_star), axis=1)).max())
 
 
-def recursion_identity_gap(space, run, rho):
+def recursion_identity_gap(run, rho):
     """Worst deviation of the multiplier distance recursion
     |dlam_{k+1}|^2 = |dlam_k|^2 - 2 rho <dlam_k, e_k>_b + rho^2 |e_k|_b^2."""
     e = (run.coefficients - run.c_star)[:-1]
     d2 = run.dist_lambda**2
     cross = np.sum(run.moments[:-1] * e, axis=1)
-    rhs = d2[:-1] - 2.0 * rho * cross + rho**2 * _energy(e, space.boundary_mass)
+    rhs = d2[:-1] - 2.0 * rho * cross + rho**2 * run.boundary_energy[:-1]
     return float(np.abs(d2[1:] - rhs).max(initial=0.0))
 
 
-def telescoping_check(space, run, gamma, rho):
+def telescoping_check(run, gamma, rho):
     """(gap to the exact telescoped drop, partial sum, initial distance^2)."""
-    e = (run.coefficients - run.c_star)[:-1]
-    pde, bnd = _energy(e, space.pde_gram), _energy(e, space.boundary_mass)
+    pde, bnd = run.pde_energy[:-1], run.boundary_energy[:-1]
     total = float(np.sum(2.0 * rho * pde + rho * (2.0 * gamma - rho) * bnd))
     drop = run.dist_lambda[0] ** 2 - run.dist_lambda[-1] ** 2
     return abs(total - drop), total, run.dist_lambda[0] ** 2
@@ -342,20 +307,19 @@ def verification_suite(n_iter=200, pairs=((1.0, 0.5), (1.0, 1.5), (2.0, 3.5))):
     gate.  Every case runs on one trial space (absorption 1, scattering
     0.1) and one fixed datum (``default_trace_datum``); the strong-regime
     case uses gamma 2, rho 1.
-    Each run keeps, per iterate, only c_k, ||lambda_k - lambda*||_w and the
-    moment trace' W (lambda_k - lambda*); the residual identity and the
-    recursion are read from those records, the telescoping bound and the
-    monotone and strong-regime checks from the distance and error series.
+    The identities and the telescoping bound read each run's stored moments
+    and energies, the monotone check its distances, the strong-regime
+    checks its triple-norm errors; no energy is computed twice.
     """
     checks = []
     sigma_a, sigma_t = 1.0, 0.1
     space = LinearTrialSpace(sigma_a=sigma_a, sigma_t=sigma_t)
     _, g_values = default_trace_datum(space)
     for gamma, rho in pairs:
-        run = run_uzawa_oracle(space, gamma, rho, n_iter, 0.0, g_values)
-        gap_res = residual_identity_gap(space, run, gamma)
-        gap_rec = recursion_identity_gap(space, run, rho)
-        gap_tel, total, bound = telescoping_check(space, run, gamma, rho)
+        run = run_uzawa_oracle(space, gamma, rho, n_iter, g_values)
+        gap_res = residual_identity_gap(run, gamma)
+        gap_rec = recursion_identity_gap(run, rho)
+        gap_tel, total, bound = telescoping_check(run, gamma, rho)
         mono = bool(np.all(np.diff(run.dist_lambda) <= 1e-12))
         label = f"gamma={gamma}, rho={rho}"
         checks.append((f"residual identity ({label})", gap_res <= 1e-10, f"max gap {gap_res:.3e}"))
@@ -370,7 +334,7 @@ def verification_suite(n_iter=200, pairs=((1.0, 0.5), (1.0, 1.5), (2.0, 3.5))):
         checks.append((f"monotone multiplier distance ({label})", mono, ""))
 
     gamma, rho = 2.0, 1.0
-    run = run_uzawa_oracle(space, gamma, rho, n_iter, 0.0, g_values)
+    run = run_uzawa_oracle(space, gamma, rho, n_iter, g_values)
     c_const = strong_regime_constant(sigma_a, sigma_t, gamma, rho)
     partial = c_const * np.cumsum(run.err_triple[:-1] ** 2)
     bound = run.dist_lambda[0] ** 2 + 1e-8

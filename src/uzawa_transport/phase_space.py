@@ -3,8 +3,9 @@
 The phase space is a rectangle D crossed with the unit circle.  Three
 measures matter: the product measure on D x S^1, the angular measure on
 S^1, and the inflow-boundary measure |n . omega| dx domega on the part of
-the boundary where directions point into D.  Both deterministic tensor
-rules and seeded Monte Carlo samplers are provided for each.
+the boundary where directions point into D.  Each has a deterministic
+tensor rule; the product and inflow measures also have seeded Monte Carlo
+samplers.  Both schemes use the same equispaced angular rule.
 
 Tensor rules: Gauss-Legendre in each spatial axis, equispaced midpoint
 nodes on the circle (spectrally accurate for periodic integrands), and,

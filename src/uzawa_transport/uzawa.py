@@ -175,7 +175,11 @@ class StrongRegime:
 
 def check_strong_regime(sigma_a, sigma_t, rho, gamma):
     """Absorption-dominance check: scattering below a quarter of absorption
-    and the multiplier step below 2*gamma - sigma_a - sqrt(sigma_a^2 - 16*sigma_t^2)."""
+    and the multiplier step below 2*gamma - sigma_a - sqrt(sigma_a^2 - 16*sigma_t^2).
+
+    The step bound is sufficient, not sharp: ``linear_oracle.strong_regime_constant``
+    is positive exactly when sigma_t < sigma_a / 4 and
+    rho < 2*gamma - sigma_a + sqrt(sigma_a^2 - 16*sigma_t^2)."""
     if not all(math.isfinite(v) and v >= 0 for v in (sigma_a, sigma_t, rho, gamma)):
         raise ContractViolation("regime parameters must be finite and nonnegative")
     if sigma_t >= sigma_a / 4.0 or sigma_a == 0.0:

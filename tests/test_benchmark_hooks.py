@@ -41,3 +41,17 @@ def test_benchmark_child_run_passes_its_gates(tmp_path, workload):
     assert out.returncode == 0, out.stderr
     gates = json.loads(out.stdout.strip().splitlines()[-1])["gates"]
     assert gates and all(gates.values()), gates
+
+
+def test_traced_oracle_run_times_its_identity_checks(tmp_path):
+    # the tracer times the gap functions by replacing the module attributes;
+    # a suite that stopped calling them through the module would read 0 here
+    child = os.path.join(PERFBENCH, "child.py")
+    spans = (tmp_path / "spans.json").as_posix()
+    args = ["--workload", "oracle-verify", "--seed", "0", "--out", tmp_path.as_posix(), "--trace", spans]
+    out = subprocess.run([sys.executable, child, *args], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    layers = json.loads(out.stdout.strip().splitlines()[-1])["layers"]
+    assert layers["linear_oracle.checks_passed"][0] == 14
+    assert layers["linear_oracle.identity_checks.ms"][0] > 0
+    assert layers["linear_oracle.run_uzawa_oracle.ms"][0] > 0

@@ -386,11 +386,14 @@ def _problem_with(sigma_a=None, sigma_t=0.0):
         lambda: _problem_with(ko.CoefficientField("constant", (np.inf,))),
         lambda: _problem_with(ko.CoefficientField("ball", (0.5, 0.5, 0.15, np.nan, 1.0))),
         lambda: _problem_with(ko.CoefficientField("split-plane", (0.5, 0.1, -5.0))),
+        lambda: ko.NoiseSpec(np.nan, 1),
+        lambda: ko.NoiseSpec(np.inf, 1),
+        lambda: ko.NoiseSpec(-0.1, 1),
     ],
     ids=[
         "gamma-nan", "gamma-inf", "gamma-negative", "epsilon-nan", "sigma_t-nan", "sigma_t-inf",
         "sigma_t-negative", "sigma_a-negative", "sigma_a-nan", "sigma_a-inf", "ball-inside-nan",
-        "split-right-negative",
+        "split-right-negative", "noise-std-nan", "noise-std-inf", "noise-std-negative",
     ],
 )
 def test_constructors_refuse_constants_out_of_range(build):

@@ -113,17 +113,18 @@ def test_datum_is_the_seeded_draw_bit_for_bit(space, datum):
 
 
 def test_exact_inner_solve_zero_case(space):
-    c = lo.QuadraticObjective.from_space(space, np.zeros(len(space.inflow)), 1.0).minimizer
-    assert np.abs(c).max() <= 1e-14
+    # with g = 0 the saddle point is 0 and every inner solve returns 0
+    run = lo.run_uzawa_oracle(space, 1.0, 0.5, 10)
+    assert np.abs(run.coefficients).max() <= 1e-14
 
 
-def test_exact_inner_solve_first_order_optimality(space):
-    rng = np.random.default_rng(3)
-    lam = rng.normal(size=len(space.inflow))
+def test_exact_inner_solve_first_order_optimality(space, datum):
+    # H c_k = rhs_k and H c* = rhs*, so H (c_k - c*) is the stored moment
     gamma = 1.3
-    obj = lo.QuadraticObjective.from_space(space, lam, gamma)
-    c = obj.minimizer
-    assert np.linalg.norm(obj.grad(c)) <= 1e-10 * max(1.0, np.linalg.norm(obj.linear))
+    run = lo.run_uzawa_oracle(space, gamma, 0.5, 20, g_values=datum[1])
+    hessian = space.pde_gram + gamma * space.boundary_mass
+    for c, moment in zip(run.coefficients, run.moments):
+        assert np.linalg.norm(hessian @ (c - run.c_star) - moment) <= 1e-10 * np.linalg.norm(moment)
 
 
 def test_one_basis_closed_form():
@@ -135,20 +136,16 @@ def test_one_basis_closed_form():
         space = lo.LinearTrialSpace(sigma_a=sigma_a, sigma_t=sigma_t)
         w = space.inflow.weight
         lam, g = rng.normal(size=len(w)), rng.normal(size=len(w))
-        objective = lo.QuadraticObjective.from_space(space, lam, gamma, g)
-        h00 = 2.0 * np.pi * sigma_a**2 + gamma * 8.0
-        r0 = w @ (gamma * g + lam)
-        assert objective.hessian[0, 0] == pytest.approx(h00, rel=1e-12)
-        assert objective.linear[0] == pytest.approx(r0, rel=1e-12)
-        one = lo.QuadraticObjective(objective.hessian[:1, :1], objective.linear[:1])
-        assert one.minimizer[0] == pytest.approx(r0 / h00, rel=1e-12)
+        hessian = space.pde_gram + gamma * space.boundary_mass
+        assert hessian[0, 0] == pytest.approx(2.0 * np.pi * sigma_a**2 + gamma * 8.0, rel=1e-12)
+        assert space.rhs(lam, gamma, g)[0] == pytest.approx(w @ (gamma * g + lam), rel=1e-12)
 
 
 def test_fixed_point_trace_fit_and_gamma_independence(space, datum, dense_trace):
     c_g, g_values = datum
     # one solve serves every gamma
-    c_star, lambda_star, mismatch = lo.fixed_point_solve(space, g_values)
-    assert mismatch <= 1e-10
+    c_star, lambda_star = lo.fixed_point_solve(space, g_values)
+    assert uzawa.boundary_residual(space.inflow, space.boundary_values(c_star) - g_values) <= 1e-10
     for gamma in (0.5, 1.0, 2.0):
         # optimality identity: (A + gamma B) c* = Phi' W (gamma g + lambda*)
         lhs = (space.pde_gram + gamma * space.boundary_mass) @ c_star
@@ -158,7 +155,7 @@ def test_fixed_point_trace_fit_and_gamma_independence(space, datum, dense_trace)
 
 def test_fixed_point_recovers_exact_coefficients(space, datum):
     c_g, g_values = datum
-    c_star, _, _ = lo.fixed_point_solve(space, g_values)
+    c_star, _ = lo.fixed_point_solve(space, g_values)
     np.testing.assert_allclose(c_star, c_g, atol=1e-10)
 
 
@@ -169,20 +166,20 @@ def test_fixed_point_fit_is_the_weighted_least_squares_fit(space, datum, dense_t
     outside = np.random.default_rng(5).standard_normal(len(space.inflow))
     for g_values in (datum[1], outside):
         want, *_ = np.linalg.lstsq(sqw[:, None] * dense_trace, sqw * g_values, rcond=None)
-        c_star, _, _ = lo.fixed_point_solve(space, g_values)
+        c_star, _ = lo.fixed_point_solve(space, g_values)
         assert np.abs(c_star - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_residual_identity_along_run(space, datum):
     _, g_values = datum
     run = lo.run_uzawa_oracle(space, gamma=1.0, rho=0.5, n_iter=200, g_values=g_values)
-    assert lo.residual_identity_gap(space, run, gamma=1.0) <= 1e-10
+    assert lo.residual_identity_gap(run, gamma=1.0) <= 1e-10
 
 
 def test_distance_recursion_along_run(space, datum):
     _, g_values = datum
     run = lo.run_uzawa_oracle(space, gamma=1.0, rho=0.5, n_iter=200, g_values=g_values)
-    assert lo.recursion_identity_gap(space, run, rho=0.5) <= 1e-10
+    assert lo.recursion_identity_gap(run, rho=0.5) <= 1e-10
 
 
 @pytest.mark.parametrize("gamma,rho", [(1.0, 0.5), (1.0, 1.5), (2.0, 3.5)])
@@ -198,7 +195,7 @@ def test_telescoping_bound(space, datum):
     _, g_values = datum
     gamma, rho = 1.0, 0.5
     run = lo.run_uzawa_oracle(space, gamma, rho, 200, g_values=g_values)
-    gap, total, bound = lo.telescoping_check(space, run, gamma, rho)
+    gap, total, bound = lo.telescoping_check(run, gamma, rho)
     assert gap <= 1e-8
     assert total <= bound + 1e-8
 
@@ -228,6 +225,23 @@ def test_strong_regime_series(space, datum):
     assert np.all(np.diff(run.err_triple) <= 1e-12)
 
 
+def test_strong_regime_check_implies_a_positive_constant():
+    # check_strong_regime's step bound 2 gamma - sigma_a - sqrt(sigma_a^2 - 16 sigma_t^2)
+    # is sufficient: the constant is positive on a wider step range
+    n_valid = 0
+    for sigma_a in (0.25, 0.5, 1.0, 2.0, 4.0):
+        for sigma_t in np.linspace(0.0, 0.3, 7) * sigma_a:
+            for gamma in (0.25, 0.5, 1.0, 2.0, 3.0):
+                for rho in np.linspace(0.1, 2.0 * gamma, 7):
+                    if uzawa.check_strong_regime(sigma_a, sigma_t, rho, gamma).valid:
+                        n_valid += 1
+                        assert lo.strong_regime_constant(sigma_a, sigma_t, gamma, rho) > 0
+    assert n_valid > 50
+    # a step past the check's bound that still has a positive constant
+    assert not uzawa.check_strong_regime(1.0, 0.1, 3.0, 2.0).valid
+    assert lo.strong_regime_constant(1.0, 0.1, 2.0, 3.0) > 1.3
+
+
 @pytest.mark.parametrize(
     "sigma_a, sigma_t, gamma, rho", [(1.0, 0.1, 2.0, 1.0), (2.0, 0.05, 1.5, 0.5), (0.5, 0.3, 3.0, 2.0)]
 )
@@ -247,9 +261,41 @@ def test_strong_regime_constant_matches_a_loop(sigma_a, sigma_t, gamma, rho):
 def test_run_series_lengths(space, datum):
     _, g_values = datum
     run = lo.run_uzawa_oracle(space, 1.0, 0.5, 17, g_values=g_values)
-    for series in (run.dist_lambda, run.err_pde, run.err_boundary, run.err_triple):
+    for series in (run.dist_lambda, run.pde_energy, run.boundary_energy, run.err_triple):
         assert len(series) == 18
     assert run.coefficients.shape == run.moments.shape == (18, space.n_basis)
+
+
+def _recomputed_gaps(space, run, gamma, rho):
+    """The reference for the three gap functions: the same formulas, with
+    e' A e and e' B e recomputed from the coefficients and the Grams."""
+    e = run.coefficients - run.c_star
+    lhs = lo._energy(e, space.pde_gram) + gamma * lo._energy(e, space.boundary_mass)
+    res = float(np.abs(lhs - np.sum(run.moments * e, axis=1)).max())
+    e = e[:-1]
+    d2 = run.dist_lambda**2
+    cross = np.sum(run.moments[:-1] * e, axis=1)
+    rhs = d2[:-1] - 2.0 * rho * cross + rho**2 * lo._energy(e, space.boundary_mass)
+    rec = float(np.abs(d2[1:] - rhs).max(initial=0.0))
+    pde, bnd = lo._energy(e, space.pde_gram), lo._energy(e, space.boundary_mass)
+    total = float(np.sum(2.0 * rho * pde + rho * (2.0 * gamma - rho) * bnd))
+    drop = run.dist_lambda[0] ** 2 - run.dist_lambda[-1] ** 2
+    return res, rec, (abs(total - drop), total, run.dist_lambda[0] ** 2)
+
+
+@pytest.mark.parametrize("gamma,rho", [(1.0, 0.5), (1.0, 1.5), (2.0, 3.5), (2.0, 1.0)])
+def test_stored_energies_feed_the_recomputed_gaps(space, datum, gamma, rho):
+    # the suite's four (gamma, rho) pairs
+    run = lo.run_uzawa_oracle(space, gamma, rho, 50, g_values=datum[1])
+    e = run.coefficients - run.c_star
+    assert np.array_equal(run.pde_energy, lo._energy(e, space.pde_gram))
+    assert np.array_equal(run.boundary_energy, lo._energy(e, space.boundary_mass))
+    got = (
+        lo.residual_identity_gap(run, gamma),
+        lo.recursion_identity_gap(run, rho),
+        lo.telescoping_check(run, gamma, rho),
+    )
+    assert got == _recomputed_gaps(space, run, gamma, rho)
 
 
 def test_records_match_a_node_space_iteration(space, datum, dense_trace):
@@ -286,7 +332,7 @@ def test_recursion_gap_certifies_the_production_step(space, datum, monkeypatch):
     step = uzawa.multiplier_update
     monkeypatch.setattr(uzawa, "multiplier_update", lambda m, r, rho: step(m, r, rho * (1 + 1e-6)))
     run = lo.run_uzawa_oracle(space, 1.0, 0.5, 50, g_values=g_values)
-    assert lo.recursion_identity_gap(space, run, rho=0.5) > 1e-10
+    assert lo.recursion_identity_gap(run, rho=0.5) > 1e-10
 
 
 def test_singular_inner_system_refused():

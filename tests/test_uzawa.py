@@ -5,7 +5,6 @@ import pytest
 
 from uzawa_transport import kinetic_ops as ko
 from uzawa_transport import lagrangian as lg
-from uzawa_transport import linear_oracle as lo
 from uzawa_transport import network as net
 from uzawa_transport import phase_space as ps
 from uzawa_transport import uzawa
@@ -198,25 +197,6 @@ def test_overflowing_optimizer_step_aborts():
     with np.errstate(over="ignore"):
         with pytest.raises(NumericalAbort, match="parameters .* outer step 0, inner step 0"):
             uzawa.run(problem, quad, params, cfg, lcfg, seed=0)
-
-
-def test_gd_suboptimality_bound_on_quadratic():
-    # plain gradient descent with eta = 1/L on the oracle quadratic:
-    # gap(T) <= ||theta0 - theta*||^2 / (2 eta T)
-    space = lo.LinearTrialSpace(sigma_a=1.0, sigma_t=0.1)
-    rng = np.random.default_rng(8)
-    lam = rng.normal(size=len(space.inflow))
-    objective = lo.QuadraticObjective.from_space(space, lam, gamma=1.0)
-    eta = 1.0 / objective.lipschitz
-    c_star = objective.minimizer
-    f_star = objective.value(c_star)
-    c0 = rng.normal(size=space.n_basis)
-    gap0 = np.linalg.norm(c0 - c_star) ** 2
-    c = c0.copy()
-    for t in range(1, 1001):
-        c = c - eta * objective.grad(c)
-        if t in (10, 100, 1000):
-            assert objective.value(c) - f_star <= gap0 / (2 * eta * t) + 1e-12
 
 
 def test_adam_matches_reference_formula():
