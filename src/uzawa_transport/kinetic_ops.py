@@ -50,8 +50,10 @@ def _per_node_set(cache, nodes, build):
 # -- data fields --------------------------------------------------------------
 
 
-# the index of each kind's first value in its params; those before place it
-_FIRST_VALUE = {"constant": 0, "ball": 3, "split-plane": 1, "left-edge": 1, "edge-window": 2}
+# per kind: (index of its first value, params count); the params before the first value place it
+_LAYOUT = {
+    "constant": (0, 1), "ball": (3, 5), "split-plane": (1, 3), "left-edge": (1, 2), "edge-window": (2, 3)
+}
 
 
 @dataclass(frozen=True)
@@ -71,13 +73,15 @@ class CoefficientField:
     params: tuple
 
     def __post_init__(self):
-        if self.kind not in _FIRST_VALUE:
+        if self.kind not in _LAYOUT:
             raise ContractViolation(f"unknown field kind '{self.kind}'")
+        if len(self.params) != _LAYOUT[self.kind][1]:
+            raise ContractViolation(f"a {self.kind} field takes {_LAYOUT[self.kind][1]} params")
 
     @property
     def values(self):
         """The values the field takes where it is set (the edge kinds are 0 elsewhere)."""
-        return self.params[_FIRST_VALUE[self.kind] :]
+        return self.params[_LAYOUT[self.kind][0] :]
 
     def __call__(self, x, theta=None):
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kinetic_ops
 from .errors import ContractViolation
-from .phase_space import TENSOR_GAUSS, InteriorNodes
+from .phase_space import TENSOR_GAUSS, PhaseNodes
 
 
 @dataclass
@@ -130,11 +130,11 @@ def subsample(quad, batch_interior, step_seed):
     n_full = len(interior) // k
     if batch_interior is None or batch_interior == n_full:
         return quad
-    if batch_interior > n_full:
-        raise ContractViolation("interior batch exceeds the available nodes")
+    if not 1 <= batch_interior <= n_full:  # NaN fails too
+        raise ContractViolation(f"interior batch must be between 1 and the {n_full} available blocks")
     rng = np.random.default_rng(step_seed)
     idx = np.sort(rng.choice(n_full, size=batch_interior, replace=False))
     rows = (idx[:, None] * k + np.arange(k)).ravel()
     scale = n_full / batch_interior
-    sub = InteriorNodes(interior.x[rows], interior.theta[rows], interior.weight[rows] * scale)
+    sub = PhaseNodes(interior.x[rows], interior.theta[rows], interior.weight[rows] * scale)
     return replace(quad, interior=sub)

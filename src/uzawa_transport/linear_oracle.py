@@ -46,9 +46,8 @@ from .errors import ContractViolation, IllConditionedSystem
 from .kinetic_ops import isotropic_kernel, scattering_apply
 from .lagrangian import MultiplierField
 from .phase_space import (
-    INFLOW,
-    BoundaryNodes,
     UNIT_SQUARE,
+    PhaseNodes,
     angular_rule,
     gauss_interval,
     tensor_boundary,
@@ -110,11 +109,13 @@ class LinearTrialSpace:
     advection_gram: np.ndarray = field(init=False, repr=False)
     boundary_mass: np.ndarray = field(init=False, repr=False)
     outflow_mass: np.ndarray = field(init=False, repr=False)
-    inflow: BoundaryNodes = field(init=False, repr=False)  # the multiplier's frozen nodes
+    inflow: PhaseNodes = field(init=False, repr=False)  # the multiplier's frozen nodes
     edge_ang: np.ndarray = field(init=False, repr=False)  # A_e: angular factor at edge e's angles
     edge_poly_t: np.ndarray = field(init=False, repr=False)  # P_e': polynomials at edge e's positions
 
     def __post_init__(self):
+        if not (0 <= self.sigma_a < np.inf and 0 <= self.sigma_t < np.inf):  # NaN fails too
+            raise ContractViolation("sigma_a and sigma_t must be finite and >= 0")
         domain = UNIT_SQUARE
         angular, (nodes, weights) = angular_rule(64), gauss_interval(32)
         x = np.column_stack([np.repeat(nodes, 32), np.tile(nodes, 32)])  # spatial part of tensor_interior
@@ -128,7 +129,7 @@ class LinearTrialSpace:
         ts_ang, ts_poly = np.concatenate([omega, react], 1), np.concatenate([grads, poly[:, None]], 1)
         self.pde_gram = _tensor_gram(ts_ang, ang_w, ts_poly, poly_w)
 
-        self.inflow = inflow = tensor_boundary(domain, 32, 32, side=INFLOW)
+        self.inflow = inflow = tensor_boundary(domain, 32, 32)
         # node (edge, angle, position): theta is constant along positions, x along angles
         theta, x = inflow.theta.reshape(4, 32, 32)[:, :, 0], inflow.x.reshape(4, 32, 32, 2)[:, 0]
         self.edge_ang = _angular_values(theta.ravel()).reshape(4, 32, _N_ANG)
@@ -219,6 +220,8 @@ def run_uzawa_oracle(space, gamma, rho, n_iter, g_values=None):
     step.  The moment is rhs_k - rhs*: no extra pass."""
     if not rho > 0:  # NaN fails it too
         raise ContractViolation("multiplier step rho must be positive")
+    if not n_iter >= 0:
+        raise ContractViolation("n_iter must be >= 0")
     nodes = space.inflow
     g_values = np.zeros(len(nodes)) if g_values is None else np.asarray(g_values, dtype=float)
     lam = MultiplierField(np.zeros(len(nodes)), nodes)

@@ -404,10 +404,14 @@ def save_params(params, path):
 
 
 def load_params(path):
+    """The network of a ``save_params`` checkpoint; any other file is
+    refused with a ContractViolation that names ``path``."""
     with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != CHECKPOINT_MAGIC:
+        if fh.readline().strip() != CHECKPOINT_MAGIC:
             raise ContractViolation(f"not a parameter checkpoint: {path}")
-        header = json.loads(fh.readline().decode())
-        flat = np.frombuffer(fh.read(), dtype="<f8")
-    return unflatten(flat, tuple(header["widths"]), header["activation"])
+        header, payload = fh.readline(), fh.read()
+    try:  # decode errors and ContractViolation are ValueErrors
+        header = json.loads(header.decode())
+        return unflatten(np.frombuffer(payload, dtype="<f8"), tuple(header["widths"]), header["activation"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ContractViolation(f"malformed parameter checkpoint {path}: {exc!r}") from exc

@@ -22,8 +22,9 @@ Monte Carlo rules: uniform samples on D x S^1 with constant weight
 (total inflow measure)/N.  Drawing from the weighted density keeps weights
 constant and avoids blow-up near grazing angles.
 
-``side=OUTFLOW`` gives the mirror boundary rules on the outflow boundary;
-``build_quadrature`` picks the scheme and builds the whole set.
+Interior and boundary rules alike give ``PhaseNodes``, phase points and
+weights; ``side=OUTFLOW`` gives the mirror rules on the outflow boundary,
+and ``build_quadrature`` picks the scheme and builds the whole set.
 """
 
 from __future__ import annotations
@@ -70,9 +71,8 @@ class Rectangle:
 
 UNIT_SQUARE = Rectangle()
 
-# per edge (bottom, right, top, left): outward normal, inward-normal angle,
-# start corner (True takes hi on that axis, False lo) and direction of travel
-_EDGE_NORMALS = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+# per edge (bottom, right, top, left): inward-normal angle, start corner
+# (True takes hi on that axis, False lo) and direction of travel
 _EDGE_INWARD_ANGLE = np.array([np.pi / 2.0, np.pi, 3.0 * np.pi / 2.0, 0.0])
 _EDGE_START = np.array([[False, False], [True, False], [False, True], [False, False]])
 _EDGE_DIRECTION = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -93,11 +93,12 @@ class AngularNodes:
 
 
 @dataclass
-class InteriorNodes:
-    """Phase-space nodes approximating the product measure on D x S^1.
+class PhaseNodes:
+    """Phase points (x, theta) and weights; every interior and boundary rule
+    gives one.  A boundary rule's weights carry the |n . omega| factor.
 
-    For tensor rules the rows are in spatial-major order: one block of K
-    rows per spatial point, x constant within the block and theta the
+    For tensor interior rules the rows are in spatial-major order: one block
+    of K rows per spatial point, x constant within the block and theta the
     angular rule's K nodes in order.
     """
 
@@ -110,30 +111,12 @@ class InteriorNodes:
 
 
 @dataclass
-class BoundaryNodes:
-    """Boundary nodes with the |n . omega| factor folded into the weight."""
-
-    x: np.ndarray
-    theta: np.ndarray
-    normal: np.ndarray
-    n_dot_omega: np.ndarray
-    weight: np.ndarray
-
-    @property
-    def omega(self):
-        return np.stack([np.cos(self.theta), np.sin(self.theta)], axis=1)
-
-    def __len__(self):
-        return self.weight.size
-
-
-@dataclass
 class QuadratureSet:
     """Interior, angular, and inflow-boundary rules used by one experiment."""
 
-    interior: InteriorNodes
+    interior: PhaseNodes
     angular: AngularNodes
-    boundary: BoundaryNodes
+    boundary: PhaseNodes
     scheme: str
     seeds: dict = field(default_factory=dict)
     domain: Rectangle = UNIT_SQUARE
@@ -225,23 +208,21 @@ def tensor_interior(domain, nx, ny, angular):
     x = np.repeat(sx, na, axis=0)
     theta = np.tile(angular.theta, ns)
     weight = (sw[:, None] * angular.weight[None, :]).ravel()
-    return InteriorNodes(x, theta, weight)
+    return PhaseNodes(x, theta, weight)
 
 
 def _edge_nodes(domain, edge, s, t, weight, side):
-    """Boundary nodes; node i sits on edge ``edge[i]`` at arclength fraction
-    ``s[i]`` from its start corner, with direction at angle ``t[i]`` in
-    (-pi/2, pi/2) from the inward normal (the outward one on the outflow
-    side, where n . omega = +cos t instead of -cos t).  ``weight`` already
-    carries the |n . omega| factor."""
+    """Boundary phase nodes; node i sits on edge ``edge[i]`` at arclength
+    fraction ``s[i]`` from its start corner, with direction at angle
+    ``t[i]`` in (-pi/2, pi/2) from the inward normal (from the outward one
+    on the outflow side), so that |n . omega| = cos t.  ``weight`` already
+    carries that factor."""
     lo, hi = np.asarray(domain.lo, dtype=float), np.asarray(domain.hi, dtype=float)
     corner = np.where(_EDGE_START, hi, lo)
     span = _EDGE_DIRECTION * (hi - lo)
     x = corner[edge] + s[:, None] * span[edge]
     base = _EDGE_INWARD_ANGLE + (np.pi if side == OUTFLOW else 0.0)
-    theta = (base[edge] + t) % (2.0 * np.pi)
-    n_dot_omega = (1.0 if side == OUTFLOW else -1.0) * np.cos(t)
-    return BoundaryNodes(x, theta, _EDGE_NORMALS[edge], n_dot_omega, weight)
+    return PhaseNodes(x, (base[edge] + t) % (2.0 * np.pi), weight)
 
 
 def tensor_boundary(domain, n_pos, n_ang, side=INFLOW):
@@ -273,7 +254,7 @@ def mc_interior(domain, n_points, seed):
     )
     theta = rng.uniform(0.0, 2.0 * np.pi, n_points)
     weight = np.full(n_points, domain.area * 2.0 * np.pi / n_points)
-    return InteriorNodes(x, theta, weight)
+    return PhaseNodes(x, theta, weight)
 
 
 def mc_boundary(domain, n_points, seed, side=INFLOW):

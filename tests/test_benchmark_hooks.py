@@ -55,3 +55,25 @@ def test_traced_oracle_run_times_its_identity_checks(tmp_path):
     assert layers["linear_oracle.checks_passed"][0] == 14
     assert layers["linear_oracle.identity_checks.ms"][0] > 0
     assert layers["linear_oracle.run_uzawa_oracle.ms"][0] > 0
+
+
+def test_traced_training_run_times_its_quadrature_and_assembly(tmp_path):
+    # the tracer times the quadrature rules, the assembly and the inflow by
+    # replacing the module and class attributes; a call that stopped going
+    # through them would read 0 here
+    child = os.path.join(PERFBENCH, "child.py")
+    out_dir, spans = tmp_path / "out", (tmp_path / "spans.json").as_posix()
+    out_dir.mkdir()
+    args = ["--workload", "mc-manufactured", "--seed", "0", "--out", out_dir.as_posix(), "--trace", spans]
+    out = subprocess.run([sys.executable, child, *args], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    layers = json.loads(out.stdout.strip().splitlines()[-1])["layers"]
+    assert layers["uzawa.inner_step_ms.n"][0] == 200
+    for name in (
+        "phase_space.build_quadrature.ms",
+        "phase_space.mc_interior.self_ms",
+        "lagrangian.assemble_with_gradient.self_ms",
+        "lagrangian.assemble.ms_per_outer",
+        "kinetic_ops.inflow.calls",
+    ):
+        assert layers[name][0] > 0, name

@@ -389,11 +389,21 @@ def _problem_with(sigma_a=None, sigma_t=0.0):
         lambda: ko.NoiseSpec(np.nan, 1),
         lambda: ko.NoiseSpec(np.inf, 1),
         lambda: ko.NoiseSpec(-0.1, 1),
+        lambda: ko.CoefficientField("constant", ()),
+        lambda: ko.CoefficientField("constant", (1.0, 2.0)),
+        lambda: ko.CoefficientField("ball", (0.5, 0.5)),
+        lambda: ko.CoefficientField("ball", (0.5, 0.5, 0.15, 50.0)),
+        lambda: ko.CoefficientField("split-plane", (0.5, 0.1)),
+        lambda: ko.CoefficientField("left-edge", (0.0,)),
+        lambda: ko.CoefficientField("edge-window", (0.0, 0.2)),
+        lambda: ko.CoefficientField("edge-window", (0.0, 0.2, 3.0, 1.0)),
     ],
     ids=[
         "gamma-nan", "gamma-inf", "gamma-negative", "epsilon-nan", "sigma_t-nan", "sigma_t-inf",
         "sigma_t-negative", "sigma_a-negative", "sigma_a-nan", "sigma_a-inf", "ball-inside-nan",
         "split-right-negative", "noise-std-nan", "noise-std-inf", "noise-std-negative",
+        "constant-no-params", "constant-two-params", "ball-two-params", "ball-four-params",
+        "split-two-params", "left-edge-one-param", "window-two-params", "window-four-params",
     ],
 )
 def test_constructors_refuse_constants_out_of_range(build):

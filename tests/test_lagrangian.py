@@ -219,6 +219,14 @@ def test_subsample_deterministic_and_bounded():
         lg.subsample(quad, 17, step_seed=0)
 
 
+@pytest.mark.parametrize("scheme", [ps.TENSOR_GAUSS, ps.MONTE_CARLO])
+@pytest.mark.parametrize("batch", [0, -1, float("nan")])
+def test_subsample_refuses_a_batch_below_one(scheme, batch):
+    quad = _quad(n_spatial=4, scheme=scheme)
+    with pytest.raises(ContractViolation, match="between 1 and"):
+        lg.subsample(quad, batch, step_seed=0)
+
+
 def test_tensor_subsample_keeps_whole_angular_blocks_in_order():
     # the rows of a tensor batch are whole K-row blocks of the full interior,
     # in the full interior's order: x constant in each, theta the angular rule

@@ -352,6 +352,24 @@ def test_rho_contract_refuses_nan(space):
         lo.run_uzawa_oracle(space, 1.0, float("nan"), 3)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda space: lo.LinearTrialSpace(np.nan, 0.1), id="sigma-a-nan"),
+        pytest.param(lambda space: lo.LinearTrialSpace(np.inf, 0.1), id="sigma-a-inf"),
+        pytest.param(lambda space: lo.LinearTrialSpace(-1.0, 0.1), id="sigma-a-negative"),
+        pytest.param(lambda space: lo.LinearTrialSpace(1.0, np.nan), id="sigma-t-nan"),
+        pytest.param(lambda space: lo.LinearTrialSpace(1.0, np.inf), id="sigma-t-inf"),
+        pytest.param(lambda space: lo.LinearTrialSpace(1.0, -0.5), id="sigma-t-negative"),
+        pytest.param(lambda space: lo.run_uzawa_oracle(space, 1.0, 1.0, n_iter=-1), id="n-iter-negative"),
+        pytest.param(lambda space: lo.run_uzawa_oracle(space, 1.0, 1.0, n_iter=np.nan), id="n-iter-nan"),
+    ],
+)
+def test_oracle_refuses_inputs_outside_the_theory(space, call):
+    with pytest.raises(ContractViolation):
+        call(space)
+
+
 def test_verification_suite_all_pass():
     checks = lo.verification_suite(n_iter=50)
     # the oracle benchmark gates on exactly this many passing checks

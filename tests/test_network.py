@@ -1,6 +1,7 @@
 """Trial network: init, evaluation, directional derivatives, checkpoints."""
 
 import json
+import re
 import tracemalloc
 import weakref
 
@@ -299,6 +300,30 @@ def test_checkpoint_of_a_retired_activation_refused(tmp_path, activation):
     raw = path.read_bytes().replace(b'"tanh"', f'"{activation}"'.encode(), 1)
     path.write_bytes(raw)
     with pytest.raises(ContractViolation, match=f"unknown activation '{activation}'"):
+        net.load_params(path)
+
+
+def _with_header(raw, header):
+    magic, _, payload = raw.split(b"\n", 2)
+    return magic + b"\n" + header + payload
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(lambda raw: raw[:-3], id="truncated-payload"),
+        pytest.param(lambda raw: raw[:-8], id="one-parameter-short"),
+        pytest.param(lambda raw: _with_header(raw, b""), id="header-missing"),
+        pytest.param(lambda raw: raw.replace(b'{"widths"', b"{widths", 1), id="header-not-json"),
+        pytest.param(lambda raw: raw.replace(b'"widths"', b'"sizes"', 1), id="header-without-widths"),
+        pytest.param(lambda raw: _with_header(raw, b"null\n"), id="header-not-an-object"),
+    ],
+)
+def test_malformed_checkpoint_refused_naming_its_path(tmp_path, damage):
+    path = tmp_path / "net.uzmlp"
+    net.save_params(net.init_params((4, 16, 1), seed=17), path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ContractViolation, match=re.escape(str(path))):
         net.load_params(path)
 
 

@@ -62,31 +62,47 @@ def test_inflow_measure_mc():
     assert nodes.weight.sum() == pytest.approx(8.0, abs=1e-3)
 
 
+def _outward_normals(domain, x):
+    """Each node's outward normal, read from the edge its position lies on
+    (x1 = lo or hi, x2 = lo or hi); every node lies on exactly one edge."""
+    lo, hi = np.asarray(domain.lo), np.asarray(domain.hi)
+    on = np.stack([x[:, 1] == lo[1], x[:, 0] == hi[0], x[:, 1] == hi[1], x[:, 0] == lo[0]], axis=1)
+    assert np.all(on.sum(axis=1) == 1)
+    return np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])[on.argmax(axis=1)]
+
+
+def _omega(nodes):
+    return np.column_stack([np.cos(nodes.theta), np.sin(nodes.theta)])
+
+
+def _normal_component(domain, nodes):
+    """n . omega at each node, n from its position and omega from its angle."""
+    return np.einsum("ij,ij->i", _outward_normals(domain, nodes.x), _omega(nodes))
+
+
 def test_inflow_nodes_point_inward():
     # inflow directions point into D, outflow ones out of it; every node
-    # sits on the edge whose outward normal it carries
+    # sits on one edge of D
     for domain in (ps.UNIT_SQUARE, ps.Rectangle((0.0, -1.0), (2.0, 0.5))):
         for side, sign in ((ps.INFLOW, -1.0), (ps.OUTFLOW, 1.0)):
             for scheme_nodes in (
                 ps.tensor_boundary(domain, 6, 6, side=side),
                 ps.mc_boundary(domain, 5000, seed=1, side=side),
             ):
-                assert np.all(sign * scheme_nodes.n_dot_omega > 0)
-                recomputed = np.einsum("ij,ij->i", scheme_nodes.normal, scheme_nodes.omega)
-                np.testing.assert_allclose(recomputed, scheme_nodes.n_dot_omega, atol=1e-12)
-                n, x = scheme_nodes.normal, scheme_nodes.x
-                support = np.maximum(n, 0.0) @ domain.hi + np.minimum(n, 0.0) @ domain.lo
-                np.testing.assert_allclose(np.einsum("ij,ij->i", n, x), support, atol=1e-15)
-                assert np.all((x >= domain.lo) & (x <= domain.hi))
+                assert np.all(sign * _normal_component(domain, scheme_nodes) > 0)
+                assert np.all((scheme_nodes.x >= domain.lo) & (scheme_nodes.x <= domain.hi))
 
 
 def test_outflow_mirror():
-    for nodes in (
-        ps.tensor_boundary(ps.UNIT_SQUARE, 8, 8, side=ps.OUTFLOW),
-        ps.mc_boundary(ps.UNIT_SQUARE, 5000, seed=2, side=ps.OUTFLOW),
-    ):
-        assert np.all(nodes.n_dot_omega > 0)
-        assert nodes.weight.sum() == pytest.approx(8.0, abs=1e-12)
+    # the outflow rule is the inflow rule at the same positions and
+    # weights with omega -> -omega
+    for rule, args in ((ps.tensor_boundary, (8, 8)), (ps.mc_boundary, (5000, 2))):
+        inflow = rule(ps.UNIT_SQUARE, *args)
+        outflow = rule(ps.UNIT_SQUARE, *args, side=ps.OUTFLOW)
+        assert np.array_equal(outflow.x, inflow.x) and np.array_equal(outflow.weight, inflow.weight)
+        np.testing.assert_allclose(_omega(outflow), -_omega(inflow), atol=1e-15)
+        assert np.all(_normal_component(ps.UNIT_SQUARE, outflow) > 0)
+        assert outflow.weight.sum() == pytest.approx(8.0, abs=1e-12)
 
 
 def test_tensor_boundary_orders_edge_angle_position():
@@ -102,12 +118,12 @@ def test_tensor_boundary_orders_edge_angle_position():
         assert np.array_equal(x, np.broadcast_to(x[:, :1], x.shape))
         assert np.all(np.diff(theta[:, :, 0], axis=1) != 0)
         assert np.all(np.any(np.diff(x[:, 0], axis=1) != 0, axis=2))
-        normals = nodes.normal.reshape(4, n_ang * n_pos, 2)
+        normals = _outward_normals(ps.UNIT_SQUARE, nodes.x).reshape(4, n_ang * n_pos, 2)
         assert np.array_equal(normals[:, 0], [[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         assert np.array_equal(normals, np.broadcast_to(normals[:, :1], normals.shape))
         # the outflow rule is the inflow rule at the same positions and weights, omega -> -omega
         assert np.array_equal(nodes.x, inflow.x) and np.array_equal(nodes.weight, inflow.weight)
-        np.testing.assert_allclose(nodes.omega, sign * inflow.omega, atol=1e-15)
+        np.testing.assert_allclose(_omega(nodes), sign * _omega(inflow), atol=1e-15)
 
 
 def test_gauss_interval_is_numpys_leggauss_bit_for_bit():
@@ -132,9 +148,10 @@ def test_boundary_smooth_integrand_high_accuracy():
     # cos^2 t is smooth in t, and 16 nodes of the cos(t) dt Gauss rule
     # already integrate it against cos(t) to rounding
     nodes = ps.tensor_boundary(ps.UNIT_SQUARE, 16, 16)
-    g = nodes.n_dot_omega**2  # cos^2 t
-    # per edge: int cos^3 = 4/3, four edges
-    assert nodes.weight @ g == pytest.approx(4 * 4.0 / 3.0, abs=1e-12)
+    cos_t = np.abs(_normal_component(ps.UNIT_SQUARE, nodes))
+    # per edge (the rule runs edge by edge): int cos^3 = 4/3
+    per_edge = (nodes.weight * cos_t**2).reshape(4, -1).sum(axis=1)
+    np.testing.assert_allclose(per_edge, 4.0 / 3.0, rtol=0, atol=1e-12)
 
 
 def test_boundary_rule_converges_exponentially_in_angle():
