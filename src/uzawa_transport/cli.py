@@ -105,8 +105,8 @@ def _final_metrics(state, quad, problem, reference, config):
         "rho_below_2gamma": bool(0.0 < rho < 2.0 * gamma),
     }
     if problem.sigma_a.kind == "constant":
-        regime = uzawa.check_strong_regime(problem.sigma_a.params[0], problem.sigma_t, rho, gamma)
-        metrics["strong_regime"] = regime.valid
+        sigma_a = problem.sigma_a.params[0]
+        metrics["strong_regime"] = uzawa.check_strong_regime(sigma_a, problem.sigma_t, rho, gamma)
     if reference is not None:
         x, theta, w = quad.interior.x, quad.interior.theta, quad.interior.weight
         ref = np.asarray(reference.value(x, theta))

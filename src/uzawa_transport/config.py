@@ -82,7 +82,6 @@ SCHEMA = {
     "network.seed": ("int", 0, ">= 0"),
     "lagrangian.gamma": ("float", 1.0, ">= 0"),
     "lagrangian.batch_interior": ("int", 0, ">= 0"),  # 0 means the full set
-    "lagrangian.resample": ("bool", True, None),
     "uzawa.rho": ("float", 1.0, "> 0"),
     "uzawa.n_outer": ("int", 10, ">= 1"),
     "uzawa.n_inner": ("int", 200, ">= 1"),
@@ -104,6 +103,7 @@ _RETIRED = {
     "uzawa.eps_adam": ("float", 1e-8),
     "uzawa.lambda_init": ("float", 0.0),
     "oracle.n_iter": ("int", 200),
+    "lagrangian.resample": ("bool", True),
 }
 
 _BOUNDS = {

@@ -27,17 +27,16 @@ METRICS_HEADER = (
 
 @dataclass
 class FieldGrid:
-    nx: int
-    ny: int
+    """Values on the nodes of an (nx, ny) grid, nx and ny its ``values.shape``,
+    spanning ``extent`` = (x1 lo, x1 hi, x2 lo, x2 hi)."""
+
     values: np.ndarray
     extent: tuple
 
     def __post_init__(self):
-        if self.nx < 2 or self.ny < 2:
-            raise ContractViolation("grid needs at least 2 nodes per axis")
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.nx, self.ny):
-            raise ContractViolation("grid values must have shape (nx, ny)")
+        if self.values.ndim != 2 or min(self.values.shape) < 2:
+            raise ContractViolation("grid needs at least 2 nodes per axis")
         if not np.all(np.isfinite(self.values)):
             raise ContractViolation("grid values must be finite")
 
@@ -92,7 +91,7 @@ def _grid_values(params, theta, nx, ny, domain, reduce):
         rows = network.embed(pts[lo : lo + per_block, None], theta).reshape(-1, network.INPUT_WIDTH)
         values[lo : lo + per_block] = reduce(network.eval_batch(params, rows).reshape(-1, k))
     extent = (domain.lo[0], domain.hi[0], domain.lo[1], domain.hi[1])
-    return FieldGrid(nx, ny, values.reshape(nx, ny), extent)
+    return FieldGrid(values.reshape(nx, ny), extent)
 
 
 def scalar_flux(params, angular, nx=101, ny=101, domain=None):
@@ -147,11 +146,11 @@ def discrete_norms(params, quad, problem, reference=None):
 def metrics_rows(state):
     """Flatten a run's histories into metrics rows (one per inner step)."""
     rows = []
-    for record, trace in zip(state.outer_history, state.inner_history):
+    for outer, (record, trace) in enumerate(zip(state.outer_history, state.inner_history)):
         for inner, parts in enumerate(trace):
             rows.append(
                 (
-                    record.outer,
+                    outer,
                     inner,
                     parts.value,
                     parts.pde,
@@ -186,8 +185,9 @@ def parse_metrics(path):
 
 def emit_grid(path, grid):
     """Write one ``x1,x2,value`` line per node, one x1 row's lines at a time."""
-    xs = np.linspace(grid.extent[0], grid.extent[1], grid.nx).tolist()
-    ys = [repr(y) for y in np.linspace(grid.extent[2], grid.extent[3], grid.ny).tolist()]
+    nx, ny = grid.values.shape
+    xs = np.linspace(grid.extent[0], grid.extent[1], nx).tolist()
+    ys = [repr(y) for y in np.linspace(grid.extent[2], grid.extent[3], ny).tolist()]
     with atomic_open(path) as fh:
         fh.write("x1,x2,value\n")
         for x, row in zip(xs, grid.values):

@@ -15,25 +15,28 @@ summation order depends on the tiling.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
 from . import kinetic_ops
 from .errors import ContractViolation
-from .phase_space import TENSOR_GAUSS, PhaseNodes
+from .phase_space import TENSOR_GAUSS, PhaseNodes, node_count
 
 
 @dataclass
 class LagrangianConfig:
     gamma: float = 1.0
     batch_interior: int | None = None
-    resample: bool = True
+    # every Monte Carlo step redraws its interior; perfbench/child.py's
+    # ``_fd_gate`` reads this to draw its batch as the run does
+    resample: ClassVar[bool] = True
 
     def __post_init__(self):
         if not 0 <= self.gamma < np.inf:  # NaN fails too
             raise ContractViolation("boundary stabilization weight must be finite and >= 0")
-        if self.batch_interior is not None and self.batch_interior < 1:
-            raise ContractViolation("interior batch size must be >= 1")
+        if self.batch_interior is not None:
+            node_count(self.batch_interior, "interior batch size")
 
 
 @dataclass
@@ -128,10 +131,8 @@ def subsample(quad, batch_interior, step_seed):
     interior = quad.interior
     k = len(quad.angular) if quad.scheme == TENSOR_GAUSS else 1
     n_full = len(interior) // k
-    if batch_interior is None or batch_interior == n_full:
+    if batch_interior is None or node_count(batch_interior, "interior batch", n_full) == n_full:
         return quad
-    if not 1 <= batch_interior <= n_full:  # NaN fails too
-        raise ContractViolation(f"interior batch must be between 1 and the {n_full} available blocks")
     rng = np.random.default_rng(step_seed)
     idx = np.sort(rng.choice(n_full, size=batch_interior, replace=False))
     rows = (idx[:, None] * k + np.arange(k)).ravel()

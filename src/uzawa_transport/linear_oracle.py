@@ -196,7 +196,6 @@ class OracleRun:
 
     coefficients: np.ndarray
     c_star: np.ndarray
-    lambda_star: np.ndarray
     dist_lambda: np.ndarray
     moments: np.ndarray
     pde_energy: np.ndarray
@@ -220,6 +219,8 @@ def run_uzawa_oracle(space, gamma, rho, n_iter, g_values=None):
     step.  The moment is rhs_k - rhs*: no extra pass."""
     if not rho > 0:  # NaN fails it too
         raise ContractViolation("multiplier step rho must be positive")
+    if not 0 <= gamma < np.inf:  # NaN fails it too
+        raise ContractViolation("boundary stabilization weight gamma must be finite and >= 0")
     if not n_iter >= 0:
         raise ContractViolation("n_iter must be >= 0")
     nodes = space.inflow
@@ -242,7 +243,7 @@ def run_uzawa_oracle(space, gamma, rho, n_iter, g_values=None):
     e = coeffs - c_star
     grams = (space.pde_gram, space.boundary_mass, space.triple_gram())
     pde, bnd, triple = (_energy(e, gram) for gram in grams)
-    return OracleRun(coeffs, c_star, lambda_star, np.array(dist), np.array(moments), pde, bnd, np.sqrt(triple))
+    return OracleRun(coeffs, c_star, np.array(dist), np.array(moments), pde, bnd, np.sqrt(triple))
 
 
 # -- identity gaps ------------------------------------------------------------

@@ -30,6 +30,7 @@ and ``build_quadrature`` picks the scheme and builds the whole set.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,6 +123,20 @@ class QuadratureSet:
     domain: Rectangle = UNIT_SQUARE
 
 
+def node_count(n, what, most=None):
+    """``n`` as an int, once it is an integer from 1 to ``most`` (no upper
+    bound when None); numpy integers pass, a bool, a float or NaN does not.
+    Anything else raises ContractViolation naming ``what``."""
+    try:
+        count = 0 if isinstance(n, bool) else operator.index(n)
+    except TypeError:
+        count = 0
+    if count < 1 or (most is not None and count > most):
+        bound = ">= 1" if most is None else f"between 1 and {most}"
+        raise ContractViolation(f"{what} must be an integer {bound}, got {n!r}")
+    return count
+
+
 # -- deterministic rules ---------------------------------------------------
 
 
@@ -158,9 +173,7 @@ def gauss_interval(n, a=0.0, b=1.0):
     The rule on [-1, 1] comes from ``_gauss_legendre``, which equals
     ``numpy.polynomial.legendre.leggauss`` bit for bit; it is written out
     here so that a run never imports ``numpy.polynomial``."""
-    if n < 1:
-        raise ContractViolation("need at least one quadrature node")
-    y, w = _gauss_legendre(int(n))
+    y, w = _gauss_legendre(node_count(n, "Gauss node count"))
     return 0.5 * (b - a) * (y + 1.0) + a, 0.5 * (b - a) * w
 
 
@@ -172,8 +185,7 @@ def cos_weight_gauss(n):
     cos(t) times each polynomial involved to rounding.  Nodes and weights
     then follow by Golub-Welsch, scaled by the exact total mass 2.
     """
-    if n < 1:
-        raise ContractViolation("need at least one quadrature node")
+    n = node_count(n, "cos-weight Gauss node count")
     t, w = gauss_interval(2 * n + 64, -np.pi / 2.0, np.pi / 2.0)
     w = w * np.cos(t)
     alpha, beta = np.zeros(n), np.zeros(n + 1)
@@ -191,8 +203,7 @@ def cos_weight_gauss(n):
 
 def angular_rule(n):
     """Equispaced midpoint rule on the circle (spectral for periodic data)."""
-    if n < 1:
-        raise ContractViolation("need at least one angular node")
+    n = node_count(n, "angular node count")
     theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
     weight = np.full(n, 2.0 * np.pi / n)
     return AngularNodes(theta, weight)
@@ -216,7 +227,9 @@ def _edge_nodes(domain, edge, s, t, weight, side):
     fraction ``s[i]`` from its start corner, with direction at angle
     ``t[i]`` in (-pi/2, pi/2) from the inward normal (from the outward one
     on the outflow side), so that |n . omega| = cos t.  ``weight`` already
-    carries that factor."""
+    carries that factor.  ``side`` is INFLOW or OUTFLOW, nothing else."""
+    if side not in (INFLOW, OUTFLOW):
+        raise ContractViolation(f"boundary side must be {INFLOW!r} or {OUTFLOW!r}, got {side!r}")
     lo, hi = np.asarray(domain.lo, dtype=float), np.asarray(domain.hi, dtype=float)
     corner = np.where(_EDGE_START, hi, lo)
     span = _EDGE_DIRECTION * (hi - lo)
@@ -243,8 +256,7 @@ def tensor_boundary(domain, n_pos, n_ang, side=INFLOW):
 
 def mc_interior(domain, n_points, seed):
     """``n_points`` iid uniform phase points, constant weight |D|*2*pi/n."""
-    if n_points < 1:
-        raise ContractViolation("n_points must be positive")
+    n_points = node_count(n_points, "n_points")
     rng = np.random.default_rng(seed)
     x = np.column_stack(
         [
@@ -259,8 +271,7 @@ def mc_interior(domain, n_points, seed):
 
 def mc_boundary(domain, n_points, seed, side=INFLOW):
     """``n_points`` draws from the |n . omega| density, constant weight."""
-    if n_points < 1:
-        raise ContractViolation("n_points must be positive")
+    n_points = node_count(n_points, "n_points")
     rng = np.random.default_rng(seed)
     lengths = np.asarray(domain.edge_lengths)
     edge = rng.choice(4, size=n_points, p=lengths / lengths.sum())

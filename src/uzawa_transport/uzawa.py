@@ -72,7 +72,6 @@ class Adam:
 
 @dataclass
 class OuterRecord:
-    outer: int
     loss_parts: lagr.LagrangianParts
     boundary_residual: float
     lambda_norm: float
@@ -83,7 +82,7 @@ class RunState:
     params: network.MlpParams
     multiplier: MultiplierField
     inner_history: list = field(default_factory=list)  # per outer: list of parts
-    outer_history: list = field(default_factory=list)  # OuterRecord per outer
+    outer_history: list = field(default_factory=list)  # OuterRecord per outer, in order
     initial_boundary_residual: float = float("nan")
 
 
@@ -112,7 +111,7 @@ def _part_values(parts):
 
 
 def _step_quadrature(quad, lagr_cfg, seed, outer, inner):
-    if quad.scheme == phase_space.MONTE_CARLO and lagr_cfg.resample:
+    if quad.scheme == phase_space.MONTE_CARLO:
         n = lagr_cfg.batch_interior or len(quad.interior)
         return replace(quad, interior=phase_space.mc_interior(quad.domain, n, [seed, outer, inner]))
     if lagr_cfg.batch_interior is not None:
@@ -159,7 +158,7 @@ def run(problem, quad, params0, config, lagr_cfg, seed=0):
             full_parts = lagr.assemble(state.params, state.multiplier, quad, problem, lagr_cfg)
             br = boundary_residual(b, full_parts.mismatch)
             state.multiplier = multiplier_update(state.multiplier, full_parts.mismatch, config.rho)
-            record = OuterRecord(k, full_parts, br, state.multiplier.norm())
+            record = OuterRecord(full_parts, br, state.multiplier.norm())
         named = [("boundary residual", br), ("multiplier norm", record.lambda_norm)]
         _check_finite(f"outer step {k}", _part_values(full_parts) + named)
         state.inner_history.append(trace)
@@ -167,22 +166,15 @@ def run(problem, quad, params0, config, lagr_cfg, seed=0):
     return state
 
 
-@dataclass(frozen=True)
-class StrongRegime:
-    valid: bool
-    rho_max: float | None
-
-
 def check_strong_regime(sigma_a, sigma_t, rho, gamma):
-    """Absorption-dominance check: scattering below a quarter of absorption
-    and the multiplier step below 2*gamma - sigma_a - sqrt(sigma_a^2 - 16*sigma_t^2).
+    """Absorption-dominance verdict, a bool: True when scattering is below a
+    quarter of absorption and 0 < rho < 2*gamma - sigma_a - sqrt(sigma_a^2 - 16*sigma_t^2).
 
     The step bound is sufficient, not sharp: ``linear_oracle.strong_regime_constant``
     is positive exactly when sigma_t < sigma_a / 4 and
     rho < 2*gamma - sigma_a + sqrt(sigma_a^2 - 16*sigma_t^2)."""
     if not all(math.isfinite(v) and v >= 0 for v in (sigma_a, sigma_t, rho, gamma)):
         raise ContractViolation("regime parameters must be finite and nonnegative")
-    if sigma_t >= sigma_a / 4.0 or sigma_a == 0.0:
-        return StrongRegime(False, None)
-    rho_max = 2.0 * gamma - sigma_a - math.sqrt(sigma_a**2 - 16.0 * sigma_t**2)
-    return StrongRegime(0.0 < rho < rho_max, rho_max)
+    if not sigma_t < sigma_a / 4.0:  # sigma_t >= 0, so sigma_a = 0 ends here
+        return False
+    return bool(0.0 < rho < 2.0 * gamma - sigma_a - math.sqrt(sigma_a**2 - 16.0 * sigma_t**2))

@@ -42,6 +42,7 @@ RETIRED_AS_WRITTEN = {
     "uzawa.eps_adam": 1e-08,
     "uzawa.lambda_init": 0.0,
     "oracle.n_iter": 200,
+    "lagrangian.resample": True,
 }
 
 
@@ -344,7 +345,7 @@ def test_retired_keys_are_ignored_at_their_one_value():
 
 
 def test_retired_values_are_what_the_code_uses(monkeypatch):
-    from uzawa_transport import linear_oracle, network
+    from uzawa_transport import lagrangian, linear_oracle, network
 
     kept = {key: value for key, (_, value) in cm._RETIRED.items()}
     assert not set(kept) & set(cm.SCHEMA)
@@ -356,6 +357,7 @@ def test_retired_values_are_what_the_code_uses(monkeypatch):
     )
     default_n_iter = inspect.signature(linear_oracle.verification_suite).parameters["n_iter"].default
     assert default_n_iter == kept["oracle.n_iter"]
+    assert lagrangian.LagrangianConfig.resample is kept["lagrangian.resample"] is True
     # the multiplier the first inner minimization sees
     starts = []
     inner = uzawa.inner_minimize
@@ -381,6 +383,7 @@ def test_retired_values_are_what_the_code_uses(monkeypatch):
         ("uzawa.beta2", "0.99"),
         ("uzawa.lambda_init", "0.5"),
         ("oracle.n_iter", "2"),
+        ("lagrangian.resample", "false"),
     ],
 )
 def test_cli_retired_key_at_another_value_exit_code(tmp_path, key, value):

@@ -207,7 +207,7 @@ def test_metrics_roundtrip(tmp_path):
 
 
 def test_grid_roundtrip_row_count(tmp_path):
-    grid = dio.FieldGrid(4, 3, np.arange(12.0).reshape(4, 3), (0, 1, 0, 1))
+    grid = dio.FieldGrid(np.arange(12.0).reshape(4, 3), (0, 1, 0, 1))
     path = tmp_path / "grid.csv"
     dio.emit_grid(path, grid)
     lines = path.read_text().strip().splitlines()
@@ -218,7 +218,7 @@ def test_grid_roundtrip_row_count(tmp_path):
 
 def test_grid_file_lines_are_float_reprs(tmp_path):
     rng = np.random.default_rng(3)
-    grid = dio.FieldGrid(5, 4, rng.standard_normal((5, 4)) * 1e-7, (-0.3, 1.7, 0.1, 2.9))
+    grid = dio.FieldGrid(rng.standard_normal((5, 4)) * 1e-7, (-0.3, 1.7, 0.1, 2.9))
     path = tmp_path / "grid.csv"
     dio.emit_grid(path, grid)
     xs, ys = np.linspace(-0.3, 1.7, 5), np.linspace(0.1, 2.9, 4)
@@ -231,8 +231,9 @@ def test_grid_file_lines_are_float_reprs(tmp_path):
 def _one_string_grid(grid):
     """A grid file's text built as one joined string: the formatting that
     ``emit_grid`` streams row by row."""
-    xs = np.linspace(grid.extent[0], grid.extent[1], grid.nx).tolist()
-    ys = [repr(y) for y in np.linspace(grid.extent[2], grid.extent[3], grid.ny).tolist()]
+    nx, ny = grid.values.shape
+    xs = np.linspace(grid.extent[0], grid.extent[1], nx).tolist()
+    ys = [repr(y) for y in np.linspace(grid.extent[2], grid.extent[3], ny).tolist()]
     lines = ["x1,x2,value"]
     for x, row in zip(xs, grid.values.tolist()):
         lines.extend(f"{x!r},{y},{v!r}" for y, v in zip(ys, row))
@@ -243,7 +244,7 @@ def test_streamed_grid_file_matches_one_string(tmp_path):
     # non-square, with a negative zero and subnormals among the values
     values = np.random.default_rng(5).standard_normal((7, 3))
     values[2, 1], values[4, 0], values[6, 2] = -0.0, 5e-324, -2.2250738585072014e-309
-    grid = dio.FieldGrid(7, 3, values, (-0.3, 1.7, 0.1, 2.9))
+    grid = dio.FieldGrid(values, (-0.3, 1.7, 0.1, 2.9))
     path = tmp_path / "grid.csv"
     dio.emit_grid(path, grid)
     assert path.read_bytes() == _one_string_grid(grid).encode()
@@ -251,9 +252,12 @@ def test_streamed_grid_file_matches_one_string(tmp_path):
 
 def test_grid_validation():
     with pytest.raises(ContractViolation):
-        dio.FieldGrid(1, 3, np.zeros((1, 3)), (0, 1, 0, 1))
+        dio.FieldGrid(np.zeros((1, 3)), (0, 1, 0, 1))
     with pytest.raises(ContractViolation):
-        dio.FieldGrid(2, 2, np.full((2, 2), np.nan), (0, 1, 0, 1))
+        dio.FieldGrid(np.full((2, 2), np.nan), (0, 1, 0, 1))
+    for shape in ((4,), (2, 2, 2)):
+        with pytest.raises(ContractViolation):
+            dio.FieldGrid(np.zeros(shape), (0, 1, 0, 1))
 
 
 def test_manifest_roundtrip(tmp_path):

@@ -220,11 +220,25 @@ def test_subsample_deterministic_and_bounded():
 
 
 @pytest.mark.parametrize("scheme", [ps.TENSOR_GAUSS, ps.MONTE_CARLO])
-@pytest.mark.parametrize("batch", [0, -1, float("nan")])
+@pytest.mark.parametrize("batch", [0, -1, float("nan"), 2.5, 4.0])
 def test_subsample_refuses_a_batch_below_one(scheme, batch):
     quad = _quad(n_spatial=4, scheme=scheme)
     with pytest.raises(ContractViolation, match="between 1 and"):
         lg.subsample(quad, batch, step_seed=0)
+
+
+def test_numpy_integer_batches_pass():
+    quad = _quad(n_spatial=4)
+    a, b = lg.subsample(quad, np.int64(5), step_seed=3), lg.subsample(quad, 5, step_seed=3)
+    assert a.interior.x.tobytes() == b.interior.x.tobytes()
+    assert a.interior.weight.tobytes() == b.interior.weight.tobytes()
+    assert lg.LagrangianConfig(batch_interior=np.int64(8)).batch_interior == 8
+
+
+@pytest.mark.parametrize("batch", [0, -3, 2.5, float("nan"), 8.0, True])
+def test_config_refuses_a_batch_that_is_not_a_count(batch):
+    with pytest.raises(ContractViolation, match="interior batch size"):
+        lg.LagrangianConfig(batch_interior=batch)
 
 
 def test_tensor_subsample_keeps_whole_angular_blocks_in_order():

@@ -215,7 +215,7 @@ def test_large_rho_escapes_monotonicity(space, datum):
 
 def test_strong_regime_series(space, datum):
     sigma_a, sigma_t, gamma, rho = 1.0, 0.1, 2.0, 1.0
-    assert uzawa.check_strong_regime(sigma_a, sigma_t, rho, gamma).valid
+    assert uzawa.check_strong_regime(sigma_a, sigma_t, rho, gamma)
     _, g_values = datum
     run = lo.run_uzawa_oracle(space, gamma, rho, 200, g_values=g_values)
     c_const = lo.strong_regime_constant(sigma_a, sigma_t, gamma, rho)
@@ -233,12 +233,12 @@ def test_strong_regime_check_implies_a_positive_constant():
         for sigma_t in np.linspace(0.0, 0.3, 7) * sigma_a:
             for gamma in (0.25, 0.5, 1.0, 2.0, 3.0):
                 for rho in np.linspace(0.1, 2.0 * gamma, 7):
-                    if uzawa.check_strong_regime(sigma_a, sigma_t, rho, gamma).valid:
+                    if uzawa.check_strong_regime(sigma_a, sigma_t, rho, gamma):
                         n_valid += 1
                         assert lo.strong_regime_constant(sigma_a, sigma_t, gamma, rho) > 0
     assert n_valid > 50
     # a step past the check's bound that still has a positive constant
-    assert not uzawa.check_strong_regime(1.0, 0.1, 3.0, 2.0).valid
+    assert not uzawa.check_strong_regime(1.0, 0.1, 3.0, 2.0)
     assert lo.strong_regime_constant(1.0, 0.1, 2.0, 3.0) > 1.3
 
 
@@ -303,10 +303,11 @@ def test_records_match_a_node_space_iteration(space, datum, dense_trace):
     _, g_values = datum
     gamma, rho = 1.0, 0.5
     run = lo.run_uzawa_oracle(space, gamma, rho, 10, g_values=g_values)
+    _, lambda_star = lo.fixed_point_solve(space, g_values)
     w, hessian = space.inflow.weight, space.pde_gram + gamma * space.boundary_mass
     lam = np.zeros(len(space.inflow))
     for k in range(11):
-        dlam = lam - run.lambda_star
+        dlam = lam - lambda_star
         moment = dense_trace.T @ (w * dlam)
         assert abs(run.dist_lambda[k] - np.sqrt(w @ dlam**2)) <= 1e-10 * run.dist_lambda[k]
         assert np.linalg.norm(run.moments[k] - moment) <= 1e-10 * np.linalg.norm(moment)
@@ -368,6 +369,13 @@ def test_rho_contract_refuses_nan(space):
 def test_oracle_refuses_inputs_outside_the_theory(space, call):
     with pytest.raises(ContractViolation):
         call(space)
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), -5.0, float("inf")])
+def test_oracle_refuses_a_gamma_outside_the_theory(space, gamma):
+    # the inner quadratic needs a finite gamma >= 0
+    with pytest.raises(ContractViolation, match="gamma"):
+        lo.run_uzawa_oracle(space, gamma, 1.0, 3)
 
 
 def test_verification_suite_all_pass():

@@ -216,10 +216,49 @@ def test_unknown_scheme_rejected():
 
 
 def test_mc_rules_need_a_sample():
-    with pytest.raises(ContractViolation):
-        ps.mc_interior(ps.UNIT_SQUARE, 0, seed=0)
-    with pytest.raises(ContractViolation):
-        ps.mc_boundary(ps.UNIT_SQUARE, 0, seed=0)
+    for n in (0, 2.5, float("nan"), 3.0, True):
+        with pytest.raises(ContractViolation, match="n_points"):
+            ps.mc_interior(ps.UNIT_SQUARE, n, seed=0)
+        with pytest.raises(ContractViolation, match="n_points"):
+            ps.mc_boundary(ps.UNIT_SQUARE, n, seed=0)
+
+
+@pytest.mark.parametrize(
+    "rule, what",
+    [
+        (ps.gauss_interval, "Gauss node count"),
+        (ps.cos_weight_gauss, "cos-weight Gauss node count"),
+        (ps.angular_rule, "angular node count"),
+    ],
+    ids=["gauss_interval", "cos_weight_gauss", "angular_rule"],
+)
+@pytest.mark.parametrize("n", [0, -1, 2.5, float("nan"), 3.0, True])
+def test_deterministic_rules_need_an_integer_node_count(rule, what, n):
+    with pytest.raises(ContractViolation, match=what):
+        rule(n)
+
+
+def test_node_counts_accept_numpy_integers():
+    for rule in (ps.gauss_interval, ps.cos_weight_gauss):
+        for a, b in zip(rule(np.int64(5)), rule(5)):
+            assert a.tobytes() == b.tobytes()
+    assert ps.angular_rule(np.int32(6)).theta.tobytes() == ps.angular_rule(6).theta.tobytes()
+    drawn = ps.mc_interior(ps.UNIT_SQUARE, np.int64(7), seed=3)
+    assert drawn.x.tobytes() == ps.mc_interior(ps.UNIT_SQUARE, 7, seed=3).x.tobytes()
+
+
+def test_a_fractional_spatial_count_builds_no_quadrature():
+    # gauss_interval(2.5) once gave a 2-node rule, so this built a 2 x 2 interior
+    with pytest.raises(ContractViolation, match="Gauss node count"):
+        ps.build_quadrature(n_spatial=2.5)
+
+
+@pytest.mark.parametrize("side", ["outfow", "", None, "OUTFLOW"])
+def test_boundary_rules_refuse_an_unknown_side(side):
+    with pytest.raises(ContractViolation, match="side"):
+        ps.tensor_boundary(ps.UNIT_SQUARE, 2, 2, side=side)
+    with pytest.raises(ContractViolation, match="side"):
+        ps.mc_boundary(ps.UNIT_SQUARE, 8, seed=0, side=side)
 
 
 def test_quadrature_csv_dump_reparses(tmp_path):

@@ -113,7 +113,7 @@ def test_run_monte_carlo_resampling_path():
         g=lambda x, t: np.full(np.atleast_2d(x).shape[0], 0.2), scheme=ps.MONTE_CARLO
     )
     cfg = uzawa.UzawaConfig(rho=0.5, n_outer=2, n_inner=10)
-    lcfg = lg.LagrangianConfig(gamma=1.0, batch_interior=32, resample=True)
+    lcfg = lg.LagrangianConfig(gamma=1.0, batch_interior=32)
     s1 = uzawa.run(problem, quad, params, cfg, lcfg, seed=7)
     s2 = uzawa.run(problem, quad, params, cfg, lcfg, seed=7)
     assert net.flatten(s1.params).tobytes() == net.flatten(s2.params).tobytes()
@@ -128,7 +128,7 @@ def test_monte_carlo_run_replays_bitwise_from_warm_caches():
         g=lambda x, t: np.full(np.atleast_2d(x).shape[0], 0.2), scheme=ps.MONTE_CARLO
     )
     cfg = uzawa.UzawaConfig(rho=0.5, n_outer=2, n_inner=10)
-    lcfg = lg.LagrangianConfig(gamma=1.0, batch_interior=24, resample=True)
+    lcfg = lg.LagrangianConfig(gamma=1.0, batch_interior=24)
     first = uzawa.run(problem, quad, params, cfg, lcfg, seed=11)
     cached, live = problem.boundary_rows(quad.boundary), list(net._SLOTS.values())
     assert live
@@ -154,7 +154,7 @@ def test_outer_pass_runs_without_the_training_workspace(monkeypatch):
         g=lambda x, t: np.full(np.atleast_2d(x).shape[0], 0.2), scheme=ps.MONTE_CARLO
     )
     cfg = uzawa.UzawaConfig(rho=0.5, n_outer=2, n_inner=3)
-    lcfg = lg.LagrangianConfig(gamma=1.0, batch_interior=32, resample=True)
+    lcfg = lg.LagrangianConfig(gamma=1.0, batch_interior=32)
     assemble, live = lg.assemble, []
 
     def recording(*args, **kwargs):
@@ -212,15 +212,15 @@ def test_adam_matches_reference_formula():
 
 def test_check_strong_regime():
     # boundary case: sigma_t = sigma_a / 4 exactly is invalid
-    assert not uzawa.check_strong_regime(1.0, 0.25, 0.1, 2.0).valid
-    # worked example: rho_max = 3 - sqrt(0.84)
-    regime = uzawa.check_strong_regime(1.0, 0.1, 1.0, 2.0)
-    assert regime.valid
-    assert regime.rho_max == pytest.approx(3.0 - np.sqrt(0.84), abs=1e-12)
-    assert regime.rho_max == pytest.approx(2.0834, abs=1e-4)
+    assert uzawa.check_strong_regime(1.0, 0.25, 0.1, 2.0) is False
+    # worked example: the verdict flips at rho_max = 3 - sqrt(0.84)
+    assert uzawa.check_strong_regime(1.0, 0.1, 1.0, 2.0) is True
+    rho_max = 3.0 - np.sqrt(0.84)  # 2.0834
+    assert uzawa.check_strong_regime(1.0, 0.1, rho_max - 1e-9, 2.0) is True
+    assert uzawa.check_strong_regime(1.0, 0.1, rho_max + 1e-9, 2.0) is False
     # no absorption: invalid for any scattering
-    assert not uzawa.check_strong_regime(0.0, 0.0, 0.5, 1.0).valid
-    assert uzawa.check_strong_regime(1.0, 0.1, 5.0, 2.0).valid is False  # rho too big
+    assert uzawa.check_strong_regime(0.0, 0.0, 0.5, 1.0) is False
+    assert uzawa.check_strong_regime(1.0, 0.1, 5.0, 2.0) is False  # rho too big
     with pytest.raises(ContractViolation):
         uzawa.check_strong_regime(-1.0, 0.1, 0.5, 1.0)
 
