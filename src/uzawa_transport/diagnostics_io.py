@@ -81,8 +81,9 @@ def _grid_values(params, theta, nx, ny, domain, reduce):
     points.  Neither the product nor its (points, K) values are ever held:
     only one block and the per-point results are.
     """
-    from .phase_space import UNIT_SQUARE
+    from .phase_space import UNIT_SQUARE, node_count
 
+    nx, ny = node_count(nx, "grid nx", least=2), node_count(ny, "grid ny", least=2)
     domain = domain or UNIT_SQUARE
     pts, k = grid_points(nx, ny, domain), theta.size
     per_block = max(network.ROW_BLOCK // k // GEMV_POINTS, 1) * GEMV_POINTS

@@ -238,6 +238,8 @@ class ProblemSpec:
     def __post_init__(self):
         if not 0 <= self.sigma_t < np.inf:  # NaN fails both checks
             raise ContractViolation("scattering strength must be finite and nonnegative")
+        if self.sigma_a.kind in ("left-edge", "edge-window"):  # inflow data; sigma_a gets no angle
+            raise ContractViolation(f"absorption cannot be a {self.sigma_a.kind} field")
         if not all(0 <= value < np.inf for value in self.sigma_a.values):
             raise ContractViolation("absorption must be finite and nonnegative")
 

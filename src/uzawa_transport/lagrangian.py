@@ -3,9 +3,9 @@
 The objective is
     1/2 sum_w (residual)^2  +  gamma/2 sum_b w_b (u-g)^2  -  sum_b w_b lambda (u-g),
 assembled on a quadrature set.  The multiplier lives on a frozen copy of
-the inflow-boundary nodes; interior nodes may be subsampled (tensor rules
-subsample whole spatial blocks so the angular coupling stays intact) or,
-for Monte Carlo rules, redrawn per step by the caller.  An evaluation
+the inflow-boundary nodes; ``subsample`` gives every inner step its
+interior: whole spatial blocks of a tensor rule, so the angular coupling
+stays intact, or a fresh Monte Carlo draw.  An evaluation
 walks the tiles of its ``kinetic_ops.PhaseRows``, which lay out each pass
 and its reverse-sweep seeds, and fills full-length residual and mismatch
 arrays; each part is reduced once over them, so only the gradient's
@@ -19,9 +19,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import kinetic_ops
+from . import kinetic_ops, phase_space
 from .errors import ContractViolation
-from .phase_space import TENSOR_GAUSS, PhaseNodes, node_count
+from .phase_space import MONTE_CARLO, PhaseNodes, node_count
 
 
 @dataclass
@@ -119,17 +119,21 @@ def assemble_with_gradient(params, multiplier, quad, problem, config):
 
 
 def subsample(quad, batch_interior, step_seed):
-    """Interior subsample without replacement; boundary nodes kept intact.
+    """The interior of one inner step, drawn from ``step_seed``; the boundary
+    nodes are kept intact, since the multiplier registry is frozen.
 
-    ``batch_interior`` whole row blocks are drawn and kept in order: K-row
-    spatial blocks for tensor interiors, single samples for Monte Carlo.
-    Weights are rescaled by the inverse inclusion probability, which makes
-    every weighted sum exactly unbiased; for the constant-weight Monte
-    Carlo interiors this also preserves the total measure exactly.  The
-    multiplier registry is frozen, so boundary nodes are never subsampled.
+    A Monte Carlo interior is redrawn: ``batch_interior`` fresh iid points
+    (the full set's count when None), weighted to the total measure
+    |D|*2*pi.  A tensor interior keeps ``batch_interior`` of its K-row
+    spatial blocks, drawn without replacement and kept in order, with
+    weights rescaled by the inverse inclusion probability, which makes
+    every weighted sum exactly unbiased; None keeps them all.
     """
     interior = quad.interior
-    k = len(quad.angular) if quad.scheme == TENSOR_GAUSS else 1
+    if quad.scheme == MONTE_CARLO:
+        n = len(interior) if batch_interior is None else batch_interior
+        return replace(quad, interior=phase_space.mc_interior(quad.domain, n, step_seed))
+    k = len(quad.angular)
     n_full = len(interior) // k
     if batch_interior is None or node_count(batch_interior, "interior batch", n_full) == n_full:
         return quad

@@ -10,7 +10,9 @@ never phase points.  The parameters are one float64 vector,
 ``MlpParams.flat``: per affine layer the weight matrix row-major, then the
 bias; the per-layer arrays are views of it.  The activation is tanh, the
 one entry of ``ACTIVATIONS``; ``MlpParams`` and checkpoint headers carry
-its name.  Two kinds of batched kernel evaluate it:
+its name.  The forward applies it once per layer to every value row and
+writes its derivatives from its output (``_tanh_slope``), at the tangent
+rows only.  Two kinds of batched kernel evaluate the network:
 
 - ``forward_jvp_batch`` evaluates n embedded rows plus a forward tangent
   rail (for omega-directional spatial derivatives) on the first n_t of
@@ -94,28 +96,15 @@ def transport_tangent(theta):
     return np.column_stack([np.cos(theta), np.sin(theta), zero, zero])
 
 
-def _act_tanh(z, order, out=None):
-    """Activation and its derivatives up to ``order``: a prefix of (a, d1, d2),
-    written into the ``order + 1`` arrays of ``out`` when given.  ``z`` is
-    read only by the first write, to ``out[0]``, so ``out[0]`` may be ``z``."""
-    out = out or tuple(np.empty_like(z) for _ in range(order + 1))
-    a = np.tanh(z, out=out[0])
-    if order:
-        _tanh_slope(a, out[1])
-    if order == 2:
-        np.multiply(np.multiply(a, -2.0, out=out[2]), out[1], out=out[2])
-    return out
-
-
 def _tanh_slope(a, out):
-    """tanh' = 1 - a*a from tanh's output ``a``, into ``out``: the forward
-    writes the slope with it and the reverse sweep refills it from the layer
-    outputs with it, so both hold the same bits."""
+    """tanh' = 1 - a*a from tanh's output ``a``, into ``out``: the one writer
+    of the slope.  The forward writes it at the tangent rows and the reverse
+    sweep refills it from the layer outputs, so both hold the same bits."""
     return np.subtract(1.0, np.multiply(a, a, out=out), out=out)
 
 
 # a table, so that perfbench/tracer.py can wrap its entries by name
-ACTIVATIONS = {"tanh": _act_tanh}
+ACTIVATIONS = {"tanh": np.tanh}
 
 
 @dataclass
@@ -283,18 +272,17 @@ def _forward(params, ws):
     """Stacked output (values, then tangents) before the last bias."""
     act = ACTIVATIONS[params.activation]
     n, n_t = ws.n, ws.n_t
-    order = 2 if ws.d2 else 1
     for layer, (W, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
         a = np.matmul(ws.h[layer], W.T, out=ws.h[layer + 1])
         z, tangent, slope = a[:n], a[n : n + n_t], ws.d1[layer][:n_t]
         z += b
-        # only the tangent rows need derivatives; a sweep refills the slope at every value row
-        if n_t:
-            act(z[:n_t], order, (z[:n_t], slope, ws.d2[layer]) if ws.d2 else (z[:n_t], slope))
-        if n > n_t:
-            act(z[n_t:], 0, (z[n_t:],))
+        act(z, out=z)
+        # only the tangent rows need the slope; a sweep refills it at every value row
+        _tanh_slope(z[:n_t], slope)
         if ws.d2:
-            ws.d2[layer] *= tangent  # the sweep reads only d2 * t
+            d2 = ws.d2[layer]  # tanh'' = -2*tanh*tanh'; the sweep reads only d2 * t
+            np.multiply(np.multiply(z[:n_t], -2.0, out=d2), slope, out=d2)
+            d2 *= tangent
         tangent *= slope
     return np.matmul(ws.h[-1], params.weights[-1].T, out=ws.out)
 

@@ -123,16 +123,16 @@ class QuadratureSet:
     domain: Rectangle = UNIT_SQUARE
 
 
-def node_count(n, what, most=None):
-    """``n`` as an int, once it is an integer from 1 to ``most`` (no upper
-    bound when None); numpy integers pass, a bool, a float or NaN does not.
-    Anything else raises ContractViolation naming ``what``."""
+def node_count(n, what, most=None, least=1):
+    """``n`` as an int, once it is an integer from ``least`` to ``most`` (no
+    upper bound when None); numpy integers pass, a bool, a float or NaN does
+    not.  Anything else raises ContractViolation naming ``what``."""
     try:
         count = 0 if isinstance(n, bool) else operator.index(n)
     except TypeError:
         count = 0
-    if count < 1 or (most is not None and count > most):
-        bound = ">= 1" if most is None else f"between 1 and {most}"
+    if count < least or (most is not None and count > most):
+        bound = f">= {least}" if most is None else f"between {least} and {most}"
         raise ContractViolation(f"{what} must be an integer {bound}, got {n!r}")
     return count
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import lagrangian as lagr
-from . import network, phase_space
+from . import network
 from .errors import ContractViolation, NumericalAbort
 from .lagrangian import MultiplierField
 
@@ -110,15 +110,6 @@ def _part_values(parts):
     return [(f"loss part '{name}'", getattr(parts, name)) for name in names]
 
 
-def _step_quadrature(quad, lagr_cfg, seed, outer, inner):
-    if quad.scheme == phase_space.MONTE_CARLO:
-        n = lagr_cfg.batch_interior or len(quad.interior)
-        return replace(quad, interior=phase_space.mc_interior(quad.domain, n, [seed, outer, inner]))
-    if lagr_cfg.batch_interior is not None:
-        return lagr.subsample(quad, lagr_cfg.batch_interior, [seed, outer, inner])
-    return quad
-
-
 def inner_minimize(state, quad, problem, lagr_cfg, config, optimizer, outer, seed=0):
     """Exactly n_inner optimizer steps on the Lagrangian; returns the trace.
 
@@ -128,7 +119,7 @@ def inner_minimize(state, quad, problem, lagr_cfg, config, optimizer, outer, see
     trace = []
     for m in range(config.n_inner):
         where = f"outer step {outer}, inner step {m}"
-        batch = _step_quadrature(quad, lagr_cfg, seed, outer, m)
+        batch = lagr.subsample(quad, lagr_cfg.batch_interior, [seed, outer, m])
         # an overflow here is reported once, as a named abort
         with np.errstate(over="ignore", invalid="ignore"):
             parts, grad = lagr.assemble_with_gradient(

@@ -72,6 +72,7 @@ def test_traced_training_run_times_its_quadrature_and_assembly(tmp_path):
     for name in (
         "phase_space.build_quadrature.ms",
         "phase_space.mc_interior.self_ms",
+        "lagrangian.subsample.self_ms",
         "lagrangian.assemble_with_gradient.self_ms",
         "lagrangian.assemble.ms_per_outer",
         "kinetic_ops.inflow.calls",

@@ -130,6 +130,27 @@ def test_angular_slice_of_angle_independent_network():
     np.testing.assert_allclose(a.values, b.values, atol=0)
 
 
+@pytest.mark.parametrize("axis", ["nx", "ny"])
+@pytest.mark.parametrize("size", [2.5, float("nan"), True, 1, 0, -3, 3.0])
+def test_grids_refuse_a_size_that_is_not_a_count_before_any_pass(monkeypatch, axis, size):
+    passes = []
+    monkeypatch.setattr(net, "eval_batch", lambda *args: passes.append(args))
+    sizes = {"nx": 3, "ny": 3, axis: size}
+    with pytest.raises(ContractViolation, match=f"grid {axis} must be an integer >= 2"):
+        dio.scalar_flux(_const_net(1.0), ps.angular_rule(4), **sizes)
+    with pytest.raises(ContractViolation, match=f"grid {axis} must be an integer >= 2"):
+        dio.angular_slice(_const_net(1.0), 0.3, **sizes)
+    assert passes == []
+
+
+def test_grids_accept_numpy_integer_sizes():
+    params, ang = net.init_params((4, 8, 1), seed=2), ps.angular_rule(4)
+    a = dio.scalar_flux(params, ang, nx=np.int64(4), ny=np.int32(3))
+    assert a.values.tobytes() == dio.scalar_flux(params, ang, nx=4, ny=3).values.tobytes()
+    b = dio.angular_slice(params, 0.3, nx=np.int64(2), ny=np.int64(5))
+    assert b.values.tobytes() == dio.angular_slice(params, 0.3, nx=2, ny=5).values.tobytes()
+
+
 def test_norms_of_unit_constant():
     # u = 1, sigma_a = 1, sigma_t = 0, f = 0: ||(T+S)u||^2 = |W| = 2 pi
     quad = ps.build_quadrature(n_spatial=8, n_angular=8, n_boundary=(6, 6))

@@ -386,6 +386,9 @@ def _problem_with(sigma_a=None, sigma_t=0.0):
         lambda: _problem_with(ko.CoefficientField("constant", (np.inf,))),
         lambda: _problem_with(ko.CoefficientField("ball", (0.5, 0.5, 0.15, np.nan, 1.0))),
         lambda: _problem_with(ko.CoefficientField("split-plane", (0.5, 0.1, -5.0))),
+        # the edge kinds are inflow data: the absorption is never given an angle
+        lambda: _problem_with(ko.CoefficientField("left-edge", (0.0, 1.0))),
+        lambda: _problem_with(ko.CoefficientField("edge-window", (0.0, 0.2, 1.0))),
         lambda: ko.NoiseSpec(np.nan, 1),
         lambda: ko.NoiseSpec(np.inf, 1),
         lambda: ko.NoiseSpec(-0.1, 1),
@@ -401,7 +404,8 @@ def _problem_with(sigma_a=None, sigma_t=0.0):
     ids=[
         "gamma-nan", "gamma-inf", "gamma-negative", "epsilon-nan", "sigma_t-nan", "sigma_t-inf",
         "sigma_t-negative", "sigma_a-negative", "sigma_a-nan", "sigma_a-inf", "ball-inside-nan",
-        "split-right-negative", "noise-std-nan", "noise-std-inf", "noise-std-negative",
+        "split-right-negative", "sigma_a-left-edge", "sigma_a-edge-window", "noise-std-nan",
+        "noise-std-inf", "noise-std-negative",
         "constant-no-params", "constant-two-params", "ball-two-params", "ball-four-params",
         "split-two-params", "left-edge-one-param", "window-two-params", "window-four-params",
     ],

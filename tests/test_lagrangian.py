@@ -222,8 +222,11 @@ def test_subsample_deterministic_and_bounded():
 @pytest.mark.parametrize("scheme", [ps.TENSOR_GAUSS, ps.MONTE_CARLO])
 @pytest.mark.parametrize("batch", [0, -1, float("nan"), 2.5, 4.0])
 def test_subsample_refuses_a_batch_below_one(scheme, batch):
+    # a tensor batch is drawn from the 16 blocks; a Monte Carlo batch is a
+    # fresh draw of that many points, which any count >= 1 can be
     quad = _quad(n_spatial=4, scheme=scheme)
-    with pytest.raises(ContractViolation, match="between 1 and"):
+    bound = "between 1 and 16" if scheme == ps.TENSOR_GAUSS else ">= 1"
+    with pytest.raises(ContractViolation, match=f"must be an integer {bound}, got"):
         lg.subsample(quad, batch, step_seed=0)
 
 
@@ -260,14 +263,14 @@ def test_tensor_subsample_keeps_whole_angular_blocks_in_order():
 
 
 def test_subsample_preserves_measure_and_boundary():
-    # constant-weight interiors keep the total measure exactly; Gauss
-    # interiors keep it in expectation (the rescale is the unbiased
-    # inverse-inclusion-probability factor)
+    # a Monte Carlo batch is a fresh draw, weighted to the measure |D|*2*pi
+    # of the phase domain; Gauss interiors keep their measure in expectation
+    # (the rescale is the unbiased inverse-inclusion-probability factor)
     quad_mc = _quad(scheme=ps.MONTE_CARLO)
     sub_mc = lg.subsample(quad_mc, 13, step_seed=3)
-    assert sub_mc.interior.weight.sum() == pytest.approx(
-        quad_mc.interior.weight.sum(), rel=1e-12
-    )
+    assert len(sub_mc.interior) == 13
+    assert sub_mc.interior.weight.sum() == pytest.approx(quad_mc.domain.area * 2 * np.pi, rel=1e-12)
+    assert sub_mc.boundary is quad_mc.boundary
     quad = _quad(n_spatial=4)
     totals = np.array(
         [lg.subsample(quad, 7, step_seed=s).interior.weight.sum() for s in range(300)]

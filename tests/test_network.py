@@ -168,32 +168,6 @@ def test_eval_batch_blocks_match_forward_batch_bitwise(activation):
     assert np.array_equal(net.eval_batch(params, emb), u_ref)
 
 
-@pytest.mark.parametrize("activation", list(net.ACTIVATIONS))
-def test_activation_orders_are_prefixes(activation):
-    act = net.ACTIVATIONS[activation]
-    z = np.linspace(-6.0, 6.0, 241)
-    full = act(z, 2)
-    assert len(full) == 3
-    for order in (0, 1):
-        part = act(z, order)
-        assert len(part) == order + 1
-        for got, want in zip(part, full):
-            assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("activation", list(net.ACTIVATIONS))
-def test_activation_in_place_matches_out_of_place(activation):
-    # the stacked pass hands the pre-activation in as out[0]
-    act = net.ACTIVATIONS[activation]
-    z = np.linspace(-6.0, 6.0, 241)
-    for order in (0, 1, 2):
-        want = act(z, order)
-        got = (z.copy(), *(np.empty_like(z) for _ in range(order)))
-        act(got[0], order, got)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
-
-
 # each activation and its first derivative, analytic in z
 _DENSE_ACTIVATIONS = {"tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2)}
 

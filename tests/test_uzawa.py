@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from uzawa_transport import config as cm
 from uzawa_transport import kinetic_ops as ko
 from uzawa_transport import lagrangian as lg
 from uzawa_transport import network as net
 from uzawa_transport import phase_space as ps
-from uzawa_transport import uzawa
+from uzawa_transport import presets, uzawa
 from uzawa_transport.errors import ContractViolation, NumericalAbort
 
 
@@ -145,6 +146,31 @@ def test_monte_carlo_run_replays_bitwise_from_warm_caches():
         assert parts(a.loss_parts) == parts(b.loss_parts)
         assert a.loss_parts.mismatch.tobytes() == b.loss_parts.mismatch.tobytes()
         assert (a.boundary_residual, a.lambda_norm) == (b.boundary_residual, b.lambda_norm)
+
+
+@pytest.mark.parametrize("scheme", [ps.TENSOR_GAUSS, ps.MONTE_CARLO])
+def test_an_inner_step_trains_on_the_subsample_batch(scheme):
+    # every inner step's batch is lagrangian.subsample's draw from the seed
+    # keyed by (run seed, outer, inner): the first step's parts and Adam step
+    # are those of that batch, bit for bit
+    overrides = {"quadrature.scheme": scheme, "quadrature.n_interior": 256, "quadrature.n_boundary": 64}
+    overrides.update({"network.widths": "4,8,8,1", "uzawa.n_outer": 1, "uzawa.n_inner": 1})
+    cfg = presets.expand_preset("manufactured", overrides, seed=5)
+    problem, _ = cm.build_problem(cfg)
+    quad, params0 = cm.build_quadrature_set(cfg), cm.build_network(cfg)
+    uz_cfg, lagr_cfg = cm.build_uzawa_config(cfg), cm.build_lagrangian_config(cfg)
+    state = uzawa.run(problem, quad, params0, uz_cfg, lagr_cfg, seed=cfg["seed"])
+
+    batch = lg.subsample(quad, lagr_cfg.batch_interior, [5, 0, 0])
+    assert batch is not quad and len(batch.interior) < len(quad.interior)
+    zero = lg.MultiplierField(np.zeros(len(quad.boundary)), quad.boundary)
+    want, grad = lg.assemble_with_gradient(params0, zero, batch, problem, lagr_cfg)
+    got = state.inner_history[0][0]
+    assert (got.pde, got.boundary_penalty, got.multiplier_term) == (
+        want.pde, want.boundary_penalty, want.multiplier_term
+    )
+    step = uzawa.Adam(uz_cfg.learning_rate).step(params0.flat, grad)
+    assert state.params.flat.tobytes() == step.tobytes()
 
 
 def test_outer_pass_runs_without_the_training_workspace(monkeypatch):
