@@ -3,7 +3,7 @@
 Subcommands: ``run <config>``, ``preset <name>``, ``list-presets``, and
 ``verify`` (shorthand for the oracle-verify preset).  Exit codes: 0
 success, 1 failed verification, 2 configuration error, ``ContractViolation``
-or out of memory (numpy's message names the allocation), 3 numerical abort
+or out of memory (the message names the allocation), 3 numerical abort
 or ``IllConditionedSystem`` (with its condition estimate), 4 I/O error.
 ``--threads N`` pins the BLAS pools right after argument parsing, before
 numpy loads (every heavy import is deferred past that point);

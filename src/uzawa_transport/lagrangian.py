@@ -51,10 +51,6 @@ class MultiplierField:
         if self.values.shape != (len(self.nodes),):
             raise ContractViolation("one multiplier value per boundary node")
 
-    def norm(self):
-        """Discrete boundary L2 norm of the multiplier."""
-        return float(np.sqrt(self.nodes.weight @ self.values**2))
-
 
 @dataclass
 class LagrangianParts:

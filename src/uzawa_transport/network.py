@@ -11,19 +11,18 @@ never phase points.  The parameters are one float64 vector,
 bias; the per-layer arrays are views of it.  The activation is tanh, the
 one entry of ``ACTIVATIONS``; ``MlpParams`` and checkpoint headers carry
 its name.  The forward applies it once per layer to every value row and
-writes its derivatives from its output (``_tanh_slope``), at the tangent
+writes its derivative from its output (``_tanh_slope``), at the tangent
 rows only.  Two kinds of batched kernel evaluate the network:
 
 - ``forward_jvp_batch`` evaluates n embedded rows plus a forward tangent
   rail (for omega-directional spatial derivatives) on the first n_t of
   them, both rails stacked so each layer is one GEMM, and caches what one
   reverse sweep, ``vjp_jvp_batch``, needs for exact gradients of
-  derivative-containing losses: each layer's stacked input and, at the n_t
-  tangent rows only, the second derivative times the tangent
-  pre-activation (the one product the sweep reads, which it could not
-  recompute).  The activation's derivative is not kept: tanh' = 1 - a*a is
-  a function of the layer's output, so the sweep refills it into one slope
-  buffer, shared by all layers, from the kept outputs.  Each GEMM writes
+  derivative-containing losses: each layer's stacked input, and nothing
+  else.  No derivative of the activation is kept: a hidden layer's input
+  holds the layer below's output a and tangent tanh'*t, so the sweep
+  forms tanh' = 1 - a*a and tanh''*t = -2*a*(tanh'*t) from it, into one
+  slope and one product buffer shared by all layers.  Each GEMM writes
   into the next layer's input, where the activation runs in place, so no
   full-height pre-activation is kept.  Every pass that fits reuses the
   buffers, so a training step allocates no layer temporaries, however many
@@ -53,6 +52,7 @@ see; each workspace records their total size in ``nbytes``.
 
 from __future__ import annotations
 
+import errno
 import json
 import mmap
 from dataclasses import dataclass
@@ -194,9 +194,14 @@ def _mapped(size):
     """A float64 buffer of ``size`` entries in its own anonymous mapping,
     whose pages go back to the system when it is dropped.  Heap arrays
     would stay resident, and workspaces rebuilt twice per outer step would
-    fragment the heap, so peak memory would creep up with outer steps."""
-    # a mapping cannot be empty; an n_t = 0 buffer gets one unused entry
-    return np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), dtype=float)
+    fragment the heap, so peak memory would creep up with outer steps.
+    A mapping the system refuses is a ``MemoryError`` naming its size."""
+    try:  # a mapping cannot be empty; an n_t = 0 buffer gets one unused entry
+        return np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), dtype=float)
+    except OSError as err:
+        if err.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"cannot map a {8 * max(size, 1):,} B workspace buffer") from err
 
 
 class _Workspace:
@@ -208,13 +213,11 @@ class _Workspace:
     ``d1`` is one slope buffer that every hidden layer shares: the forward
     writes the activation's derivative there at the first n_t value rows,
     where the tangent rail reads it, and only there.  Order 2 (a reverse
-    sweep follows) keeps per hidden layer its input ``h[l]`` and ``d2``: at
-    the tangent rows only, the second derivative times the tangent
-    pre-activation, which the forward overwrites, so it cannot be
-    recomputed.  Its ``d1`` spans all n value rows, since the sweep refills
-    it there, layer by layer, from the kept outputs.  Order 1 alternates two
-    input buffers and sizes ``d1`` by the n_t tangent rows.  ``nbytes`` is
-    the size of all its buffers."""
+    sweep follows) keeps every layer's input ``h[l]``.  Its ``d1`` spans all
+    n value rows and its one shared ``d2`` the n_t tangent rows, since the
+    sweep refills both there, layer by layer, from the kept outputs.  Order
+    1 alternates two input buffers and sizes ``d1`` by the n_t tangent rows.
+    ``nbytes`` is the size of all its buffers."""
 
     def __init__(self, widths, n, n_t, order):
         def flat(count, rows, ws):
@@ -224,7 +227,7 @@ class _Workspace:
         per_layer = order == 2
         self._h = flat(len(widths) - 1 if per_layer else 2, _aligned(n + n_t), widths[:-1])
         self._d1 = flat(1, n if per_layer else n_t, hidden)
-        self._d2 = flat(len(hidden), n_t, hidden) if per_layer else None
+        self._d2 = flat(1, n_t, hidden) if per_layer else None
         self._out = _mapped(_aligned(n + n_t))
         self.nbytes = sum(b.nbytes for b in (*self._h, *self._d1, *(self._d2 or ()), self._out))
 
@@ -279,10 +282,6 @@ def _forward(params, ws):
         act(z, out=z)
         # only the tangent rows need the slope; a sweep refills it at every value row
         _tanh_slope(z[:n_t], slope)
-        if ws.d2:
-            d2 = ws.d2[layer]  # tanh'' = -2*tanh*tanh'; the sweep reads only d2 * t
-            np.multiply(np.multiply(z[:n_t], -2.0, out=d2), slope, out=d2)
-            d2 *= tangent
         tangent *= slope
     return np.matmul(ws.h[-1], params.weights[-1].T, out=ws.out)
 
@@ -325,10 +324,10 @@ def vjp_jvp_batch(params, cache, seed_value, seed_tangent):
     input layer, one adjoint GEMM over the stacked rails; tangent adjoints
     enter through the activation's second derivative, which makes gradients
     of directional derivatives exact.  Before a layer's adjoint GEMM
-    overwrites its cached input, the sweep refills the shared slope buffer
-    from that input, the output of the layer below.  The sweep overwrites
-    the cached layer inputs and second-derivative products, so a cache
-    admits one sweep; a stale cache raises."""
+    overwrites its cached input, the output of the layer below, the sweep
+    forms from it that layer's slope and second derivative times tangent
+    into the shared ``d1`` and ``d2``.  The sweep overwrites the cached
+    layer inputs, so a cache admits one sweep; a stale cache raises."""
     ws, generation = cache
     if generation != ws.generation:
         raise ContractViolation("stale forward cache: its workspace was reused or already swept")
@@ -349,11 +348,14 @@ def vjp_jvp_batch(params, cache, seed_value, seed_tangent):
         np.matmul(adj.T, ws.h[layer], out=views[layer][0])
         np.matmul(ones, adj[:n], out=views[layer][1])  # one GEMV: a third of np.sum(axis=0)
         if layer:
-            # the slope of layer - 1 from its outputs, which the GEMM above read last
-            _tanh_slope(ws.h[layer][:n], ws.d1[layer - 1])
+            # layer - 1's slope and tanh''*t = -2*a*(tanh'*t) from its outputs,
+            # which the GEMM above read last
+            h, d2 = ws.h[layer], ws.d2[layer - 1]
+            _tanh_slope(h[:n], ws.d1[layer - 1])
+            np.multiply(np.multiply(h[:n_t], -2.0, out=d2), h[n : n + n_t], out=d2)
             # the output layer's adjoint is an outer product with its one weight row
             mix = np.multiply if layer == last else np.matmul
-            adj = mix(adj, params.weights[layer], out=ws.h[layer])
+            adj = mix(adj, params.weights[layer], out=h)
     return grad
 
 

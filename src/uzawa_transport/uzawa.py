@@ -87,7 +87,7 @@ class RunState:
 
 
 def boundary_residual(nodes, mismatch):
-    """Discrete inflow-trace mismatch norm ||u - g|| from mismatch = u - g."""
+    """Discrete L2 norm on the inflow nodes: of mismatch = u - g, or of the multiplier."""
     return float(np.sqrt(nodes.weight @ mismatch**2))
 
 
@@ -149,7 +149,7 @@ def run(problem, quad, params0, config, lagr_cfg, seed=0):
             full_parts = lagr.assemble(state.params, state.multiplier, quad, problem, lagr_cfg)
             br = boundary_residual(b, full_parts.mismatch)
             state.multiplier = multiplier_update(state.multiplier, full_parts.mismatch, config.rho)
-            record = OuterRecord(full_parts, br, state.multiplier.norm())
+            record = OuterRecord(full_parts, br, boundary_residual(b, state.multiplier.values))
         named = [("boundary residual", br), ("multiplier norm", record.lambda_norm)]
         _check_finite(f"outer step {k}", _part_values(full_parts) + named)
         state.inner_history.append(trace)

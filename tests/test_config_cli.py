@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import inspect
 import json
 import math
@@ -691,6 +692,24 @@ def test_cli_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
         argv += ["--override", f"{key}={value}"]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"configuration error:\n  - out of memory: {message}\n"
+
+
+def test_cli_unmappable_workspace_exit_code(tmp_path, monkeypatch, capsys):
+    # the system refuses the kernel workspace's mapping (ENOMEM), as it does a
+    # network too wide to fit; out of memory is exit 2, not an i/o error
+    from uzawa_transport import network
+
+    def refuse(fileno, length):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(network.mmap, "mmap", refuse)
+    overrides = {**FAST_OVERRIDES, "uzawa.n_outer": "1", "uzawa.n_inner": "1"}
+    argv = ["preset", "example1", "--out", tmp_path.as_posix()]
+    for key, value in overrides.items():
+        argv += ["--override", f"{key}={value}"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:\n  - out of memory: cannot map a ") and "i/o error" not in err
 
 
 @pytest.mark.parametrize(

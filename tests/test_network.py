@@ -1,5 +1,6 @@
 """Trial network: init, evaluation, directional derivatives, checkpoints."""
 
+import errno
 import json
 import re
 import tracemalloc
@@ -190,10 +191,13 @@ def _dense_reference(flat, widths, activation, emb, tan):
 
 
 @pytest.mark.parametrize("activation", list(net.ACTIVATIONS))
-def test_kernels_match_complex_step(activation):
+@pytest.mark.parametrize("n_t", [0, 3, 6], ids=["values-only", "half-tangent", "all-tangent"])
+def test_kernels_match_complex_step(n_t, activation):
     # complex step (Squire & Trapp, SIAM Rev. 1998): dF/dp_i = Im F(p + i h e_i) / h
-    # is exact to rounding, with no cancellation, for h far below any scale
-    widths, n, n_t, h = (4, 7, 5, 1), 6, 4, 1e-200
+    # is exact to rounding, with no cancellation, for h far below any scale;
+    # three hidden layers, so the sweep forms tanh''*t at its top iteration,
+    # at an interior one and, with n_t = 0, at no row
+    widths, n, h = (4, 7, 5, 6, 1), 6, 1e-200
     rng = np.random.default_rng(42)
     params = _network(widths, activation, 3)
     x = rng.uniform(0.05, 0.95, (n, 2))
@@ -389,8 +393,9 @@ def test_stacked_pass_keeps_only_tangent_pre_activations(peak_bytes):
     assert peak_bytes(step) < 16e6
 
 
-def test_stacked_pass_caches_one_product_per_tangent_row(peak_bytes):
-    # scatter-tensor's step: 1,792 value rows, the first 1,536 with tangents
+def test_stacked_pass_caches_only_layer_inputs(peak_bytes):
+    # scatter-tensor's step: 1,792 value rows, the first 1,536 with tangents;
+    # a tanh''*t buffer per hidden layer, not one shared, adds 1.6 MB and passes 8 MB
     params = net.init_params((4, 64, 64, 64, 1), seed=0)
     rng = np.random.default_rng(5)
     emb, tan = rng.uniform(-1.0, 1.0, (1792, 4)), rng.uniform(-1.0, 1.0, (1536, 4))
@@ -401,16 +406,34 @@ def test_stacked_pass_caches_one_product_per_tangent_row(peak_bytes):
         net.vjp_jvp_batch(params, cache, *seeds)
 
     net.release_workspace()
-    assert peak_bytes(step) < 11.5e6
+    assert peak_bytes(step) < 8.0e6
 
 
 def test_workspace_sizes():
-    # a cache keeps per hidden layer its input and d2 * t; the layers share
-    # one slope buffer, of n rows before a sweep and of n_t rows without one
+    # a cache keeps every layer's input; the hidden layers share one slope
+    # buffer, of n rows before a sweep and of n_t rows without one, and a
+    # sweep one n_t-row tanh''*t buffer
     widths = (4, 64, 64, 64, 1)
-    assert net._Workspace(widths, 512, 512, 2).nbytes == 2_662_400  # a tensor tile
-    assert net._Workspace(widths, 1024, 73, 2).nbytes == 2_451_968  # a Monte Carlo tile
+    assert net._Workspace(widths, 512, 512, 2).nbytes == 2_138_112  # a tensor tile
+    assert net._Workspace(widths, 1024, 73, 2).nbytes == 2_377_216  # a Monte Carlo tile
     assert net._Workspace(widths, 1024, 512, 1).nbytes == 1_847_296
+
+
+def test_an_unmappable_buffer_is_a_memory_error(monkeypatch):
+    # ENOMEM from the mapping is out of memory, naming the bytes; any other
+    # OSError passes through
+    def refuse(code):
+        def mapping(fileno, length):
+            raise OSError(code, "refused")
+
+        return mapping
+
+    monkeypatch.setattr(net.mmap, "mmap", refuse(errno.ENOMEM))
+    with pytest.raises(MemoryError, match="cannot map a 8,000 B workspace buffer"):
+        net._mapped(1000)
+    monkeypatch.setattr(net.mmap, "mmap", refuse(errno.EACCES))
+    with pytest.raises(PermissionError):
+        net._mapped(1000)
 
 
 def test_streamed_pass_frees_the_training_workspace():

@@ -175,7 +175,7 @@ def test_an_inner_step_trains_on_the_subsample_batch(scheme):
 
 def test_outer_pass_runs_without_the_training_workspace(monkeypatch):
     # the full-set pass builds its rows after the inner loop has released
-    # its cached workspace (the one with d2 buffers), so the two never add up
+    # its cached workspace (the one with a d2 buffer), so the two never add up
     quad, problem, params = _tiny_setup(
         g=lambda x, t: np.full(np.atleast_2d(x).shape[0], 0.2), scheme=ps.MONTE_CARLO
     )
